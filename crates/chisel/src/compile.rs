@@ -102,14 +102,14 @@ enum Node {
     MaskTo { a: Slot, width: u64, signed: bool },
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 struct InputSpec {
     name: String,
     width: u64,
     signed: bool,
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 struct RegSpec {
     name: String,
     width: u64,
@@ -124,7 +124,7 @@ struct RegSpec {
 
 /// A module lowered to a slot program: build once per (design, width) with
 /// [`compile`], then run any number of [`CompiledSim`]s over it.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct CompiledModule {
     /// Module name (from the elaborated module).
     pub name: String,
@@ -209,443 +209,6 @@ impl CompiledModule {
     /// Declared width of register `i` in bits.
     pub fn reg_width(&self, i: usize) -> u64 {
         self.regs[i].width
-    }
-
-    /// Serializes the program to a stable, self-describing byte format so
-    /// the artifact cache can persist compiled programs across processes.
-    /// [`decode`](CompiledModule::decode) inverts it exactly.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = codec::Writer::new();
-        w.bytes(codec::MAGIC);
-        w.u32(codec::VERSION);
-        w.str(&self.name);
-        w.u8(match self.lane {
-            Lane::U64 => 0,
-            Lane::U128 => 1,
-            Lane::Big => 2,
-        });
-        w.u64(self.max_width);
-        w.u32(self.nodes.len() as u32);
-        for n in &self.nodes {
-            codec::write_node(&mut w, n);
-        }
-        w.u32(self.width.len() as u32);
-        for &x in &self.width {
-            w.u64(x);
-        }
-        w.u32(self.signed.len() as u32);
-        for &b in &self.signed {
-            w.bool(b);
-        }
-        w.u32(self.consts.len() as u32);
-        for c in &self.consts {
-            w.big(c);
-        }
-        w.u32(self.inputs.len() as u32);
-        for i in &self.inputs {
-            w.str(&i.name);
-            w.u64(i.width);
-            w.bool(i.signed);
-        }
-        w.u32(self.outputs.len() as u32);
-        for (name, slot) in &self.outputs {
-            w.str(name);
-            w.u32(*slot);
-        }
-        w.u32(self.regs.len() as u32);
-        for r in &self.regs {
-            w.str(&r.name);
-            w.u64(r.width);
-            w.bool(r.signed);
-            w.u32(r.next);
-            w.big(&r.reset);
-            w.bool(r.has_init);
-        }
-        w.finish()
-    }
-
-    /// Deserializes a program written by [`encode`](CompiledModule::encode).
-    ///
-    /// Returns `None` on any malformed input: wrong magic/version,
-    /// truncation, trailing bytes, or structural inconsistency (a slot
-    /// reference, constant index, input index, or register index out of
-    /// range). A decoded `Some` is safe to execute — the VM indexes
-    /// unchecked nowhere, but a wild slot would still be a logic bug, so
-    /// validation rejects it up front.
-    pub fn decode(bytes: &[u8]) -> Option<CompiledModule> {
-        let mut r = codec::Reader::new(bytes);
-        r.expect_bytes(codec::MAGIC)?;
-        if r.u32()? != codec::VERSION {
-            return None;
-        }
-        let name = r.str()?;
-        let lane = match r.u8()? {
-            0 => Lane::U64,
-            1 => Lane::U128,
-            2 => Lane::Big,
-            _ => return None,
-        };
-        let max_width = r.u64()?;
-        let nodes: Vec<Node> = {
-            let n = r.u32()? as usize;
-            let mut v = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                v.push(codec::read_node(&mut r)?);
-            }
-            v
-        };
-        let width: Vec<u64> = {
-            let n = r.u32()? as usize;
-            (0..n).map(|_| r.u64()).collect::<Option<_>>()?
-        };
-        let signed: Vec<bool> = {
-            let n = r.u32()? as usize;
-            (0..n).map(|_| r.bool()).collect::<Option<_>>()?
-        };
-        let consts: Vec<BigInt> = {
-            let n = r.u32()? as usize;
-            (0..n).map(|_| r.big()).collect::<Option<_>>()?
-        };
-        let inputs: Vec<InputSpec> = {
-            let n = r.u32()? as usize;
-            (0..n)
-                .map(|_| {
-                    Some(InputSpec { name: r.str()?, width: r.u64()?, signed: r.bool()? })
-                })
-                .collect::<Option<_>>()?
-        };
-        let outputs: Vec<(String, Slot)> = {
-            let n = r.u32()? as usize;
-            (0..n).map(|_| Some((r.str()?, r.u32()?))).collect::<Option<_>>()?
-        };
-        let regs: Vec<RegSpec> = {
-            let n = r.u32()? as usize;
-            (0..n)
-                .map(|_| {
-                    Some(RegSpec {
-                        name: r.str()?,
-                        width: r.u64()?,
-                        signed: r.bool()?,
-                        next: r.u32()?,
-                        reset: r.big()?,
-                        has_init: r.bool()?,
-                    })
-                })
-                .collect::<Option<_>>()?
-        };
-        r.finished()?;
-        let cm = CompiledModule {
-            name,
-            lane,
-            nodes,
-            width,
-            signed,
-            consts,
-            inputs,
-            outputs,
-            regs,
-            max_width,
-        };
-        cm.validate().then_some(cm)
-    }
-
-    /// Structural consistency of a decoded program: every index in range.
-    fn validate(&self) -> bool {
-        let slots = self.nodes.len();
-        if self.width.len() != slots || self.signed.len() != slots {
-            return false;
-        }
-        let slot_ok = |s: &Slot| (*s as usize) < slots;
-        for n in &self.nodes {
-            let ok = match n {
-                Node::Const(c) => (*c as usize) < self.consts.len(),
-                Node::Input(i) => (*i as usize) < self.inputs.len(),
-                Node::Reg(i) => (*i as usize) < self.regs.len(),
-                Node::Add(a, b)
-                | Node::Sub(a, b)
-                | Node::Mul(a, b)
-                | Node::Div(a, b)
-                | Node::Rem(a, b)
-                | Node::And(a, b)
-                | Node::Or(a, b)
-                | Node::Xor(a, b)
-                | Node::LogicAnd(a, b)
-                | Node::LogicOr(a, b)
-                | Node::CmpEq(a, b)
-                | Node::CmpNeq(a, b)
-                | Node::CmpLt(a, b)
-                | Node::CmpLe(a, b)
-                | Node::CmpGt(a, b)
-                | Node::CmpGe(a, b)
-                | Node::Cat(a, b)
-                | Node::ShlDyn(a, b)
-                | Node::ShrDyn(a, b)
-                | Node::BitAt(a, b) => slot_ok(a) && slot_ok(b),
-                Node::Not(a)
-                | Node::LogicNot(a)
-                | Node::Neg(a)
-                | Node::OrR(a)
-                | Node::AndR(a)
-                | Node::XorR(a)
-                | Node::AsBool(a)
-                | Node::AsUIntOp(a)
-                | Node::AsSIntOp(a) => slot_ok(a),
-                Node::Mux(c, t, f) => slot_ok(c) && slot_ok(t) && slot_ok(f),
-                Node::ExtractOp { a, .. }
-                | Node::ShlConst { a, .. }
-                | Node::ShrConst { a, .. }
-                | Node::FillOp { a, .. }
-                | Node::MaskTo { a, .. } => slot_ok(a),
-            };
-            if !ok {
-                return false;
-            }
-        }
-        self.outputs.iter().all(|(_, s)| slot_ok(s))
-            && self.regs.iter().all(|r| slot_ok(&r.next))
-    }
-}
-
-/// Byte codec for [`CompiledModule::encode`]/[`decode`]: length-prefixed,
-/// little-endian, no external framing — the artifact store wraps it in its
-/// own checksummed envelope.
-///
-/// [`decode`]: CompiledModule::decode
-mod codec {
-    use super::{BigInt, Node};
-
-    pub(super) const MAGIC: &[u8] = b"chicala-prog";
-    /// Bumped on any change to the node tags or field layout.
-    pub(super) const VERSION: u32 = 1;
-
-    pub(super) struct Writer {
-        out: Vec<u8>,
-    }
-
-    impl Writer {
-        pub(super) fn new() -> Writer {
-            Writer { out: Vec::new() }
-        }
-        pub(super) fn finish(self) -> Vec<u8> {
-            self.out
-        }
-        pub(super) fn bytes(&mut self, b: &[u8]) {
-            self.out.extend_from_slice(b);
-        }
-        pub(super) fn u8(&mut self, v: u8) {
-            self.out.push(v);
-        }
-        pub(super) fn bool(&mut self, v: bool) {
-            self.out.push(v as u8);
-        }
-        pub(super) fn u32(&mut self, v: u32) {
-            self.out.extend_from_slice(&v.to_le_bytes());
-        }
-        pub(super) fn u64(&mut self, v: u64) {
-            self.out.extend_from_slice(&v.to_le_bytes());
-        }
-        pub(super) fn str(&mut self, s: &str) {
-            self.u32(s.len() as u32);
-            self.bytes(s.as_bytes());
-        }
-        pub(super) fn big(&mut self, v: &BigInt) {
-            self.bool(v.is_negative());
-            let mag = v.magnitude();
-            self.u32(mag.len() as u32);
-            for &limb in mag {
-                self.u64(limb);
-            }
-        }
-    }
-
-    pub(super) struct Reader<'a> {
-        bytes: &'a [u8],
-        at: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        pub(super) fn new(bytes: &'a [u8]) -> Reader<'a> {
-            Reader { bytes, at: 0 }
-        }
-        fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-            let end = self.at.checked_add(n)?;
-            let s = self.bytes.get(self.at..end)?;
-            self.at = end;
-            Some(s)
-        }
-        pub(super) fn expect_bytes(&mut self, want: &[u8]) -> Option<()> {
-            (self.take(want.len())? == want).then_some(())
-        }
-        pub(super) fn u8(&mut self) -> Option<u8> {
-            Some(self.take(1)?[0])
-        }
-        pub(super) fn bool(&mut self) -> Option<bool> {
-            match self.u8()? {
-                0 => Some(false),
-                1 => Some(true),
-                _ => None,
-            }
-        }
-        pub(super) fn u32(&mut self) -> Option<u32> {
-            Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-        }
-        pub(super) fn u64(&mut self) -> Option<u64> {
-            Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-        }
-        pub(super) fn str(&mut self) -> Option<String> {
-            let n = self.u32()? as usize;
-            String::from_utf8(self.take(n)?.to_vec()).ok()
-        }
-        pub(super) fn big(&mut self) -> Option<BigInt> {
-            let negative = self.bool()?;
-            let n = self.u32()? as usize;
-            let mag: Vec<u64> = (0..n).map(|_| self.u64()).collect::<Option<_>>()?;
-            let sign = if negative {
-                chicala_bigint::Sign::Minus
-            } else {
-                chicala_bigint::Sign::Plus
-            };
-            Some(BigInt::from_sign_magnitude(sign, mag))
-        }
-        /// `Some(())` iff every byte was consumed — trailing garbage is
-        /// malformed, not ignorable.
-        pub(super) fn finished(&self) -> Option<()> {
-            (self.at == self.bytes.len()).then_some(())
-        }
-    }
-
-    pub(super) fn write_node(w: &mut Writer, n: &Node) {
-        match n {
-            Node::Const(c) => {
-                w.u8(0);
-                w.u32(*c);
-            }
-            Node::Input(i) => {
-                w.u8(1);
-                w.u32(*i);
-            }
-            Node::Reg(i) => {
-                w.u8(2);
-                w.u32(*i);
-            }
-            Node::Add(a, b) => bin(w, 3, *a, *b),
-            Node::Sub(a, b) => bin(w, 4, *a, *b),
-            Node::Mul(a, b) => bin(w, 5, *a, *b),
-            Node::Div(a, b) => bin(w, 6, *a, *b),
-            Node::Rem(a, b) => bin(w, 7, *a, *b),
-            Node::And(a, b) => bin(w, 8, *a, *b),
-            Node::Or(a, b) => bin(w, 9, *a, *b),
-            Node::Xor(a, b) => bin(w, 10, *a, *b),
-            Node::LogicAnd(a, b) => bin(w, 11, *a, *b),
-            Node::LogicOr(a, b) => bin(w, 12, *a, *b),
-            Node::CmpEq(a, b) => bin(w, 13, *a, *b),
-            Node::CmpNeq(a, b) => bin(w, 14, *a, *b),
-            Node::CmpLt(a, b) => bin(w, 15, *a, *b),
-            Node::CmpLe(a, b) => bin(w, 16, *a, *b),
-            Node::CmpGt(a, b) => bin(w, 17, *a, *b),
-            Node::CmpGe(a, b) => bin(w, 18, *a, *b),
-            Node::Cat(a, b) => bin(w, 19, *a, *b),
-            Node::ShlDyn(a, b) => bin(w, 20, *a, *b),
-            Node::ShrDyn(a, b) => bin(w, 21, *a, *b),
-            Node::Not(a) => un(w, 22, *a),
-            Node::LogicNot(a) => un(w, 23, *a),
-            Node::Neg(a) => un(w, 24, *a),
-            Node::OrR(a) => un(w, 25, *a),
-            Node::AndR(a) => un(w, 26, *a),
-            Node::XorR(a) => un(w, 27, *a),
-            Node::AsBool(a) => un(w, 28, *a),
-            Node::AsUIntOp(a) => un(w, 29, *a),
-            Node::AsSIntOp(a) => un(w, 30, *a),
-            Node::Mux(c, t, f) => {
-                w.u8(31);
-                w.u32(*c);
-                w.u32(*t);
-                w.u32(*f);
-            }
-            Node::ExtractOp { a, lo, width } => {
-                w.u8(32);
-                w.u32(*a);
-                w.u64(*lo);
-                w.u64(*width);
-            }
-            Node::BitAt(a, b) => bin(w, 33, *a, *b),
-            Node::ShlConst { a, k } => {
-                w.u8(34);
-                w.u32(*a);
-                w.u64(*k);
-            }
-            Node::ShrConst { a, k } => {
-                w.u8(35);
-                w.u32(*a);
-                w.u64(*k);
-            }
-            Node::FillOp { a, factor } => {
-                w.u8(36);
-                w.u32(*a);
-                w.u32(*factor);
-            }
-            Node::MaskTo { a, width, signed } => {
-                w.u8(37);
-                w.u32(*a);
-                w.u64(*width);
-                w.bool(*signed);
-            }
-        }
-    }
-
-    fn bin(w: &mut Writer, tag: u8, a: u32, b: u32) {
-        w.u8(tag);
-        w.u32(a);
-        w.u32(b);
-    }
-
-    fn un(w: &mut Writer, tag: u8, a: u32) {
-        w.u8(tag);
-        w.u32(a);
-    }
-
-    pub(super) fn read_node(r: &mut Reader) -> Option<Node> {
-        Some(match r.u8()? {
-            0 => Node::Const(r.u32()?),
-            1 => Node::Input(r.u32()?),
-            2 => Node::Reg(r.u32()?),
-            3 => Node::Add(r.u32()?, r.u32()?),
-            4 => Node::Sub(r.u32()?, r.u32()?),
-            5 => Node::Mul(r.u32()?, r.u32()?),
-            6 => Node::Div(r.u32()?, r.u32()?),
-            7 => Node::Rem(r.u32()?, r.u32()?),
-            8 => Node::And(r.u32()?, r.u32()?),
-            9 => Node::Or(r.u32()?, r.u32()?),
-            10 => Node::Xor(r.u32()?, r.u32()?),
-            11 => Node::LogicAnd(r.u32()?, r.u32()?),
-            12 => Node::LogicOr(r.u32()?, r.u32()?),
-            13 => Node::CmpEq(r.u32()?, r.u32()?),
-            14 => Node::CmpNeq(r.u32()?, r.u32()?),
-            15 => Node::CmpLt(r.u32()?, r.u32()?),
-            16 => Node::CmpLe(r.u32()?, r.u32()?),
-            17 => Node::CmpGt(r.u32()?, r.u32()?),
-            18 => Node::CmpGe(r.u32()?, r.u32()?),
-            19 => Node::Cat(r.u32()?, r.u32()?),
-            20 => Node::ShlDyn(r.u32()?, r.u32()?),
-            21 => Node::ShrDyn(r.u32()?, r.u32()?),
-            22 => Node::Not(r.u32()?),
-            23 => Node::LogicNot(r.u32()?),
-            24 => Node::Neg(r.u32()?),
-            25 => Node::OrR(r.u32()?),
-            26 => Node::AndR(r.u32()?),
-            27 => Node::XorR(r.u32()?),
-            28 => Node::AsBool(r.u32()?),
-            29 => Node::AsUIntOp(r.u32()?),
-            30 => Node::AsSIntOp(r.u32()?),
-            31 => Node::Mux(r.u32()?, r.u32()?, r.u32()?),
-            32 => Node::ExtractOp { a: r.u32()?, lo: r.u64()?, width: r.u64()? },
-            33 => Node::BitAt(r.u32()?, r.u32()?),
-            34 => Node::ShlConst { a: r.u32()?, k: r.u64()? },
-            35 => Node::ShrConst { a: r.u32()?, k: r.u64()? },
-            36 => Node::FillOp { a: r.u32()?, factor: r.u32()? },
-            37 => Node::MaskTo { a: r.u32()?, width: r.u64()?, signed: r.bool()? },
-            _ => return None,
-        })
     }
 }
 
@@ -1430,66 +993,6 @@ mod tests {
         let prog = compile(&em).expect("compiles");
         assert_eq!(prog.lane(), Lane::U64);
         assert!(prog.num_slots() > 0);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip_is_exact() {
-        let em = rotate_at(6);
-        let prog = compile(&em).expect("compiles");
-        let bytes = prog.encode();
-        let back = CompiledModule::decode(&bytes).expect("decodes");
-        assert_eq!(back, prog);
-        // And the decoded program is byte-stable itself.
-        assert_eq!(back.encode(), bytes);
-    }
-
-    #[test]
-    fn decode_rejects_corruption() {
-        let em = rotate_at(4);
-        let prog = compile(&em).expect("compiles");
-        let bytes = prog.encode();
-        assert!(CompiledModule::decode(&bytes[..bytes.len() - 1]).is_none(), "truncated");
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(CompiledModule::decode(&trailing).is_none(), "trailing bytes");
-        let mut wrong_magic = bytes.clone();
-        wrong_magic[0] ^= 0xFF;
-        assert!(CompiledModule::decode(&wrong_magic).is_none(), "magic");
-        let mut wrong_version = bytes.clone();
-        wrong_version[codec::MAGIC.len()] ^= 0xFF;
-        assert!(CompiledModule::decode(&wrong_version).is_none(), "version");
-    }
-
-    #[test]
-    fn decode_rejects_wild_slot_references() {
-        let em = rotate_at(4);
-        let prog = compile(&em).expect("compiles");
-        let mut broken = prog.clone();
-        broken.regs[0].next = broken.nodes.len() as u32 + 100;
-        assert!(
-            CompiledModule::decode(&broken.encode()).is_none(),
-            "out-of-range register next slot must not validate"
-        );
-    }
-
-    #[test]
-    fn decoded_program_simulates_identically() {
-        let em = rotate_at(5);
-        let prog = compile(&em).expect("compiles");
-        let decoded = CompiledModule::decode(&prog.encode()).expect("decodes");
-        let inputs: BTreeMap<String, BigInt> =
-            [("io_in".to_string(), BigInt::from(0b10110))].into_iter().collect();
-        let mut a = CompiledSim::new(&prog, &BTreeMap::new());
-        let mut b = CompiledSim::new(&decoded, &BTreeMap::new());
-        a.set_inputs(&inputs);
-        b.set_inputs(&inputs);
-        for cycle in 0..8 {
-            a.step();
-            b.step();
-            for i in 0..prog.outputs_len() {
-                assert_eq!(a.output_value(i), b.output_value(i), "output {i} cycle {cycle}");
-            }
-        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// Role of an elaborated scalar signal.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ElabKind {
     /// Input port.
     Input,
@@ -33,7 +33,7 @@ pub enum ElabKind {
 }
 
 /// An elaborated scalar signal: concrete width, concrete signedness.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ElabSignal {
     /// Flattened name (e.g. `io_in`, `cols__3__0`).
     pub name: String,
@@ -64,24 +64,6 @@ impl ElabModule {
     /// Looks up a signal by flattened name.
     pub fn signal(&self, name: &str) -> Option<&ElabSignal> {
         self.signals.iter().find(|s| s.name == name)
-    }
-
-    /// Hashes the module's complete elaborated structure into `h` — name,
-    /// parameter bindings, signals in declaration order, and every driver
-    /// expression in `BTreeMap` (name) order. Deterministic across
-    /// processes: every container walked is ordered (`Vec`/`BTreeMap`) and
-    /// every leaf is a value type, so this is the content digest the
-    /// artifact cache keys compiled programs and conformance reports by.
-    pub fn digest_into(&self, h: &mut impl std::hash::Hasher) {
-        use std::hash::Hash;
-        self.name.hash(h);
-        self.bindings.hash(h);
-        self.signals.hash(h);
-        self.drivers.len().hash(h);
-        for (name, driver) in &self.drivers {
-            name.hash(h);
-            driver.hash(h);
-        }
     }
 
     /// Names of all input signals.

@@ -463,21 +463,12 @@ pub(crate) fn sim_plan(d: &Design, width: u64) -> Result<Arc<SimPlan>, String> {
 fn sim_plan_uncached(d: &Design, width: u64) -> Result<SimPlan, String> {
     let em = elab(d, width)?;
     let prog = transform_arc(d)?;
-    // The persistent artifact cache (when installed) is consulted before
-    // compiling: a hit skips the whole lowering; a fresh compile is stored
-    // for the next process.
-    let chisel = match crate::cache::cached_program(&em) {
-        Some(p) => Some(Arc::new(p)),
-        None => match compile_chisel(&em) {
-            Ok(p) => {
-                crate::cache::store_program(&em, &p);
-                Some(Arc::new(p))
-            }
-            Err(_) => {
-                telemetry::counter("conformance.sim.chisel_compile_fallback", 1);
-                None
-            }
-        },
+    let chisel = match compile_chisel(&em) {
+        Ok(p) => Some(Arc::new(p)),
+        Err(_) => {
+            telemetry::counter("conformance.sim.chisel_compile_fallback", 1);
+            None
+        }
     };
     let params: BTreeMap<String, BigInt> =
         [("len".to_string(), BigInt::from(width))].into_iter().collect();
@@ -924,11 +915,6 @@ pub(crate) fn word_value(word: &Word<Net>, vals: &[bool]) -> BigInt {
 /// concrete gates case at the same width shares one proof. The result is a
 /// pure function of (design, width), which keeps reports deterministic
 /// regardless of which worker primes the cache.
-///
-/// With `CHICALA_SWEEP` set, the first touch of a design sweeps its whole
-/// `min_width..=gate_max_width` family through one incremental session
-/// ([`sweep_gates_formal`]) and fills the memo for every width at once;
-/// per-width entries are byte-identical to the one-shot path either way.
 fn check_gates_formal(d: &Design, width: u64) -> Result<(), String> {
     if d.gate_spec.is_none() {
         return Ok(());
@@ -939,20 +925,6 @@ fn check_gates_formal(d: &Design, width: u64) -> Result<(), String> {
     let key = (d.name.to_string(), width);
     if let Some(r) = memo.lock().expect("memo lock").get(&key) {
         return r.clone();
-    }
-    if std::env::var_os("CHICALA_SWEEP").is_some() {
-        let widths: Vec<u64> = (d.min_width..=d.gate_max_width).collect();
-        if let Ok((_, per_width)) = sweep_gates_formal(d, &widths, false) {
-            let mut memo = memo.lock().expect("memo lock");
-            for (w, r) in per_width {
-                memo.insert((d.name.to_string(), w), r);
-            }
-            if let Some(r) = memo.get(&key) {
-                return r.clone();
-            }
-        }
-        // Requested width outside the registered family (or the sweep
-        // could not build): fall through to the one-shot path.
     }
     let r = check_gates_formal_uncached(d, width);
     memo.lock().expect("memo lock").insert(key, r.clone());
@@ -1000,8 +972,7 @@ pub fn sweep_gates_formal(
         })
         .collect();
     let backend = Backend::from_env().unwrap_or(Backend::Auto);
-    let report =
-        prove_net_sweep_scheduled(sweep_pool(), &items, backend, OptProfile::from_env(), verify_ab);
+    let report = prove_net_sweep_scheduled(sweep_pool(), &items, backend, OptProfile, verify_ab);
     let per_width = report
         .outcomes
         .iter()

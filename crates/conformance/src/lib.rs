@@ -23,7 +23,6 @@
 //! `proptest-regressions/conformance.txt`, which [`regressions::replay_all`]
 //! re-runs before any random exploration.
 
-pub mod cache;
 pub mod capture;
 pub mod engine;
 pub mod registry;

@@ -7,7 +7,7 @@
 
 use chicala_bigint::BigInt;
 use chicala_conformance::{all_designs, check_case, formal_gate_obligation, Case, Layer};
-use chicala_lowlevel::{prove_net, Backend};
+use chicala_lowlevel::{from_netlist, prove_net, Backend, AIG_TRUE};
 use std::collections::BTreeMap;
 
 #[test]
@@ -33,7 +33,11 @@ fn both_backends_prove_every_design_up_to_width_6() {
 fn sat_closes_every_design_at_its_ceiling_width() {
     // The tentpole claim: at each design's raised `gate_max_width` (≥ 24,
     // ≥ 16 for the Booth multiplier) the Auto backend resolves to SAT and
-    // every miter comes back UNSAT (proved).
+    // every miter comes back UNSAT (proved). The premise behind the single
+    // prove path: every golden model folds its miter to constant-true
+    // during netlist→AIG lowering, so no cone reaches an engine. A golden
+    // model that stops folding fails here rather than silently costing
+    // SAT time.
     for d in all_designs() {
         let width = d.gate_max_width;
         assert!(width >= 16, "{}: ceiling {width} below the lifted floor", d.name);
@@ -41,6 +45,12 @@ fn sat_closes_every_design_at_its_ceiling_width() {
             .unwrap_or_else(|e| panic!("{}: {e}", d.name))
             .expect("golden model registered");
         assert_eq!(Backend::Auto.resolve(width as usize), Backend::Sat);
+        let (_, roots, _) = from_netlist(&ob.netlist, &[ob.property]);
+        assert_eq!(
+            roots[0], AIG_TRUE,
+            "{} at ceiling width {width}: lowered miter no longer folds",
+            d.name
+        );
         let r = prove_net(&ob.netlist, ob.property, Backend::Auto, width as usize, &ob.var_order);
         assert!(r.is_proved(), "{} at ceiling width {width}: {r:?}", d.name);
     }

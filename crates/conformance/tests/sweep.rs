@@ -28,6 +28,15 @@ fn sweep_report_is_byte_identical_to_oneshot_per_width() {
         let (report, per_width) =
             sweep_gates_formal(&d, &widths, false).unwrap_or_else(|e| panic!("{}: {e}", d.name));
         assert_eq!(report.outcomes.len(), widths.len());
+        // Registry miters fold during lowering: every width the session
+        // claimed (each counted once, whichever side won a race) closed
+        // structurally, and none reached the solver.
+        assert_eq!(
+            report.stats.folded, report.stats.widths,
+            "{}: every session width must fold",
+            d.name
+        );
+        assert_eq!(report.stats.sat_calls, 0, "{}: no registry width may reach SAT", d.name);
         for o in &report.outcomes {
             let ob = formal_gate_obligation(&d, o.width)
                 .unwrap_or_else(|e| panic!("{}: {e}", d.name))

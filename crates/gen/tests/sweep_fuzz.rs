@@ -4,7 +4,7 @@
 //! module (original vs `when`-flattened, equal by construction) is built
 //! at a family of sampled widths and driven through the incremental sweep
 //! session with the A/B tripwire on: every per-width verdict must agree
-//! byte-for-byte with the one-shot `prove_net_with` path. Falsified
+//! byte-for-byte with the one-shot `prove_net` path. Falsified
 //! variants (the property strengthened by a raw input bit) check the
 //! counterexample side: the sweep must report the one-shot model bytes
 //! and that model must actually falsify the cone under concrete netlist
@@ -19,8 +19,8 @@
 use chicala_chisel::{elaborate, flatten_whens, Bindings};
 use chicala_gen::{gen_module, MITER_CYCLES};
 use chicala_lowlevel::{
-    fresh_inputs, nets_equal, prove_net_with, prove_net_sweep, prove_net_sweep_drill, unroll,
-    Backend, BitKit, Net, Netlist, OptProfile, ProveResult, SweepItem,
+    fresh_inputs, nets_equal, prove_net, prove_net_sweep, prove_net_sweep_drill, unroll, Backend,
+    BitKit, Net, Netlist, ProveResult, SweepItem,
 };
 use std::collections::BTreeMap;
 
@@ -62,7 +62,6 @@ const WIDTHS: [u64; 4] = [4, 7, 9, 12];
 
 #[test]
 fn sweep_verdicts_agree_with_oneshot_on_generated_cones() {
-    let opt = OptProfile::from_env();
     for seed in [0u64, 1, 2, 3, 5, 8, 13, 21] {
         let cones: Vec<(Netlist, Net, Net)> =
             WIDTHS.iter().map(|&w| miter_cone(seed, w)).collect();
@@ -76,14 +75,13 @@ fn sweep_verdicts_agree_with_oneshot_on_generated_cones() {
                 var_order: Vec::new(),
             })
             .collect();
-        let report = prove_net_sweep(&items, Backend::Auto, opt, true);
+        let report = prove_net_sweep(&items, Backend::Auto, true);
         assert_eq!(
             report.stats.divergences, 0,
             "seed {seed}: sweep disagreed with one-shot on a valid family"
         );
         for (o, (nl, property, _)) in report.outcomes.iter().zip(&cones) {
-            let oneshot =
-                prove_net_with(nl, *property, Backend::Auto, o.width as usize, &[], opt);
+            let oneshot = prove_net(nl, *property, Backend::Auto, o.width as usize, &[]);
             assert_eq!(
                 o.result, oneshot,
                 "seed {seed} width {}: reports must be byte-identical",
@@ -96,7 +94,6 @@ fn sweep_verdicts_agree_with_oneshot_on_generated_cones() {
 
 #[test]
 fn sweep_counterexamples_agree_with_oneshot_and_falsify_the_cone() {
-    let opt = OptProfile::from_env();
     for seed in [0u64, 2, 5, 9] {
         // Strengthen each cone by a raw input bit: the property is now
         // falsifiable (set that bit low), exercising the model path.
@@ -118,7 +115,7 @@ fn sweep_counterexamples_agree_with_oneshot_and_falsify_the_cone() {
                 var_order: Vec::new(),
             })
             .collect();
-        let report = prove_net_sweep(&items, Backend::Auto, opt, true);
+        let report = prove_net_sweep(&items, Backend::Auto, true);
         assert_eq!(report.stats.divergences, 0, "seed {seed}: cex verdicts must agree");
         for (o, (nl, broken)) in report.outcomes.iter().zip(&cones) {
             match &o.result {
@@ -176,7 +173,6 @@ fn addxor_cone(w: usize) -> (Netlist, Net) {
 
 #[test]
 fn drill_retained_clause_is_caught_by_ab_verification() {
-    let opt = OptProfile::from_env();
     // A valid non-folding cone first (its root is retained unguarded by
     // the drill, poisoning the session), then a falsifiable generated one
     // at a SAT-resolved width: the raw session wrongly proves it, and
@@ -189,7 +185,7 @@ fn drill_retained_clause_is_caught_by_ab_verification() {
         SweepItem { nl: &nl_good, root: good, width: 7, var_order: Vec::new() },
         SweepItem { nl: &nl_bad, root: broken, width: 9, var_order: Vec::new() },
     ];
-    let report = prove_net_sweep_drill(&items, Backend::Auto, opt, true);
+    let report = prove_net_sweep_drill(&items, Backend::Auto, true);
     assert!(
         report.stats.divergences >= 1,
         "the A/B tripwire must catch the drill's retained clause"

@@ -154,7 +154,7 @@ impl Aig {
     }
 
     /// If `r` is an (uncomplemented) AND edge, its children.
-    pub(crate) fn and_children(&self, r: AigRef) -> Option<(AigRef, AigRef)> {
+    fn and_children(&self, r: AigRef) -> Option<(AigRef, AigRef)> {
         if r.is_compl() {
             return None;
         }
@@ -269,144 +269,6 @@ impl Aig {
             values.push(v);
         }
         values[r.node() as usize] ^ r.is_compl()
-    }
-
-    /// Maps an edge through an old-node → new-edge map, carrying the
-    /// complement bit across. `None` when the node was swept.
-    pub fn map_edge(map: &HashMap<u32, AigRef>, r: AigRef) -> Option<AigRef> {
-        map.get(&r.node()).map(|&m| if r.is_compl() { !m } else { m })
-    }
-
-    /// The cone-of-influence marks for `roots` (indexed by node id).
-    pub(crate) fn cone(&self, roots: &[AigRef]) -> Vec<bool> {
-        let mut in_cone = vec![false; self.nodes.len()];
-        let mut stack: Vec<u32> = roots.iter().map(|r| r.node()).collect();
-        while let Some(n) = stack.pop() {
-            if std::mem::replace(&mut in_cone[n as usize], true) {
-                continue;
-            }
-            if let AigNode::And(x, y) = self.nodes[n as usize] {
-                stack.push(x.node());
-                stack.push(y.node());
-            }
-        }
-        in_cone
-    }
-
-    /// The shared skeleton of [`Aig::rehash`] and every optimizer pass:
-    /// rebuilds the cone of `roots` bottom-up into a fresh graph, emitting
-    /// each AND through `emit(out, old_node, x, y, map)` (children already
-    /// mapped into the new graph; `map` is the in-progress old-node →
-    /// new-edge mapping, so chain-collecting passes can follow arbitrary old
-    /// edges across), then garbage-collects nodes the emission left
-    /// orphaned — a pass that folds a parent to a constant or substitutes a
-    /// cheaper edge strands the children it already rebuilt, and without the
-    /// sweep those dead nodes (and their strash entries) would accumulate
-    /// across a pass pipeline.
-    ///
-    /// Returns the new graph, the mapped roots, and the old-node → new-edge
-    /// mapping (entries whose rebuilt node was swept are dropped).
-    pub(crate) fn rebuild_with<F>(
-        &self,
-        roots: &[AigRef],
-        mut emit: F,
-    ) -> (Aig, Vec<AigRef>, HashMap<u32, AigRef>)
-    where
-        F: FnMut(&mut Aig, u32, AigRef, AigRef, &HashMap<u32, AigRef>) -> AigRef,
-    {
-        let mut out = Aig::new();
-        let mut map: HashMap<u32, AigRef> = HashMap::new();
-        map.insert(0, AIG_FALSE);
-        let in_cone = self.cone(roots);
-        // Nodes are in topological order by construction.
-        for (i, n) in self.nodes.iter().enumerate() {
-            if !in_cone[i] {
-                continue;
-            }
-            let new = match n {
-                AigNode::Const => AIG_FALSE,
-                AigNode::Input => out.input(),
-                AigNode::And(x, y) => {
-                    let ex = Aig::map_edge(&map, *x).expect("child precedes parent");
-                    let ey = Aig::map_edge(&map, *y).expect("child precedes parent");
-                    emit(&mut out, i as u32, ex, ey, &map)
-                }
-            };
-            map.insert(i as u32, new);
-        }
-        let new_roots: Vec<AigRef> = roots
-            .iter()
-            .map(|r| Aig::map_edge(&map, *r).expect("root is in its own cone"))
-            .collect();
-        // Dead-node sweep: compact to the cone of the new roots and compose
-        // the mapping through the compaction.
-        let (out, new_roots, compact) = out.compact(&new_roots);
-        let map = map
-            .into_iter()
-            .filter_map(|(old, e)| Aig::map_edge(&compact, e).map(|m| (old, m)))
-            .collect();
-        (out, new_roots, map)
-    }
-
-    /// Pure renumbering restricted to the cone of `roots`: copies live nodes
-    /// in order without re-running the rewriting front-end (so it cannot
-    /// orphan anything new), rebuilding the strash over the survivors.
-    fn compact(&self, roots: &[AigRef]) -> (Aig, Vec<AigRef>, HashMap<u32, AigRef>) {
-        let in_cone = self.cone(roots);
-        let mut out = Aig::new();
-        let mut map: HashMap<u32, AigRef> = HashMap::new();
-        map.insert(0, AIG_FALSE);
-        for (i, n) in self.nodes.iter().enumerate() {
-            if !in_cone[i] {
-                continue;
-            }
-            let new = match n {
-                AigNode::Const => AIG_FALSE,
-                AigNode::Input => out.input(),
-                AigNode::And(x, y) => {
-                    let ex = Aig::map_edge(&map, *x).expect("child precedes parent");
-                    let ey = Aig::map_edge(&map, *y).expect("child precedes parent");
-                    let key = if ex <= ey { (ex, ey) } else { (ey, ex) };
-                    debug_assert!(
-                        ex.node() != 0 && ey.node() != 0,
-                        "constant children should have folded before compaction"
-                    );
-                    let n = out.nodes.len() as u32;
-                    out.nodes.push(AigNode::And(key.0, key.1));
-                    out.strash.insert(key, n);
-                    AigRef::from_node(n)
-                }
-            };
-            map.insert(i as u32, new);
-        }
-        let new_roots = roots
-            .iter()
-            .map(|r| Aig::map_edge(&map, *r).expect("root is in its own cone"))
-            .collect();
-        (out, new_roots, map)
-    }
-
-    /// Whether every AND node is inside the cone of `roots` — the
-    /// no-orphans invariant [`Aig::rebuild_with`]'s sweep establishes.
-    pub fn no_orphans(&self, roots: &[AigRef]) -> bool {
-        let in_cone = self.cone(roots);
-        self.nodes
-            .iter()
-            .enumerate()
-            .all(|(i, n)| !matches!(n, AigNode::And(_, _)) || in_cone[i])
-    }
-
-    /// Rebuilds the graph bottom-up through [`Aig::and`], restricted to the
-    /// cone of `roots`. Because every AND is re-issued through the rewriting
-    /// and hashing front-end, node counts never increase and a second
-    /// rehash is a fixpoint (`rehash(rehash(g)) == rehash(g)` node-for-node,
-    /// the idempotence property the tests pin down). Nodes orphaned by the
-    /// replayed rewriting are garbage-collected ([`Aig::rebuild_with`]).
-    ///
-    /// Returns the new graph, the mapped roots, and the old-node → new-edge
-    /// mapping (so callers can follow inputs across).
-    pub fn rehash(&self, roots: &[AigRef]) -> (Aig, Vec<AigRef>, HashMap<u32, AigRef>) {
-        self.rebuild_with(roots, |out, _, ex, ey, _| out.and(ex, ey))
     }
 }
 
@@ -539,80 +401,6 @@ mod tests {
             });
             assert_eq!(got, want, "xor({vx},{vy})");
         }
-    }
-
-    #[test]
-    fn rehash_is_idempotent_and_nonincreasing() {
-        // Build a deliberately redundant graph by bypassing high-level
-        // sharing: duplicate logic built in different orders.
-        let mut g = Aig::new();
-        let a = g.input();
-        let b = g.input();
-        let c = g.input();
-        let ab = g.and(a, b);
-        let abc1 = g.and(ab, c);
-        let bc = g.and(b, c);
-        let abc2 = g.and(a, bc);
-        let both = g.and(abc1, abc2);
-        let roots = [both, abc1, abc2];
-        let n0 = g.and_count();
-        let (g1, r1, _) = g.rehash(&roots);
-        let n1 = g1.and_count();
-        assert!(n1 <= n0, "rehash must not grow the graph ({n0} -> {n1})");
-        let (g2, r2, _) = g1.rehash(&r1);
-        let n2 = g2.and_count();
-        assert_eq!(n1, n2, "hash(hash(g)) == hash(g) node count");
-        // And the roots keep their relative structure: a second rehash is
-        // the identity on edges (same construction order, same rules).
-        let (g3, r3, _) = g2.rehash(&r2);
-        assert_eq!(g3.and_count(), n2);
-        assert_eq!(r3, r2);
-    }
-
-    #[test]
-    fn rebuild_sweeps_orphans_and_their_strash_entries() {
-        // A pass-style rebuild that folds one child to a constant strands
-        // the sibling it already rebuilt: n1' = a∧b is emitted, then
-        // n2' = n1'∧false folds to false, orphaning n1'. The sweep must
-        // remove it (and its strash entry) rather than let pipelines
-        // accumulate dead nodes.
-        let mut g = Aig::new();
-        let a = g.input();
-        let b = g.input();
-        let c = g.input();
-        let n1 = g.and(a, b);
-        let n2 = g.and(n1, c);
-        let (out, roots, map) = g.rebuild_with(&[n2], |out, old, ex, ey, _| {
-            // "Rewrite rule": the c input is learned constant-false.
-            let ey = if old == n2.node() { AIG_FALSE } else { ey };
-            out.and(ex, ey)
-        });
-        assert_eq!(roots[0], AIG_FALSE);
-        assert_eq!(out.and_count(), 0, "orphaned a∧b must be swept");
-        assert_eq!(out.strash.len(), 0, "no dead strash entries");
-        assert!(out.no_orphans(&roots));
-        // The orphaned node's map entry is dropped, not dangling.
-        assert!(!map.contains_key(&n1.node()));
-    }
-
-    #[test]
-    fn rehash_establishes_no_orphans() {
-        let mut g = Aig::new();
-        let a = g.input();
-        let b = g.input();
-        let c = g.input();
-        let ab = g.and(a, b);
-        let abc = g.and(ab, c);
-        let side = g.and(a, c); // outside the rehash cone
-        let _ = side;
-        let (g1, r1, _) = g.rehash(&[abc]);
-        assert!(g1.no_orphans(&r1), "rehash output has no dead AND nodes");
-        assert_eq!(g1.and_count(), 2, "only the cone survives");
-        // Idempotence holds through the sweep.
-        let (g2, r2, _) = g1.rehash(&r1);
-        assert_eq!(g2.and_count(), g1.and_count());
-        assert_eq!(r2, r1);
-        assert!(g2.no_orphans(&r2));
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Content-addressed caching hook for gate-level proofs.
 //!
-//! [`prove_net_with`](crate::check::prove_net_with) is the single entry
+//! [`prove_net`](crate::check::prove_net) is the single entry
 //! point for every formal gate proof in the pipeline, which makes it the
 //! natural seam for a persistent proof cache: identical obligations (same
-//! property cone, same engine, same optimizer profile) always produce the
-//! same [`ProveResult`], so a certificate proved once can be served
-//! forever.
+//! property cone, same engine) always produce the same [`ProveResult`], so
+//! a certificate proved once can be served forever.
 //!
 //! This crate cannot depend on the service crate (the service depends on
 //! the conformance registry, which depends on this crate), so the store is
@@ -17,9 +16,9 @@
 //!
 //! * the key is the **complete canonical transcript** of the proof
 //!   obligation (cone gates by net id, root, resolved backend, width,
-//!   variable order, optimizer profile, schema version), and the store
-//!   layer re-verifies the full transcript bytes on every read, so a
-//!   digest collision cannot alias two obligations;
+//!   variable order, schema version), and the store layer re-verifies the
+//!   full transcript bytes on every read, so a digest collision cannot
+//!   alias two obligations;
 //! * a cached **counterexample** is re-evaluated against the live netlist
 //!   before being served — if it no longer falsifies the property the
 //!   entry is treated as a miss and the proof re-runs;
@@ -27,28 +26,25 @@
 
 use crate::check::{Backend, ProveResult};
 use crate::netlist::{Gate, Net, Netlist};
-use crate::opt::{CertMode, OptProfile};
 use chicala_telemetry as telemetry;
 use std::collections::BTreeMap;
-use std::hash::Hasher;
 use std::sync::{Arc, RwLock};
 
 /// Bumped whenever the key transcript or payload encoding changes shape,
 /// so stale stores self-invalidate instead of being misread.
-pub const PROVE_KEY_SCHEMA: u32 = 1;
+pub const PROVE_KEY_SCHEMA: u32 = 2;
 
 /// A content-addressed store for gate-level proof certificates.
 ///
-/// `key` is the canonical obligation transcript; `digest` is its 128-bit
-/// FNV-1a (precomputed by the caller so stores can use it as the address).
-/// Implementations must only return a payload previously stored under a
-/// byte-identical key.
+/// `key` is the canonical obligation transcript; the store derives its
+/// own address from it. Implementations must only return a payload
+/// previously stored under a byte-identical key.
 pub trait ProveCache: Send + Sync {
     /// Returns the stored payload for an identical key, if any.
-    fn lookup(&self, key: &[u8], digest: u128) -> Option<Vec<u8>>;
+    fn lookup(&self, key: &[u8]) -> Option<Vec<u8>>;
     /// Persists `payload` under `key`. Failures must be silent (a cache
     /// that cannot write is just a cache that never hits).
-    fn store(&self, key: &[u8], digest: u128, payload: &[u8]);
+    fn store(&self, key: &[u8], payload: &[u8]);
 }
 
 static PROVE_CACHE: RwLock<Option<Arc<dyn ProveCache>>> = RwLock::new(None);
@@ -62,34 +58,26 @@ fn prove_cache() -> Option<Arc<dyn ProveCache>> {
     PROVE_CACHE.read().expect("prove cache slot").clone()
 }
 
-/// The canonical key transcript of one proof obligation, plus its digest.
-pub struct ProveKey {
-    /// Canonical transcript bytes (self-describing, schema-versioned).
-    pub bytes: Vec<u8>,
-    /// 128-bit FNV-1a of `bytes` — the store address.
-    pub digest: u128,
-}
-
-/// Builds the canonical obligation key for [`prove_net_with`] inputs.
+/// Builds the canonical obligation key (self-describing, schema-versioned
+/// transcript bytes) for [`prove_net`] inputs.
 ///
 /// Only the cone of `root` enters the transcript (dead netlist regions
 /// cannot affect the verdict), written in net-id order — deterministic
 /// because gate ids are allocation-ordered and [`Netlist`] stores them in
 /// a `Vec`, never iterating its structural-hash map.
 ///
-/// `var_order` and the optimizer profile are part of the key even though
-/// they cannot change the verdict: they *can* change which counterexample
-/// is found, and cached responses must be byte-identical to fresh ones.
+/// `var_order` is part of the key even though it cannot change the
+/// verdict: it *can* change which counterexample is found, and cached
+/// responses must be byte-identical to fresh ones.
 ///
-/// [`prove_net_with`]: crate::check::prove_net_with
+/// [`prove_net`]: crate::check::prove_net
 pub fn prove_key(
     nl: &Netlist,
     root: Net,
     backend: Backend,
     width: usize,
     var_order: &[Net],
-    opt: OptProfile,
-) -> ProveKey {
+) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(64 + nl.len() * 5);
     bytes.extend_from_slice(b"chicala-prove");
     bytes.extend_from_slice(&PROVE_KEY_SCHEMA.to_le_bytes());
@@ -99,12 +87,6 @@ pub fn prove_key(
         Backend::Auto => unreachable!("resolve never yields Auto"),
     });
     bytes.extend_from_slice(&(width as u64).to_le_bytes());
-    bytes.push(opt.enabled as u8);
-    bytes.push(match opt.cert {
-        CertMode::Off => 0,
-        CertMode::Sampled => 1,
-        CertMode::Full => 2,
-    });
     bytes.extend_from_slice(&root.0.to_le_bytes());
     bytes.extend_from_slice(&(var_order.len() as u32).to_le_bytes());
     for n in var_order {
@@ -159,9 +141,7 @@ pub fn prove_key(
             }
         }
     }
-    let mut h = telemetry::Fnv128::new();
-    h.write(&bytes);
-    ProveKey { digest: h.finish128(), bytes }
+    bytes
 }
 
 /// Encodes a [`ProveResult`] as a stable payload.
@@ -232,11 +212,11 @@ pub fn decode_result(bytes: &[u8]) -> Option<ProveResult> {
     }
 }
 
-/// Cache-side of [`prove_net_with`]: returns a cached result for this
-/// obligation if one is stored and sound to serve.
-pub(crate) fn cached_prove(key: &ProveKey, nl: &Netlist, root: Net) -> Option<ProveResult> {
+/// Cache-side of [`prove_net`](crate::check::prove_net): returns a cached
+/// result for this obligation if one is stored and sound to serve.
+pub(crate) fn cached_prove(key: &[u8], nl: &Netlist, root: Net) -> Option<ProveResult> {
     let cache = prove_cache()?;
-    let payload = match cache.lookup(&key.bytes, key.digest) {
+    let payload = match cache.lookup(key) {
         Some(p) => p,
         None => {
             telemetry::counter("cache.prove.miss", 1);
@@ -263,10 +243,11 @@ pub(crate) fn cached_prove(key: &ProveKey, nl: &Netlist, root: Net) -> Option<Pr
     Some(result)
 }
 
-/// Store-side of [`prove_net_with`]: persists a freshly computed result.
-pub(crate) fn store_prove(key: &ProveKey, result: &ProveResult) {
+/// Store-side of [`prove_net`](crate::check::prove_net): persists a
+/// freshly computed result.
+pub(crate) fn store_prove(key: &[u8], result: &ProveResult) {
     if let Some(cache) = prove_cache() {
-        cache.store(&key.bytes, key.digest, &encode_result(result));
+        cache.store(key, &encode_result(result));
     }
 }
 
@@ -297,19 +278,16 @@ mod tests {
     #[test]
     fn key_is_deterministic_and_input_sensitive() {
         let (nl, root, order) = adder_miter();
-        let k1 = prove_key(&nl, root, Backend::Sat, 4, &order, OptProfile::off());
-        let k2 = prove_key(&nl, root, Backend::Sat, 4, &order, OptProfile::off());
-        assert_eq!(k1.bytes, k2.bytes);
-        assert_eq!(k1.digest, k2.digest);
-        // Every key input must move the digest.
-        let kw = prove_key(&nl, root, Backend::Sat, 5, &order, OptProfile::off());
-        assert_ne!(k1.digest, kw.digest, "width");
-        let kb = prove_key(&nl, root, Backend::Bdd, 4, &order, OptProfile::off());
-        assert_ne!(k1.digest, kb.digest, "backend");
-        let ko = prove_key(&nl, root, Backend::Sat, 4, &[], OptProfile::off());
-        assert_ne!(k1.digest, ko.digest, "var order");
-        let kp = prove_key(&nl, root, Backend::Sat, 4, &order, OptProfile::full_cert());
-        assert_ne!(k1.digest, kp.digest, "opt profile");
+        let k1 = prove_key(&nl, root, Backend::Sat, 4, &order);
+        let k2 = prove_key(&nl, root, Backend::Sat, 4, &order);
+        assert_eq!(k1, k2);
+        // Every key input must move the key.
+        let kw = prove_key(&nl, root, Backend::Sat, 5, &order);
+        assert_ne!(k1, kw, "width");
+        let kb = prove_key(&nl, root, Backend::Bdd, 4, &order);
+        assert_ne!(k1, kb, "backend");
+        let ko = prove_key(&nl, root, Backend::Sat, 4, &[]);
+        assert_ne!(k1, ko, "var order");
     }
 
     #[test]
@@ -317,9 +295,9 @@ mod tests {
         // Auto at width 4 and explicit Bdd at width 4 are the same
         // obligation — they must share a certificate.
         let (nl, root, order) = adder_miter();
-        let ka = prove_key(&nl, root, Backend::Auto, 4, &order, OptProfile::off());
-        let kb = prove_key(&nl, root, Backend::Bdd, 4, &order, OptProfile::off());
-        assert_eq!(ka.bytes, kb.bytes);
+        let ka = prove_key(&nl, root, Backend::Auto, 4, &order);
+        let kb = prove_key(&nl, root, Backend::Bdd, 4, &order);
+        assert_eq!(ka, kb);
     }
 
     #[test]

@@ -7,7 +7,6 @@ use crate::aig::{from_netlist, Aig, AigNode, AigRef, AIG_FALSE, AIG_TRUE};
 use crate::bitblast::{clamp, BitKit, BlastError, Blaster, Word};
 use crate::cnf::tseitin_pg;
 use crate::netlist::{Gate, Net, Netlist};
-use crate::opt::{OptProfile, PassManager};
 use chicala_chisel::{ElabKind, ElabModule};
 use chicala_sat::{SatResult, Solver};
 use chicala_telemetry as telemetry;
@@ -206,10 +205,10 @@ impl ProveResult {
 /// arithmetic miter keeps BDDs polynomial where a bad order explodes) —
 /// input nets missing from it are ordered after the listed ones.
 ///
-/// The self-certifying AIG optimizer ([`crate::opt`]) runs ahead of both
-/// engines under the environment profile ([`OptProfile::from_env`]:
-/// `CHICALA_OPT`, `CHICALA_OPT_CERT`); [`prove_net_with`] takes the
-/// profile explicitly.
+/// Every gate proof takes one path: the cone is lowered to the
+/// structurally hashed AIG ([`from_netlist`]), a constant root is the
+/// verdict, and otherwise the resolved engine (BDD or CDCL SAT) runs on
+/// that AIG. Registry miters all fold to a constant during lowering.
 pub fn prove_net(
     nl: &Netlist,
     root: Net,
@@ -217,115 +216,80 @@ pub fn prove_net(
     width: usize,
     var_order: &[Net],
 ) -> ProveResult {
-    prove_net_with(nl, root, backend, width, var_order, OptProfile::from_env())
-}
-
-/// [`prove_net`] with an explicit optimizer profile — the entry point the
-/// A/B bench uses to measure the optimizer's effect and the certification
-/// gates use to force `CertMode::Full`.
-///
-/// When a certified pass application *fails* its equivalence miter the
-/// optimizer's whole output is quarantined (discarded) and the proof is
-/// re-run on the unoptimized cone by the raw engines, so an optimizer bug
-/// can cost time but never soundness.
-pub fn prove_net_with(
-    nl: &Netlist,
-    root: Net,
-    backend: Backend,
-    width: usize,
-    var_order: &[Net],
-    opt: OptProfile,
-) -> ProveResult {
     // Content-addressed certificate cache (when installed): the key is the
     // canonical obligation transcript, so a hit is the *same* obligation
     // proved earlier — serve its result. Cached counterexamples are
     // re-evaluated against the live netlist before being trusted.
-    let key = if crate::cache::prove_cache_installed() {
-        let key = crate::cache::prove_key(nl, root, backend, width, var_order, opt);
-        if let Some(result) = crate::cache::cached_prove(&key, nl, root) {
-            return result;
-        }
-        Some(key)
-    } else {
-        None
-    };
-    let result = prove_net_uncached(nl, root, backend, width, var_order, opt);
+    let key = crate::cache::prove_cache_installed()
+        .then(|| crate::cache::prove_key(nl, root, backend, width, var_order));
+    if let Some(result) = key.as_ref().and_then(|k| crate::cache::cached_prove(k, nl, root)) {
+        return result;
+    }
+    let result = prove_net_uncached(nl, root, backend.resolve(width), var_order);
     if let Some(key) = &key {
         crate::cache::store_prove(key, &result);
     }
     result
 }
 
-fn prove_net_uncached(
+/// Does nothing. It remains only because the repository benchmark
+/// (`perfbench/src/gates.rs`) still passes one to [`prove_net_with`] and
+/// [`prove_net_sweep_scheduled`](crate::prove_net_sweep_scheduled).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OptProfile;
+
+impl OptProfile {
+    /// The only profile. Reads no environment variable.
+    pub fn from_env() -> OptProfile {
+        OptProfile
+    }
+}
+
+/// [`prove_net`] with an ignored [`OptProfile`], kept for the benchmark's
+/// call site.
+pub fn prove_net_with(
     nl: &Netlist,
     root: Net,
     backend: Backend,
     width: usize,
     var_order: &[Net],
-    opt: OptProfile,
+    _opt: OptProfile,
 ) -> ProveResult {
-    let resolved = backend.resolve(width);
-    if !opt.enabled {
-        return match resolved {
-            Backend::Bdd => prove_net_bdd(nl, root, var_order),
-            _ => prove_net_sat(nl, root),
-        };
-    }
-    let _span = telemetry::span!("prove_net:opt");
+    prove_net(nl, root, backend, width, var_order)
+}
+
+fn prove_net_uncached(
+    nl: &Netlist,
+    root: Net,
+    resolved: Backend,
+    var_order: &[Net],
+) -> ProveResult {
+    let _span = telemetry::span!("prove_net");
     let (aig, roots, input_map) = from_netlist(nl, &[root]);
+    telemetry::record("prove.aig_and_requests", aig.and_requests);
     telemetry::record("prove.aig_nodes", aig.and_count() as u64);
-    // Structural hashing alone closes many miters at lowering time (both
-    // sides hash to the same node, so the equivalence folds to a
-    // constant). There is nothing left to optimize *or* prove — skip the
-    // pipeline instead of paying it for a no-op.
-    if roots[0] == AIG_TRUE {
-        return ProveResult::Proved { backend: resolved };
-    }
-    if roots[0] == AIG_FALSE {
-        return ProveResult::Counterexample { backend: resolved, inputs: BTreeMap::new() };
-    }
-    let pm = PassManager::standard(width, opt.cert);
-    let out = match pm.run(aig, roots) {
-        Ok(out) => out,
-        Err(failure) => {
-            // A pass failed its own certificate: never use its output.
-            telemetry::counter("opt.cert.failed", 1);
-            let _ = failure;
-            return match resolved {
-                Backend::Bdd => prove_net_bdd(nl, root, var_order),
-                _ => prove_net_sat(nl, root),
-            };
-        }
-    };
-    telemetry::record("prove.aig_nodes_opt", out.aig.and_count() as u64);
-    let aroot = out.roots[0];
-    // Input nets, followed through the lowering and the whole pass
-    // pipeline to their final edges (absent: swept, a don't-care).
-    let final_inputs: Vec<(Net, AigRef)> = input_map
-        .iter()
-        .filter_map(|(net, r)| Aig::map_edge(&out.map, *r).map(|e| (*net, e)))
-        .collect();
+    let aroot = roots[0];
     if aroot == AIG_TRUE {
+        // Structural hashing closed the miter: both sides are one node.
         return ProveResult::Proved { backend: resolved };
     }
     if aroot == AIG_FALSE {
+        // Property is constantly false: any assignment violates it.
         return ProveResult::Counterexample { backend: resolved, inputs: BTreeMap::new() };
     }
     match resolved {
         Backend::Bdd => {
-            // Honour the requested input order on the optimized graph.
-            let node_of_net: BTreeMap<Net, u32> =
-                final_inputs.iter().map(|(n, e)| (*n, e.node())).collect();
-            let order: Vec<u32> =
-                var_order.iter().filter_map(|n| node_of_net.get(n).copied()).collect();
-            match aig_bdd_cex(&out.aig, aroot, &order) {
+            // Honour the requested input order on the AIG's input nodes.
+            let order: Vec<u32> = var_order
+                .iter()
+                .filter_map(|n| input_map.get(n).map(|r| r.node()))
+                .collect();
+            match aig_bdd_cex(&aig, aroot, &order) {
                 None => ProveResult::Proved { backend: Backend::Bdd },
                 Some(model) => {
-                    let inputs = final_inputs
+                    let inputs = input_map
                         .iter()
-                        .filter_map(|(net, e)| {
-                            model.get(&e.node()).map(|&b| (*net, b ^ e.is_compl()))
-                        })
+                        .filter_map(|(net, r)| model.get(&r.node()).map(|&b| (*net, b)))
                         .collect();
                     ProveResult::Counterexample { backend: Backend::Bdd, inputs }
                 }
@@ -333,17 +297,28 @@ fn prove_net_uncached(
         }
         _ => {
             let mut solver = Solver::new();
-            let enc = tseitin_pg(&out.aig, !aroot, &mut solver);
+            // Plaisted–Greenbaum, seeded from the edge actually asserted
+            // (the property's negation): single-polarity nodes get 1–2
+            // clauses, not 3.
+            let enc = tseitin_pg(&aig, !aroot, &mut solver);
             solver.add_clause(&[enc.lit]);
             telemetry::record("prove.cnf_clauses", solver.num_clauses() as u64);
-            match solver.solve() {
+            let result = solver.solve();
+            let st = solver.stats();
+            telemetry::counter("sat.decisions", st.decisions);
+            telemetry::counter("sat.conflicts", st.conflicts);
+            telemetry::counter("sat.propagations", st.propagations);
+            telemetry::counter("sat.learned_clauses", st.learned_clauses);
+            telemetry::counter("sat.restarts", st.restarts);
+            match result {
                 SatResult::Unsat => ProveResult::Proved { backend: Backend::Sat },
                 SatResult::Sat(model) => {
-                    let inputs = final_inputs
+                    let inputs = input_map
                         .iter()
-                        .map(|(net, e)| {
-                            let v = enc.var_of_node.get(&e.node());
-                            (*net, v.is_some_and(|v| model[*v as usize]) ^ e.is_compl())
+                        .map(|(net, r)| {
+                            let var = enc.var_of_node.get(&r.node());
+                            // Inputs outside the encoded cone are don't-cares.
+                            (*net, var.is_some_and(|v| model[*v as usize]))
                         })
                         .collect();
                     ProveResult::Counterexample { backend: Backend::Sat, inputs }
@@ -401,8 +376,10 @@ fn aig_bdd_cex(aig: &Aig, root: AigRef, var_order: &[u32]) -> Option<BTreeMap<u3
     )
 }
 
-/// BDD engine: evaluates the cone of `root` topologically into a fresh
-/// manager and checks the result for tautology.
+/// The netlist-level BDD baseline: evaluates the cone of `root`
+/// topologically into a fresh manager, with no AIG front end, and checks
+/// the result for tautology. No prove path uses it; `bench_lowlevel` times
+/// it as the monolithic-BDD blow-up the AIG path avoids.
 pub fn prove_net_bdd(nl: &Netlist, root: Net, var_order: &[Net]) -> ProveResult {
     let _span = telemetry::span!("prove_net:bdd");
     let mut bdd = crate::bdd::Bdd::new();
@@ -478,52 +455,6 @@ pub fn prove_net_bdd(nl: &Netlist, root: Net, var_order: &[Net]) -> ProveResult 
         .filter_map(|(v, b)| net_of_var.get(&v).map(|n| (*n, b)))
         .collect();
     ProveResult::Counterexample { backend: Backend::Bdd, inputs }
-}
-
-/// SAT engine: lowers the cone to an AIG (constant propagation, structural
-/// hashing, 2-level rewriting), Tseitin-encodes the surviving miter, and
-/// runs the CDCL solver on its negation.
-pub fn prove_net_sat(nl: &Netlist, root: Net) -> ProveResult {
-    let _span = telemetry::span!("prove_net:sat");
-    let (aig, roots, input_map) = from_netlist(nl, &[root]);
-    telemetry::record("prove.aig_and_requests", aig.and_requests);
-    telemetry::record("prove.aig_nodes", aig.and_count() as u64);
-    let aroot = roots[0];
-    if aroot == AIG_TRUE {
-        // The rewriting front-end already closed the proof.
-        return ProveResult::Proved { backend: Backend::Sat };
-    }
-    if aroot == AIG_FALSE {
-        // Property is constantly false: any assignment violates it.
-        return ProveResult::Counterexample { backend: Backend::Sat, inputs: BTreeMap::new() };
-    }
-    let mut solver = Solver::new();
-    // Plaisted–Greenbaum, seeded from the edge actually asserted (the
-    // property's negation): single-polarity nodes get 1–2 clauses, not 3.
-    let enc = tseitin_pg(&aig, !aroot, &mut solver);
-    solver.add_clause(&[enc.lit]);
-    telemetry::record("prove.cnf_clauses", solver.num_clauses() as u64);
-    let result = solver.solve();
-    let st = solver.stats();
-    telemetry::counter("sat.decisions", st.decisions);
-    telemetry::counter("sat.conflicts", st.conflicts);
-    telemetry::counter("sat.propagations", st.propagations);
-    telemetry::counter("sat.learned_clauses", st.learned_clauses);
-    telemetry::counter("sat.restarts", st.restarts);
-    match result {
-        SatResult::Unsat => ProveResult::Proved { backend: Backend::Sat },
-        SatResult::Sat(model) => {
-            let inputs = input_map
-                .iter()
-                .map(|(net, aref)| {
-                    let var = enc.var_of_node.get(&aref.node());
-                    // Inputs outside the encoded cone are don't-cares.
-                    (*net, var.is_some_and(|v| model[*v as usize]))
-                })
-                .collect();
-            ProveResult::Counterexample { backend: Backend::Sat, inputs }
-        }
-    }
 }
 
 /// Builds the implication `assumptions → property` as a single net:
@@ -642,10 +573,9 @@ mod tests {
     }
 
     #[test]
-    fn optimized_and_raw_paths_agree() {
-        // The same obligations, proved with the optimizer forced on (full
-        // certification) and forced off, must agree — and counterexamples
-        // from the optimized path must falsify the *original* netlist.
+    fn netlist_bdd_baseline_agrees_with_the_aig_path() {
+        // The netlist-level BDD baseline and the single AIG prove path must
+        // agree on verdicts, and both counterexamples must falsify the net.
         let mut nl = crate::netlist::Netlist::new();
         let w = 5usize;
         let a = Word { bits: (0..w).map(|_| nl.input()).collect::<Vec<_>>(), signed: false };
@@ -653,22 +583,16 @@ mod tests {
         let ab = add_words(&mut nl, &a, &b, w);
         let ba = add_words(&mut nl, &b, &a, w);
         let valid = nets_equal(&mut nl, &ab, &ba);
-        let shifted = crate::bitblast::add_words(&mut nl, &ab, &a.clone(), w);
+        let shifted = add_words(&mut nl, &ab, &a, w);
         let invalid = nets_equal(&mut nl, &ab, &shifted); // fails when a ≠ 0
-        for backend in [Backend::Bdd, Backend::Sat] {
-            let opt = prove_net_with(&nl, valid, backend, w, &[], crate::opt::OptProfile::full_cert());
-            let raw = prove_net_with(&nl, valid, backend, w, &[], crate::opt::OptProfile::off());
-            assert!(opt.is_proved(), "{backend:?} optimized");
-            assert!(raw.is_proved(), "{backend:?} raw");
-            match prove_net_with(&nl, invalid, backend, w, &[], crate::opt::OptProfile::full_cert())
-            {
-                ProveResult::Proved { .. } => panic!("{backend:?}: a+b == a+b+a is not valid"),
+        assert!(prove_net_bdd(&nl, valid, &[]).is_proved());
+        assert!(prove_net(&nl, valid, Backend::Bdd, w, &[]).is_proved());
+        for r in [prove_net_bdd(&nl, invalid, &[]), prove_net(&nl, invalid, Backend::Bdd, w, &[])] {
+            match r {
+                ProveResult::Proved { .. } => panic!("a+b == a+b+a is not valid"),
                 ProveResult::Counterexample { inputs, .. } => {
                     let vals = nl.eval(&|net| inputs.get(&net).copied().unwrap_or(false));
-                    assert!(
-                        !vals[invalid.0 as usize],
-                        "{backend:?}: optimized-path counterexample must be real"
-                    );
+                    assert!(!vals[invalid.0 as usize], "counterexample must be real");
                 }
             }
         }

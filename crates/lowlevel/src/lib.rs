@@ -12,7 +12,6 @@ pub mod cache;
 pub mod check;
 pub mod cnf;
 pub mod netlist;
-pub mod opt;
 pub mod sweep;
 pub mod verilog;
 
@@ -22,9 +21,8 @@ pub use bitblast::{
     sub_words, BitKit, BlastError, Blaster, Word,
 };
 pub use check::{
-    fresh_inputs, implies_net, nets_equal, prove_net, prove_net_bdd, prove_net_sat,
-    prove_net_with, unroll, words_equal, Backend, ProveResult, UnrolledState,
-    AUTO_SAT_CROSSOVER_WIDTH,
+    fresh_inputs, implies_net, nets_equal, prove_net, prove_net_bdd, prove_net_with, unroll,
+    words_equal, Backend, OptProfile, ProveResult, UnrolledState, AUTO_SAT_CROSSOVER_WIDTH,
 };
 pub use cnf::{tseitin, tseitin_pg, CnfFrame, CnfRoot, FrameStats};
 pub use sweep::{
@@ -32,8 +30,4 @@ pub use sweep::{
     IncrementalProver, SweepItem, SweepOutcome, SweepReport, SweepStats, SweepVerdict, WidthProbe,
 };
 pub use netlist::{Gate, Net, Netlist};
-pub use opt::{
-    certify, Balance, CertFailure, CertMode, OptOutcome, OptProfile, Pass, PassManager, PassStats,
-    Resub, Rewrite, Sweep,
-};
 pub use verilog::{emit_verilog, verilog_loc};

@@ -22,7 +22,7 @@
 //!
 //! [`prove_net_sweep`] drives a netlist family through the session and
 //! guarantees **byte-identical results** to the one-shot
-//! [`prove_net_with`] path: proved widths are reported with the resolved
+//! [`prove_net`] path: proved widths are reported with the resolved
 //! backend tag, and any counterexample is re-derived by the one-shot
 //! engine itself (the session verdict only routes). [`prove_net_sweep_scheduled`]
 //! adds the `par::StealPool` race: widths below the `Auto` crossover are
@@ -31,10 +31,9 @@
 //! are the same, so worker count never changes a report.
 
 use crate::aig::{Aig, AigNode, AigRef, AIG_FALSE, AIG_TRUE};
-use crate::check::{prove_net_with, Backend, ProveResult};
+use crate::check::{prove_net, Backend, OptProfile, ProveResult};
 use crate::cnf::CnfFrame;
 use crate::netlist::{Gate, Net, Netlist};
-use crate::opt::OptProfile;
 use chicala_sat::{Lit, SatResult, Solver};
 use chicala_telemetry as telemetry;
 use std::collections::BTreeMap;
@@ -234,7 +233,15 @@ pub struct SweepItem<'a> {
     pub var_order: Vec<Net>,
 }
 
-/// One width's outcome: byte-identical to what `prove_net_with` returns
+impl SweepItem<'_> {
+    /// The one-shot [`prove_net`] result for this width: the bytes every
+    /// sweep outcome must equal.
+    fn oneshot(&self, backend: Backend) -> ProveResult {
+        prove_net(self.nl, self.root, backend, self.width as usize, &self.var_order)
+    }
+}
+
+/// One width's outcome: byte-identical to what `prove_net` returns
 /// for the same obligation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SweepOutcome {
@@ -337,7 +344,7 @@ impl LowerSession {
 
 /// The `ProveSweep` entry point: proves a whole width family through one
 /// incremental session, with results **byte-identical** to calling
-/// [`prove_net_with`] per width.
+/// [`prove_net`] per width.
 ///
 /// Items should be ascending in width (the session's reuse is built for
 /// that order). Consecutive items sharing the *same* `&Netlist` reuse one
@@ -347,13 +354,8 @@ impl LowerSession {
 /// `verify_ab` additionally re-proves every width one-shot and counts any
 /// disagreement in [`SweepStats::divergences`], reporting the one-shot
 /// result — this is the A/B tripwire the drill and CI rely on.
-pub fn prove_net_sweep(
-    items: &[SweepItem<'_>],
-    backend: Backend,
-    opt: OptProfile,
-    verify_ab: bool,
-) -> SweepReport {
-    prove_sweep_inner(items, backend, opt, verify_ab, false)
+pub fn prove_net_sweep(items: &[SweepItem<'_>], backend: Backend, verify_ab: bool) -> SweepReport {
+    prove_sweep_inner(items, backend, verify_ab, false)
 }
 
 /// [`prove_net_sweep`] with the injected-bug drill enabled (test use
@@ -362,16 +364,14 @@ pub fn prove_net_sweep(
 pub fn prove_net_sweep_drill(
     items: &[SweepItem<'_>],
     backend: Backend,
-    opt: OptProfile,
     verify_ab: bool,
 ) -> SweepReport {
-    prove_sweep_inner(items, backend, opt, verify_ab, true)
+    prove_sweep_inner(items, backend, verify_ab, true)
 }
 
 fn prove_sweep_inner(
     items: &[SweepItem<'_>],
     backend: Backend,
-    opt: OptProfile,
     verify_ab: bool,
     drill: bool,
 ) -> SweepReport {
@@ -385,9 +385,9 @@ fn prove_sweep_inner(
         let resolved = backend.resolve(item.width as usize);
         let result = if resolved == Backend::Bdd {
             // Below the crossover the one-shot BDD engine is already the
-            // cheapest path and its bytes are the contract.
-            session.stats.widths += 1;
-            prove_net_with(item.nl, item.root, backend, item.width as usize, &item.var_order, opt)
+            // cheapest path and its bytes are the contract; the session
+            // never sees the width, so its stats do not count it.
+            item.oneshot(backend)
         } else {
             if !std::ptr::eq(last_kit, item.nl) {
                 lower = LowerSession::new();
@@ -399,14 +399,7 @@ fn prove_sweep_inner(
                 SweepVerdict::Counterexample(_) => {
                     // Byte-identity: the one-shot engine derives the
                     // reported counterexample itself.
-                    let oneshot = prove_net_with(
-                        item.nl,
-                        item.root,
-                        backend,
-                        item.width as usize,
-                        &item.var_order,
-                        opt,
-                    );
+                    let oneshot = item.oneshot(backend);
                     if oneshot.is_proved() {
                         // Session found a spurious model: soundness bug.
                         session.stats.divergences += 1;
@@ -417,14 +410,7 @@ fn prove_sweep_inner(
             }
         };
         let result = if verify_ab {
-            let oneshot = prove_net_with(
-                item.nl,
-                item.root,
-                backend,
-                item.width as usize,
-                &item.var_order,
-                opt,
-            );
+            let oneshot = item.oneshot(backend);
             if oneshot != result {
                 session.stats.divergences += 1;
                 telemetry::counter("sweep.divergences", 1);
@@ -450,15 +436,18 @@ pub fn sweep_pool() -> &'static chicala_par::StealPool {
 /// the ascending SAT session both try to claim each one, and the loser is
 /// cancelled (never runs). Because proved widths are tag-normalized and
 /// counterexamples are always re-derived one-shot, the report is
-/// byte-identical to [`prove_net_with`] per width at any worker count.
+/// byte-identical to [`prove_net`] per width at any worker count.
+/// [`SweepStats`] counts only the widths the session claimed, so a raced
+/// width lands in `widths` at most once.
 ///
 /// Jobs need owned data, so the small-width netlists are cloned into the
-/// race; at crossover widths (≤ 6) the kits are tiny.
+/// race; at crossover widths (≤ 6) the kits are tiny. `_opt` does nothing
+/// (see [`OptProfile`]).
 pub fn prove_net_sweep_scheduled(
     pool: &chicala_par::StealPool,
     items: &[SweepItem<'_>],
     backend: Backend,
-    opt: OptProfile,
+    _opt: OptProfile,
     verify_ab: bool,
 ) -> SweepReport {
     let _span = telemetry::span!("prove_net_sweep_scheduled");
@@ -479,7 +468,7 @@ pub fn prove_net_sweep_scheduled(
             if claims[i].swap(true, Ordering::SeqCst) {
                 return None; // the session got here first: cancelled
             }
-            Some(prove_net_with(&nl, root, backend, width as usize, &var_order, opt))
+            Some(prove_net(&nl, root, backend, width as usize, &var_order))
         })));
     }
     // The SAT session runs on the caller thread, ascending; it claims any
@@ -497,21 +486,11 @@ pub fn prove_net_sweep_scheduled(
             lower = LowerSession::new();
             last_kit = item.nl;
         }
-        if resolved == Backend::Bdd {
-            session.stats.widths += 1;
-        }
         let aroot = lower.lower(item.nl, item.root, &mut session.aig);
         let result = match session.prove_root(item.width, aroot) {
             SweepVerdict::Proved => ProveResult::Proved { backend: resolved },
             SweepVerdict::Counterexample(_) => {
-                let oneshot = prove_net_with(
-                    item.nl,
-                    item.root,
-                    backend,
-                    item.width as usize,
-                    &item.var_order,
-                    opt,
-                );
+                let oneshot = item.oneshot(backend);
                 if oneshot.is_proved() {
                     session.stats.divergences += 1;
                     telemetry::counter("sweep.divergences", 1);
@@ -530,14 +509,7 @@ pub fn prove_net_sweep_scheduled(
             (None, None) => unreachable!("every width has exactly one claimant"),
         };
         let result = if verify_ab {
-            let oneshot = prove_net_with(
-                item.nl,
-                item.root,
-                backend,
-                item.width as usize,
-                &item.var_order,
-                opt,
-            );
+            let oneshot = item.oneshot(backend);
             if oneshot != result {
                 session.stats.divergences += 1;
             }
@@ -784,6 +756,46 @@ mod tests {
         }
         let good4 = mulcomm_root(&mut session.aig, &a, &b, w);
         assert_eq!(session.prove_root(4, good4), SweepVerdict::Proved, "session recovers");
+    }
+
+    #[test]
+    fn stats_count_each_session_width_once() {
+        // Folding miters (a+b == b+a hashes to one node) at widths that
+        // straddle the Auto crossover. The sequential driver proves the
+        // BDD widths one-shot, outside the session, so only the SAT widths
+        // count; the scheduled driver counts a raced width once, whichever
+        // side claims it.
+        use crate::bitblast::{add_words, Word};
+        let cones: Vec<(Netlist, Net)> = (4..=9)
+            .map(|w| {
+                let mut nl = Netlist::new();
+                let a = Word { bits: (0..w).map(|_| nl.input()).collect(), signed: false };
+                let b = Word { bits: (0..w).map(|_| nl.input()).collect(), signed: false };
+                let ab = add_words(&mut nl, &a, &b, w);
+                let ba = add_words(&mut nl, &b, &a, w);
+                let eq = crate::check::nets_equal(&mut nl, &ab, &ba);
+                (nl, eq)
+            })
+            .collect();
+        let items: Vec<SweepItem<'_>> = cones
+            .iter()
+            .zip(4u64..)
+            .map(|((nl, root), width)| SweepItem { nl, root: *root, width, var_order: Vec::new() })
+            .collect();
+        let sat_widths = items
+            .iter()
+            .filter(|i| Backend::Auto.resolve(i.width as usize) == Backend::Sat)
+            .count() as u64;
+        let seq = prove_net_sweep(&items, Backend::Auto, false);
+        assert!(seq.all_proved());
+        assert_eq!(seq.stats.widths, sat_widths, "sequential: SAT widths only");
+        assert_eq!(seq.stats.folded, seq.stats.widths);
+        assert_eq!(seq.stats.sat_calls, 0);
+        let pool = chicala_par::StealPool::new(1);
+        let sched = prove_net_sweep_scheduled(&pool, &items, Backend::Auto, OptProfile, false);
+        assert!(sched.all_proved());
+        assert!((sat_widths..=items.len() as u64).contains(&sched.stats.widths));
+        assert_eq!(sched.stats.folded, sched.stats.widths, "scheduled: one count per width");
     }
 
     #[test]

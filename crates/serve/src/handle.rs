@@ -1,16 +1,15 @@
 //! `CacheHandle`: the bridge between the producer crates' cache hooks and
 //! the on-disk [`Store`].
 //!
-//! The producer crates (`chicala-lowlevel`, `chicala-verify`,
-//! `chicala-conformance`) each expose a narrow byte-level cache trait and
-//! a global installation point; this crate cannot be a dependency of any
-//! of them (it depends on the conformance registry), so the wiring runs
-//! the other way: one [`CacheHandle`] over one store implements all three
-//! traits and [`CacheHandle::install`] plugs it into every hook. After
-//! installation, *every* call to `prove_net_with`, `discharge_vc`, or the
-//! conformance `sim_plan` in the process — daemon or not — reads and
-//! feeds the persistent store. That is what makes `cargo test` and the
-//! benches benefit without speaking the service protocol.
+//! The producer crates (`chicala-lowlevel`, `chicala-verify`) each expose
+//! a narrow byte-level cache trait and a global installation point; this
+//! crate cannot be a dependency of either (it depends on both), so the
+//! wiring runs the other way: one [`CacheHandle`] over one store
+//! implements both traits and [`CacheHandle::install`] plugs it into every
+//! hook. After installation, *every* call to `prove_net` or `discharge_vc`
+//! in the process — daemon or not — reads and feeds the persistent store.
+//! That is what makes `cargo test` and the benches benefit without
+//! speaking the service protocol.
 
 use crate::store::{Store, StoreStats};
 use std::sync::Arc;
@@ -19,8 +18,6 @@ use std::sync::Arc;
 pub const KIND_PROVE: &str = "prove";
 /// VC discharge namespace.
 pub const KIND_VC: &str = "vc";
-/// Compiled-program namespace.
-pub const KIND_PROGRAM: &str = "program";
 /// Conformance-report namespace (used by the server, not a hook).
 pub const KIND_REPORT: &str = "report";
 
@@ -52,20 +49,17 @@ impl CacheHandle {
         self.store.stats()
     }
 
-    /// Installs this handle into every producer-crate hook: gate proofs,
-    /// VC discharge, and compiled programs all start flowing through the
-    /// persistent store.
+    /// Installs this handle into every producer-crate hook: gate proofs
+    /// and VC discharges start flowing through the persistent store.
     pub fn install(&self) {
         chicala_lowlevel::cache::set_prove_cache(Some(Arc::new(self.clone())));
         chicala_verify::cache::set_vc_cache(Some(Arc::new(self.clone())));
-        chicala_conformance::cache::set_program_cache(Some(Arc::new(self.clone())));
     }
 
     /// Removes whatever handles are installed in the hooks.
     pub fn uninstall_all() {
         chicala_lowlevel::cache::set_prove_cache(None);
         chicala_verify::cache::set_vc_cache(None);
-        chicala_conformance::cache::set_program_cache(None);
     }
 
     /// Environment-driven installation for CLIs and examples:
@@ -87,28 +81,19 @@ impl CacheHandle {
 }
 
 impl chicala_lowlevel::cache::ProveCache for CacheHandle {
-    fn lookup(&self, key: &[u8], digest: u128) -> Option<Vec<u8>> {
-        self.store.lookup(KIND_PROVE, key, digest)
+    fn lookup(&self, key: &[u8]) -> Option<Vec<u8>> {
+        self.store.lookup(KIND_PROVE, key)
     }
-    fn store(&self, key: &[u8], digest: u128, payload: &[u8]) {
-        self.store.store(KIND_PROVE, key, digest, payload);
+    fn store(&self, key: &[u8], payload: &[u8]) {
+        self.store.store(KIND_PROVE, key, payload);
     }
 }
 
 impl chicala_verify::cache::VcCache for CacheHandle {
-    fn lookup(&self, key: &[u8], digest: u128) -> Option<Vec<u8>> {
-        self.store.lookup(KIND_VC, key, digest)
+    fn lookup(&self, key: &[u8]) -> Option<Vec<u8>> {
+        self.store.lookup(KIND_VC, key)
     }
-    fn store(&self, key: &[u8], digest: u128, payload: &[u8]) {
-        self.store.store(KIND_VC, key, digest, payload);
-    }
-}
-
-impl chicala_conformance::cache::ProgramCache for CacheHandle {
-    fn lookup(&self, key: &[u8], digest: u128) -> Option<Vec<u8>> {
-        self.store.lookup(KIND_PROGRAM, key, digest)
-    }
-    fn store(&self, key: &[u8], digest: u128, payload: &[u8]) {
-        self.store.store(KIND_PROGRAM, key, digest, payload);
+    fn store(&self, key: &[u8], payload: &[u8]) {
+        self.store.store(KIND_VC, key, payload);
     }
 }

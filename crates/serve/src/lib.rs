@@ -6,10 +6,9 @@
 //! the pipeline into a service with three layers of work avoidance:
 //!
 //! 1. **Persistent content-addressed store** ([`Store`]): proof
-//!    certificates, VC discharge markers, compiled simulator programs,
-//!    and conformance reports keyed by a canonical digest of the
-//!    elaborated obligation (module structure + backend + width +
-//!    optimizer profile + schema version), written atomically under
+//!    certificates, VC discharge markers and conformance reports keyed by
+//!    a canonical digest of the obligation (netlist cone + backend +
+//!    width + schema version for a proof), written atomically under
 //!    `target/chicala-cache/` and verified byte-for-byte on read. A
 //!    corrupt or stale entry is evicted and the work transparently
 //!    re-proved — a cache bug can cost time, never soundness.
@@ -21,11 +20,11 @@
 //!
 //! The cache needs no daemon: [`CacheHandle::install`] (or
 //! [`CacheHandle::install_from_env`], gated on `CHICALA_CACHE`) plugs
-//! the store into the `prove_net_with` / VC-discharge / program-compile
-//! hooks of any process — tests, examples, CLIs. The daemon
-//! (`chicala-served`) adds the line-delimited JSON protocol over a Unix
-//! socket or stdin for long-running multi-client service; see
-//! [`Server::handle_line`] for the envelope.
+//! the store into the `prove_net` / VC-discharge hooks of any process —
+//! tests, examples, CLIs. The daemon (`chicala-served`) adds the
+//! line-delimited JSON protocol over a Unix socket or stdin for
+//! long-running multi-client service; see [`Server::handle_line`] for the
+//! envelope.
 
 #![warn(missing_docs)]
 

@@ -27,9 +27,8 @@ use chicala_conformance::{
     formal_gate_obligation, formal_gate_obligation_shared, run_design, Config, Design,
     FormalObligation, Layer, SimBackend,
 };
-use chicala_lowlevel::opt::OptProfile;
 use chicala_lowlevel::{
-    prove_net_sweep_scheduled, prove_net_with, Backend, Netlist, ProveResult, SweepItem,
+    prove_net, prove_net_sweep_scheduled, Backend, Netlist, OptProfile, ProveResult, SweepItem,
 };
 use chicala_par::StealPool;
 use chicala_telemetry as telemetry;
@@ -89,8 +88,8 @@ impl Server {
     /// A server over `cache` (or uncached when `None`) with a work pool
     /// sized by `CHICALA_WORKERS` (see [`StealPool::with_default_workers`]).
     /// When a cache handle is given it is installed into every
-    /// producer-crate hook, so proofs, VC discharges, and compiled
-    /// programs persist across requests *and across restarts*.
+    /// producer-crate hook, so proofs and VC discharges persist across
+    /// requests *and across restarts*.
     pub fn new(cache: Option<CacheHandle>) -> Server {
         if let Some(c) = &cache {
             c.install();
@@ -260,25 +259,23 @@ impl Server {
         };
         let priority = request_priority(req);
         let (ob, batched) = self.obligation(&d, width)?;
-        let opt = OptProfile::from_env();
-        let key = chicala_lowlevel::cache::prove_key(
+        // Identical concurrent proofs coalesce on the obligation's digest.
+        let dedup = fnv128(&chicala_lowlevel::cache::prove_key(
             &ob.netlist,
             ob.property,
             backend,
             width as usize,
             &ob.var_order,
-            opt,
-        );
+        ));
         let design_name = d.name.to_string();
         let job_ob = Arc::clone(&ob);
-        let handle = self.pool.submit_keyed(priority, key.digest, move || {
-            let result = prove_net_with(
+        let handle = self.pool.submit_keyed(priority, dedup, move || {
+            let result = prove_net(
                 &job_ob.netlist,
                 job_ob.property,
                 backend,
                 width as usize,
                 &job_ob.var_order,
-                opt,
             );
             prove_result_json(&design_name, width, &result)
         });
@@ -315,7 +312,6 @@ impl Server {
             None => Backend::from_env().unwrap_or(Backend::Auto),
         };
         let verify_ab = json::get(req, "verify_ab") == Some(&JsonValue::Bool(true));
-        let opt = OptProfile::from_env();
         // One hash-consed kit for the whole family: the session reuses
         // every width-independent sub-structure.
         let mut kit = Netlist::new();
@@ -335,7 +331,7 @@ impl Server {
                 var_order: ob.var_order.clone(),
             })
             .collect();
-        let report = prove_net_sweep_scheduled(&self.pool, &items, backend, opt, verify_ab);
+        let report = prove_net_sweep_scheduled(&self.pool, &items, backend, OptProfile, verify_ab);
         let mut rows = Vec::with_capacity(report.outcomes.len());
         let mut all_proved = true;
         for o in &report.outcomes {
@@ -348,14 +344,7 @@ impl Server {
             } else {
                 all_proved = false;
                 let (ob, _) = self.obligation(&d, o.width)?;
-                prove_net_with(
-                    &ob.netlist,
-                    ob.property,
-                    backend,
-                    o.width as usize,
-                    &ob.var_order,
-                    opt,
-                )
+                prove_net(&ob.netlist, ob.property, backend, o.width as usize, &ob.var_order)
             };
             if let Some(cache) = &self.cache {
                 // Prime the prove cache under the `prove` op's own key so
@@ -367,12 +356,10 @@ impl Server {
                     backend,
                     o.width as usize,
                     &ob.var_order,
-                    opt,
                 );
                 cache.store().store(
                     KIND_PROVE,
-                    &key.bytes,
-                    key.digest,
+                    &key,
                     &chicala_lowlevel::cache::encode_result(&result),
                 );
             }
@@ -488,9 +475,8 @@ impl Server {
         // reports are content-addressable: key = canonical config
         // transcript, payload = the byte-comparable result JSON.
         let key = report_key(&design, &cfg);
-        let digest = fnv128(&key);
         if let Some(cache) = &self.cache {
-            if let Some(payload) = cache.store().lookup(KIND_REPORT, &key, digest) {
+            if let Some(payload) = cache.store().lookup(KIND_REPORT, &key) {
                 if let Ok(text) = String::from_utf8(payload) {
                     if let Ok(result) = json::parse(&text) {
                         self.report_hits.fetch_add(1, Ordering::Relaxed);
@@ -505,13 +491,13 @@ impl Server {
         self.report_misses.fetch_add(1, Ordering::Relaxed);
         telemetry::counter("serve.report.miss", 1);
 
-        let handle = self.pool.submit_keyed(priority, digest, move || {
+        let handle = self.pool.submit_keyed(priority, fnv128(&key), move || {
             let report = run_design(&d, &cfg);
             report_json(&design, &report)
         });
         let result = handle.join();
         if let Some(cache) = &self.cache {
-            cache.store().store(KIND_REPORT, &key, digest, result.to_string().as_bytes());
+            cache.store().store(KIND_REPORT, &key, result.to_string().as_bytes());
         }
         Ok((result, vec![("cache", JsonValue::str("miss"))]))
     }
@@ -677,6 +663,14 @@ mod tests {
         Server::new(None)
     }
 
+    /// Serializes the tests that prove: `sweep_primes_the_prove_cache`
+    /// installs its store into the process-wide prove hook, and a proof in
+    /// a concurrent test would read and write that store too.
+    fn prove_hook_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     fn ok_result(server: &Server, line: &str) -> JsonValue {
         let resp = server.handle_line(line);
         let v = json::parse(&resp).expect("response parses");
@@ -725,6 +719,7 @@ mod tests {
 
     #[test]
     fn prove_batches_and_dedups() {
+        let _hooks = prove_hook_lock();
         let s = uncached();
         let r1 = ok_result(&s, r#"{"op":"prove","design":"rotate","width":5}"#);
         assert_eq!(json::get(&r1, "status"), Some(&JsonValue::str("proved")));
@@ -739,6 +734,7 @@ mod tests {
 
     #[test]
     fn sweep_rows_match_prove_op_per_width() {
+        let _hooks = prove_hook_lock();
         let s = uncached();
         let sweep = ok_result(&s, r#"{"op":"sweep","design":"rotate","min_width":2,"max_width":9}"#);
         assert_eq!(json::get(&sweep, "all_proved"), Some(&JsonValue::Bool(true)));
@@ -762,6 +758,7 @@ mod tests {
 
     #[test]
     fn sweep_primes_the_prove_cache() {
+        let _hooks = prove_hook_lock();
         let dir = std::env::temp_dir().join(format!(
             "chicala-sweep-cache-{}-{}",
             std::process::id(),
@@ -776,7 +773,7 @@ mod tests {
         let cache = s.cache().unwrap();
         let before = cache.stats();
         // Every width in the swept range is now a pure cache hit for the
-        // point `prove` op (prove_net_with consults the installed hook).
+        // point `prove` op (prove_net consults the installed hook).
         let r = ok_result(&s, r#"{"op":"prove","design":"rotate","width":8}"#);
         assert_eq!(json::get(&r, "status"), Some(&JsonValue::str("proved")));
         let after = cache.stats();
@@ -787,6 +784,7 @@ mod tests {
 
     #[test]
     fn sweep_verify_ab_reports_zero_divergences() {
+        let _hooks = prove_hook_lock();
         let s = uncached();
         let resp = s.handle_line(
             r#"{"op":"sweep","design":"rotate","min_width":2,"max_width":8,"verify_ab":true}"#,

@@ -1,11 +1,13 @@
 //! The on-disk content-addressed artifact store.
 //!
 //! Every expensive artifact the pipeline produces — gate-proof
-//! certificates, kernel VC verdicts, compiled simulation programs,
-//! conformance reports — is addressed by the 128-bit FNV-1a digest of its
-//! *key transcript*: the canonical byte encoding of everything that
-//! determines the artifact (producer crates build these; see
-//! `chicala_lowlevel::cache::prove_key` and friends). Entries live at
+//! certificates, kernel VC verdicts, conformance reports — is addressed by
+//! the 128-bit FNV-1a digest of its *key transcript*: the canonical byte
+//! encoding of everything that determines the artifact (producer crates
+//! build these; see `chicala_lowlevel::cache::prove_key` and friends). The
+//! store derives the address from the key itself, so a caller can never
+//! file an entry where a lookup for the same key would not find it.
+//! Entries live at
 //!
 //! ```text
 //! <root>/<kind>/<digest-hex32>.bin
@@ -33,9 +35,8 @@
 //! eviction) degrade to cache misses; the store never panics on bad disk
 //! state.
 
-use chicala_telemetry::{fnv64, Fnv128};
+use chicala_telemetry::{fnv128, fnv64};
 use std::fs;
-use std::hash::Hasher;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -129,19 +130,19 @@ impl Store {
         &self.root
     }
 
-    fn entry_path(&self, kind: &str, digest: u128) -> PathBuf {
-        self.root.join(kind).join(format!("{digest:032x}.bin"))
+    /// Where the entry for (`kind`, `key`) lives: named by the FNV-128 of
+    /// the key.
+    fn entry_path(&self, kind: &str, key: &[u8]) -> PathBuf {
+        self.root.join(kind).join(format!("{:032x}.bin", fnv128(key)))
     }
 
-    /// Looks up the payload stored for (`kind`, `key`). `digest` must be
-    /// the FNV-128 of `key` (the producer computes it once; the store
-    /// additionally re-verifies, so a caller bug cannot mis-address).
+    /// Looks up the payload stored for (`kind`, `key`).
     ///
     /// Any verification failure — bad magic, wrong schema, wrong kind,
     /// non-matching key bytes, bad checksum, truncation — evicts the entry
     /// and reports a miss.
-    pub fn lookup(&self, kind: &str, key: &[u8], digest: u128) -> Option<Vec<u8>> {
-        let path = self.entry_path(kind, digest);
+    pub fn lookup(&self, kind: &str, key: &[u8]) -> Option<Vec<u8>> {
+        let path = self.entry_path(kind, key);
         let data = match fs::read(&path) {
             Ok(d) => d,
             Err(_) => {
@@ -149,7 +150,7 @@ impl Store {
                 return None;
             }
         };
-        match parse_entry(&data, kind, key, digest) {
+        match parse_entry(&data, kind, key) {
             Some(payload) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.bytes_read.fetch_add(payload.len() as u64, Ordering::Relaxed);
@@ -169,21 +170,16 @@ impl Store {
     /// Persists `payload` under (`kind`, `key`). Atomic: written to a
     /// temp file in the same directory, then renamed over the final path.
     /// All failures are silent (the entry simply won't hit).
-    pub fn store(&self, kind: &str, key: &[u8], digest: u128, payload: &[u8]) {
-        // Refuse to write an entry we would refuse to read.
-        let mut h = Fnv128::new();
-        h.write(key);
-        if h.finish128() != digest {
-            return;
-        }
+    pub fn store(&self, kind: &str, key: &[u8], payload: &[u8]) {
         let entry = build_entry(kind, key, payload);
-        let path = self.entry_path(kind, digest);
-        let Some(dir) = path.parent() else { return };
+        let path = self.entry_path(kind, key);
+        let (Some(dir), Some(name)) = (path.parent(), path.file_stem()) else { return };
         if fs::create_dir_all(dir).is_err() {
             return;
         }
         let tmp = dir.join(format!(
-            ".tmp-{digest:032x}-{}-{:?}",
+            ".tmp-{}-{}-{:?}",
+            name.to_string_lossy(),
             std::process::id(),
             std::thread::current().id(),
         ));
@@ -322,7 +318,7 @@ fn build_entry(kind: &str, key: &[u8], payload: &[u8]) -> Vec<u8> {
 }
 
 /// Parses and verifies one entry against the request. `None` ⇒ evict.
-fn parse_entry(data: &[u8], kind: &str, key: &[u8], digest: u128) -> Option<Vec<u8>> {
+fn parse_entry(data: &[u8], kind: &str, key: &[u8]) -> Option<Vec<u8>> {
     // Checksum first: everything else assumes intact framing.
     if data.len() < 8 {
         return None;
@@ -351,14 +347,9 @@ fn parse_entry(data: &[u8], kind: &str, key: &[u8], digest: u128) -> Option<Vec<
     let key_len = u32::from_le_bytes(take(&mut at, 4)?.try_into().ok()?) as usize;
     let stored_key = take(&mut at, key_len)?;
     // The heart of the soundness argument: byte-identical key or nothing.
+    // The entry was found at the key's address, so a matching stored key
+    // also proves the entry is filed where it belongs.
     if stored_key != key {
-        return None;
-    }
-    // And the address must actually be the key's digest (a mis-filed entry
-    // is as untrustworthy as a corrupt one).
-    let mut h = Fnv128::new();
-    h.write(stored_key);
-    if h.finish128() != digest {
         return None;
     }
     let payload_len = u64::from_le_bytes(take(&mut at, 8)?.try_into().ok()?) as usize;
@@ -382,20 +373,13 @@ mod tests {
         Store::open(dir)
     }
 
-    fn digest_of(key: &[u8]) -> u128 {
-        let mut h = Fnv128::new();
-        h.write(key);
-        h.finish128()
-    }
-
     #[test]
     fn roundtrip_and_stats() {
         let store = temp_store("roundtrip");
         let key = b"some-canonical-transcript";
-        let digest = digest_of(key);
-        assert_eq!(store.lookup("prove", key, digest), None);
-        store.store("prove", key, digest, b"payload-bytes");
-        assert_eq!(store.lookup("prove", key, digest).as_deref(), Some(&b"payload-bytes"[..]));
+        assert_eq!(store.lookup("prove", key), None);
+        store.store("prove", key, b"payload-bytes");
+        assert_eq!(store.lookup("prove", key).as_deref(), Some(&b"payload-bytes"[..]));
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.writes, s.evictions), (1, 1, 1, 0));
         let (entries, bytes) = store.disk_usage();
@@ -408,10 +392,9 @@ mod tests {
     fn kind_isolates_namespaces() {
         let store = temp_store("kinds");
         let key = b"same-key";
-        let digest = digest_of(key);
-        store.store("prove", key, digest, b"a");
-        assert_eq!(store.lookup("vc", key, digest), None, "other kind must miss");
-        assert_eq!(store.lookup("prove", key, digest).as_deref(), Some(&b"a"[..]));
+        store.store("prove", key, b"a");
+        assert_eq!(store.lookup("vc", key), None, "other kind must miss");
+        assert_eq!(store.lookup("prove", key).as_deref(), Some(&b"a"[..]));
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -419,17 +402,16 @@ mod tests {
     fn truncated_entry_is_evicted_and_rewritable() {
         let store = temp_store("trunc");
         let key = b"key-1";
-        let digest = digest_of(key);
-        store.store("prove", key, digest, b"full payload");
-        let path = store.entry_path("prove", digest);
+        store.store("prove", key, b"full payload");
+        let path = store.entry_path("prove", key);
         let data = fs::read(&path).unwrap();
         fs::write(&path, &data[..data.len() / 2]).unwrap();
-        assert_eq!(store.lookup("prove", key, digest), None, "truncated must miss");
+        assert_eq!(store.lookup("prove", key), None, "truncated must miss");
         assert!(!path.exists(), "truncated entry must be evicted");
         assert_eq!(store.stats().evictions, 1);
         // Transparent re-prove: a fresh store succeeds.
-        store.store("prove", key, digest, b"full payload");
-        assert_eq!(store.lookup("prove", key, digest).as_deref(), Some(&b"full payload"[..]));
+        store.store("prove", key, b"full payload");
+        assert_eq!(store.lookup("prove", key).as_deref(), Some(&b"full payload"[..]));
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -437,23 +419,22 @@ mod tests {
     fn bitflip_anywhere_is_detected() {
         let store = temp_store("bitflip");
         let key = b"key-2";
-        let digest = digest_of(key);
-        store.store("prove", key, digest, b"sensitive certificate");
-        let path = store.entry_path("prove", digest);
+        store.store("prove", key, b"sensitive certificate");
+        let path = store.entry_path("prove", key);
         let clean = fs::read(&path).unwrap();
         for pos in 0..clean.len() {
             let mut dirty = clean.clone();
             dirty[pos] ^= 0x01;
             fs::write(&path, &dirty).unwrap();
             assert_eq!(
-                store.lookup("prove", key, digest),
+                store.lookup("prove", key),
                 None,
                 "flipped bit at byte {pos} must not be served"
             );
             // Eviction removed it; restore for the next position.
             fs::write(&path, &clean).unwrap();
         }
-        assert_eq!(store.lookup("prove", key, digest).as_deref(), Some(&b"sensitive certificate"[..]));
+        assert_eq!(store.lookup("prove", key).as_deref(), Some(&b"sensitive certificate"[..]));
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -461,7 +442,6 @@ mod tests {
     fn wrong_schema_version_is_evicted() {
         let store = temp_store("schema");
         let key = b"key-3";
-        let digest = digest_of(key);
         // Hand-build an entry with a future schema version but a valid
         // checksum: framing intact, layout unknown.
         let mut entry = Vec::new();
@@ -475,10 +455,10 @@ mod tests {
         entry.extend_from_slice(b"abc");
         let check = fnv64(&entry);
         entry.extend_from_slice(&check.to_le_bytes());
-        let path = store.entry_path("prove", digest);
+        let path = store.entry_path("prove", key);
         fs::create_dir_all(path.parent().unwrap()).unwrap();
         fs::write(&path, &entry).unwrap();
-        assert_eq!(store.lookup("prove", key, digest), None);
+        assert_eq!(store.lookup("prove", key), None);
         assert!(!path.exists(), "wrong-schema entry must be evicted");
         let _ = fs::remove_dir_all(store.root());
     }
@@ -486,12 +466,14 @@ mod tests {
     #[test]
     fn key_mismatch_under_same_digest_is_never_served() {
         let store = temp_store("collide");
-        let key_a = b"key-a".to_vec();
-        let digest = digest_of(&key_a);
-        store.store("prove", &key_a, digest, b"certificate-for-a");
-        // Simulate a digest collision: ask for a different key at the same
-        // address. The byte-exact key check must refuse.
-        assert_eq!(store.lookup("prove", b"key-b", digest), None);
+        store.store("prove", b"key-a", b"certificate-for-a");
+        // Simulate a digest collision: file key-a's entry at key-b's
+        // address. The byte-exact key check must refuse it and evict it.
+        let aliased = store.entry_path("prove", b"key-b");
+        fs::copy(store.entry_path("prove", b"key-a"), &aliased).unwrap();
+        assert_eq!(store.lookup("prove", b"key-b"), None);
+        assert!(!aliased.exists(), "aliased entry must be evicted");
+        assert_eq!(store.lookup("prove", b"key-a").as_deref(), Some(&b"certificate-for-a"[..]));
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -508,12 +490,12 @@ mod tests {
         let payload = [0xABu8; 64];
         let keys: Vec<Vec<u8>> = (0..20u32).map(|i| format!("entry-{i}").into_bytes()).collect();
         for (i, key) in keys.iter().enumerate() {
-            store.store("prove", key, digest_of(key), &payload);
+            store.store("prove", key, &payload);
             // Keep entry 0 hot: touching it on every round makes it the
             // most recently used, so LRU must spare it.
             if i > 0 {
                 assert!(
-                    store.lookup("prove", &keys[0], digest_of(&keys[0])).is_some(),
+                    store.lookup("prove", &keys[0]).is_some(),
                     "hot entry must survive every eviction round (round {i})"
                 );
             }
@@ -526,9 +508,9 @@ mod tests {
         // Cold entries were evicted: they miss, and a re-store transparently
         // re-proves (the caller just sees a miss, never an error).
         let cold = &keys[1];
-        assert_eq!(store.lookup("prove", cold, digest_of(cold)), None);
-        store.store("prove", cold, digest_of(cold), &payload);
-        assert_eq!(store.lookup("prove", cold, digest_of(cold)).as_deref(), Some(&payload[..]));
+        assert_eq!(store.lookup("prove", cold), None);
+        store.store("prove", cold, &payload);
+        assert_eq!(store.lookup("prove", cold).as_deref(), Some(&payload[..]));
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -537,18 +519,10 @@ mod tests {
         let store = temp_store("uncapped");
         for i in 0..50u32 {
             let key = format!("k{i}").into_bytes();
-            store.store("prove", &key, digest_of(&key), &[0u8; 256]);
+            store.store("prove", &key, &[0u8; 256]);
         }
         assert_eq!(store.stats().size_evictions, 0);
         assert_eq!(store.disk_usage().0, 50);
-        let _ = fs::remove_dir_all(store.root());
-    }
-
-    #[test]
-    fn store_refuses_mis_addressed_writes() {
-        let store = temp_store("misaddr");
-        store.store("prove", b"key", 0xDEAD, b"x"); // wrong digest
-        assert_eq!(store.disk_usage().0, 0);
         let _ = fs::remove_dir_all(store.root());
     }
 }

@@ -36,9 +36,9 @@ pub const VC_KEY_SCHEMA: u32 = 1;
 /// short "proved" marker, the key carries all the meaning.
 pub trait VcCache: Send + Sync {
     /// Returns the stored payload for an identical key, if any.
-    fn lookup(&self, key: &[u8], digest: u128) -> Option<Vec<u8>>;
+    fn lookup(&self, key: &[u8]) -> Option<Vec<u8>>;
     /// Persists `payload` under `key`; failures must be silent.
-    fn store(&self, key: &[u8], digest: u128, payload: &[u8]);
+    fn store(&self, key: &[u8], payload: &[u8]);
 }
 
 static VC_CACHE: RwLock<Option<Arc<dyn VcCache>>> = RwLock::new(None);
@@ -127,7 +127,7 @@ fn hash_just(j: &Just, h: &mut impl Hasher) {
 
 /// The canonical key of one VC discharge: environment content + VC
 /// statement + proof script, schema-versioned.
-pub fn vc_key(env: &Env, vc: &Vc, proof: &Proof) -> (Vec<u8>, u128) {
+pub fn vc_key(env: &Env, vc: &Vc, proof: &Proof) -> Vec<u8> {
     let mut h = telemetry::Fnv128::new();
     h.write(b"chicala-vc");
     h.write(&VC_KEY_SCHEMA.to_le_bytes());
@@ -155,14 +155,7 @@ pub fn vc_key(env: &Env, vc: &Vc, proof: &Proof) -> (Vec<u8>, u128) {
     key.extend_from_slice(&VC_KEY_SCHEMA.to_le_bytes());
     key.extend_from_slice(&digest.to_le_bytes());
     key.extend_from_slice(&h2.finish128().to_le_bytes());
-    // The address is the digest *of the key bytes* — the store's contract
-    // (it refuses any entry whose address it cannot re-derive from the
-    // stored key on read). Content sensitivity is inherited: both content
-    // digests are embedded in the key.
-    let mut ha = telemetry::Fnv128::new();
-    ha.write(&key);
-    let address = ha.finish128();
-    (key, address)
+    key
 }
 
 /// A computed key bound to the installed cache, handed back to
@@ -171,20 +164,19 @@ pub fn vc_key(env: &Env, vc: &Vc, proof: &Proof) -> (Vec<u8>, u128) {
 pub(crate) struct VcCacheEntry {
     cache: Arc<dyn VcCache>,
     key: Vec<u8>,
-    digest: u128,
 }
 
 impl VcCacheEntry {
     /// `Some` only when a cache is installed.
     pub(crate) fn open(env: &Env, vc: &Vc, proof: &Proof) -> Option<VcCacheEntry> {
         let cache = vc_cache()?;
-        let (key, digest) = vc_key(env, vc, proof);
-        Some(VcCacheEntry { cache, key, digest })
+        let key = vc_key(env, vc, proof);
+        Some(VcCacheEntry { cache, key })
     }
 
     /// Whether this exact discharge is recorded as proved.
     pub(crate) fn hit(&self) -> bool {
-        match self.cache.lookup(&self.key, self.digest) {
+        match self.cache.lookup(&self.key) {
             Some(payload) if payload == PROVED_MARKER => {
                 telemetry::counter("cache.vc.hit", 1);
                 true
@@ -202,7 +194,7 @@ impl VcCacheEntry {
 
     /// Records a successful discharge.
     pub(crate) fn record_proved(&self) {
-        self.cache.store(&self.key, self.digest, PROVED_MARKER);
+        self.cache.store(&self.key, PROVED_MARKER);
     }
 }
 
@@ -223,21 +215,19 @@ mod tests {
     fn key_moves_with_every_component() {
         let env = Env::new();
         let vc = sample_vc();
-        let (k1, d1) = vc_key(&env, &vc, &Proof::Auto);
-        let (k2, d2) = vc_key(&env, &vc, &Proof::Auto);
-        assert_eq!(k1, k2);
-        assert_eq!(d1, d2);
+        let k1 = vc_key(&env, &vc, &Proof::Auto);
+        assert_eq!(vc_key(&env, &vc, &Proof::Auto), k1);
 
         let mut vc2 = vc.clone();
         vc2.goal = Term::var("y").eq(Term::var("y"));
-        assert_ne!(vc_key(&env, &vc2, &Proof::Auto).1, d1, "goal");
+        assert_ne!(vc_key(&env, &vc2, &Proof::Auto), k1, "goal");
 
         let mut vc3 = vc.clone();
         vc3.name = "other".into();
-        assert_ne!(vc_key(&env, &vc3, &Proof::Auto).1, d1, "name");
+        assert_ne!(vc_key(&env, &vc3, &Proof::Auto), k1, "name");
 
         let deeper = Proof::SplitAnd(vec![Proof::Auto]);
-        assert_ne!(vc_key(&env, &vc, &deeper).1, d1, "proof script");
+        assert_ne!(vc_key(&env, &vc, &deeper), k1, "proof script");
 
         let mut env2 = Env::new();
         env2.define(crate::kernel::DefFn {
@@ -245,18 +235,18 @@ mod tests {
             params: vec!["n".into()],
             body: Term::int(2).mul(Term::var("n")),
         });
-        assert_ne!(vc_key(&env2, &vc, &Proof::Auto).1, d1, "environment");
+        assert_ne!(vc_key(&env2, &vc, &Proof::Auto), k1, "environment");
     }
 
     #[test]
     fn limits_do_not_move_the_key() {
         let mut env = Env::new();
         let vc = sample_vc();
-        let (_, d1) = vc_key(&env, &vc, &Proof::Auto);
+        let k1 = vc_key(&env, &vc, &Proof::Auto);
         env.limits.fm_budget = 1;
         env.limits.ite_splits = 1;
-        let (_, d2) = vc_key(&env, &vc, &Proof::Auto);
-        assert_eq!(d1, d2, "limits bound search, not provability");
+        let k2 = vc_key(&env, &vc, &Proof::Auto);
+        assert_eq!(k1, k2, "limits bound search, not provability");
     }
 
     #[test]
@@ -265,6 +255,6 @@ mod tests {
         let vc = sample_vc();
         let a = Proof::Unfold { func: "f".into(), rest: Box::new(Proof::Auto) };
         let b = Proof::Use { lemma: "f".into(), args: vec![], rest: Box::new(Proof::Auto) };
-        assert_ne!(vc_key(&env, &vc, &a).1, vc_key(&env, &vc, &b).1);
+        assert_ne!(vc_key(&env, &vc, &a), vc_key(&env, &vc, &b));
     }
 }

@@ -1,6 +1,6 @@
 //! Gate-level backend benchmark: times the per-width design-vs-golden
-//! equivalence proof for every registry design under both the BDD and the
-//! AIG+SAT backend — with the self-certifying AIG optimizer off and on —
+//! equivalence proof for every registry design under the netlist-level
+//! BDD baseline and the two engines of the AIG prove path (BDD and SAT),
 //! and writes the results to `BENCH_lowlevel.json`.
 //!
 //! ```text
@@ -11,34 +11,24 @@
 //! For each design the width sweep runs from `min_width` to the registry's
 //! `gate_max_width` ceiling. Per width the bench records:
 //!
-//! * `bdd_ns` — the raw monolithic-BDD prove, only up to the design's
-//!   BDD-era ceiling (`bdd_ceiling`), past which monolithic BDDs blow up;
-//! * `bdd_opt_ns` — the BDD prove behind the optimizer; measured at every
-//!   width where the pipeline closes the cone structurally (the BDD never
-//!   materialises), else only up to `bdd_ceiling`;
-//! * `sat_ns` / `sat_opt_ns` — the AIG+SAT prove with the optimizer
-//!   disabled vs enabled (min of [`REPS`] runs each; the optimized timing
-//!   runs with certification off, so it measures pure prove cost);
-//! * `pre_ands` / `post_ands` — AND-node count of the miter cone before
-//!   and after the standard pass pipeline, run separately under
-//!   `CertMode::Full` so every accepted pass application must prove its
-//!   own pre/post equivalence miter right here in the bench.
+//! * `folded` — whether netlist→AIG lowering folded the miter root to a
+//!   constant (no engine runs);
+//! * `bdd_ns` — the netlist-level monolithic-BDD baseline
+//!   ([`prove_net_bdd`]), only up to the design's BDD-era ceiling
+//!   (`bdd_ceiling`), past which monolithic BDDs blow up;
+//! * `bdd_aig_ns` — [`prove_net`] with the BDD engine, which lowers to the
+//!   structurally hashed AIG first; measured at every folded width (the
+//!   BDD never materialises), else only up to `bdd_ceiling`;
+//! * `sat_ns` — [`prove_net`] with the SAT engine (min of [`REPS`] runs).
 //!
-//! Headline numbers per design: `speedup_at_bdd_ceiling` (raw BDD over raw
-//! SAT at the last BDD-era width, the PR-4 story),
-//! `opt_bdd_speedup_at_bdd_ceiling` (raw BDD over optimizer+BDD at the
-//! same width — where the optimizer genuinely moves a ceiling), and
-//! `opt_sat_speedup_at_prev_ceiling` (raw SAT over optimized SAT at the
-//! pre-optimizer `gate_max_width`). The honest fine print on the last one:
-//! the registry miters are already closed by structural hashing during
-//! netlist→AIG lowering, so the SAT ratio hovers near 1.0 — the SAT-path
-//! cost is the lowering itself, and [`prove_net_with`] skips the pipeline
-//! when the lowered root is constant.
+//! Headline numbers per design: `speedup_at_bdd_ceiling` (BDD baseline
+//! over SAT at the last BDD-era width) and `aig_bdd_speedup_at_bdd_ceiling`
+//! (BDD baseline over the AIG path's BDD at the same width). The registry
+//! miters fold during lowering, so both AIG timings are the lowering
+//! itself.
 //!
 //! Smoke mode caps the sweep at width 12 and exits non-zero unless every
-//! SAT prove (both profiles) is UNSAT, every certification miter proves,
-//! and no pipeline ever grows a cone. CI runs it with
-//! `CHICALA_OPT_CERT=full`.
+//! SAT prove is UNSAT and the sweep A/B below passes.
 //!
 //! Knobs (environment):
 //! - `CHICALA_BENCH_OUT`: output path (default `BENCH_lowlevel.json`).
@@ -48,8 +38,8 @@
 use chicala::conformance::{all_designs, formal_gate_obligation, formal_gate_obligation_shared};
 use chicala::lowlevel::sweep::family;
 use chicala::lowlevel::{
-    from_netlist, prove_net_sweep, prove_net_with, tseitin_pg, Aig, AigRef, Backend, CertMode,
-    IncrementalProver, Netlist, OptProfile, PassManager, SweepItem, SweepVerdict, AIG_TRUE,
+    from_netlist, prove_net, prove_net_bdd, prove_net_sweep, tseitin_pg, Aig, AigRef, Backend,
+    IncrementalProver, Netlist, SweepItem, SweepVerdict, AIG_TRUE,
 };
 use chicala::sat::{SatResult, Solver};
 use std::time::Instant;
@@ -67,24 +57,12 @@ fn bdd_ceiling(name: &str) -> u64 {
     }
 }
 
-/// The registry's `gate_max_width` before the optimizer PR (the PR-4
-/// ceilings): where `opt_speedup_at_prev_ceiling` is read.
-fn prev_ceiling(name: &str) -> u64 {
-    match name {
-        "rotate" | "popcount" => 28,
-        "xmul" => 16,
-        _ => 24, // rmul, rdiv, xdiv, csel, ks, csa3
-    }
-}
-
 struct Row {
     width: u64,
+    folded: bool,
     bdd_ns: Option<u64>,
-    bdd_opt_ns: Option<u64>,
+    bdd_aig_ns: Option<u64>,
     sat_ns: u64,
-    sat_opt_ns: u64,
-    pre_ands: usize,
-    post_ands: usize,
     sat_proved: bool,
 }
 
@@ -195,20 +173,18 @@ struct RegSweep {
 
 fn bench_registry_sweep(d: &chicala::conformance::Design, cap: u64) -> RegSweep {
     let widths: Vec<u64> = (d.min_width..=cap).collect();
-    let opt = OptProfile::off();
     let t = Instant::now();
     let mut cold_results = Vec::new();
     for &w in &widths {
         let ob = formal_gate_obligation(d, w)
             .expect("registry design elaborates")
             .expect("golden model registered");
-        cold_results.push(prove_net_with(
+        cold_results.push(prove_net(
             &ob.netlist,
             ob.property,
             Backend::Auto,
             w as usize,
             &ob.var_order,
-            opt,
         ));
     }
     let cold_ns = t.elapsed().as_nanos() as u64;
@@ -226,11 +202,11 @@ fn bench_registry_sweep(d: &chicala::conformance::Design, cap: u64) -> RegSweep 
         .iter()
         .map(|(w, ob)| SweepItem { nl: &kit, root: ob.property, width: *w, var_order: ob.var_order.clone() })
         .collect();
-    let report = prove_net_sweep(&items, Backend::Auto, opt, false);
+    let report = prove_net_sweep(&items, Backend::Auto, false);
     let sweep_ns = t.elapsed().as_nanos() as u64;
     // Byte-identity, both against the cold results gathered above and via
     // the sweep's own A/B tripwire (untimed).
-    let ab = prove_net_sweep(&items, Backend::Auto, opt, true);
+    let ab = prove_net_sweep(&items, Backend::Auto, true);
     let byte_identical = ab.stats.divergences == 0
         && report.outcomes.iter().zip(&cold_results).all(|(o, c)| &o.result == c);
     let results = report
@@ -274,103 +250,63 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             bdd_ceiling(d.name)
         );
         println!(
-            "{:>6} {:>12} {:>12} {:>12} {:>12} {:>14} {:>9}",
-            "width", "BDD raw", "BDD opt", "SAT raw", "SAT opt", "ands pre/post", "status"
+            "{:>6} {:>7} {:>12} {:>12} {:>12} {:>9}",
+            "width", "folded", "BDD netlist", "BDD AIG", "SAT AIG", "status"
         );
         let mut rows = Vec::new();
         for width in d.min_width..=cap {
             let ob = formal_gate_obligation(&d, width)?.expect("golden model registered");
-
-            // Cone size before/after the pipeline, fully certified: the
-            // bench is itself a certification gate.
-            let (aig, roots, _) = from_netlist(&ob.netlist, &[ob.property]);
-            let pre_ands = aig.and_count();
-            let out = PassManager::standard(width as usize, CertMode::Full)
-                .run(aig, roots)
-                .unwrap_or_else(|e| {
-                    panic!("{} at width {width}: certification failed: {e}", d.name)
-                });
-            let post_ands = out.aig.and_count();
-            assert!(
-                post_ands <= pre_ands,
-                "{} at width {width}: pipeline grew the cone ({pre_ands} -> {post_ands})",
-                d.name
-            );
+            let (_, roots, _) = from_netlist(&ob.netlist, &[ob.property]);
+            let folded = roots[0] == AIG_TRUE;
 
             let bdd_ns = (width <= bdd_ceiling(d.name)).then(|| {
                 let t = Instant::now();
-                let r = prove_net_with(
-                    &ob.netlist,
-                    ob.property,
-                    Backend::Bdd,
-                    width as usize,
-                    &ob.var_order,
-                    OptProfile::off(),
-                );
+                let r = prove_net_bdd(&ob.netlist, ob.property, &ob.var_order);
                 assert!(r.is_proved(), "{} at width {width}: BDD: {r:?}", d.name);
                 t.elapsed().as_nanos() as u64
             });
-            // The optimized BDD prove runs at every width where the
-            // pipeline closed the cone structurally (the BDD then never
-            // materialises); where it did not, only up to the BDD-era
-            // ceiling — an unclosed monolithic BDD still blows up.
-            let bdd_opt_ns = (post_ands == 0 || width <= bdd_ceiling(d.name)).then(|| {
+            // The AIG path's BDD runs at every width where lowering folded
+            // the cone (the BDD then never materialises); where it did
+            // not, only up to the BDD-era ceiling, since an unfolded
+            // monolithic BDD still blows up.
+            let bdd_aig_ns = (folded || width <= bdd_ceiling(d.name)).then(|| {
                 let t = Instant::now();
-                let r = prove_net_with(
+                let r = prove_net(
                     &ob.netlist,
                     ob.property,
                     Backend::Bdd,
                     width as usize,
                     &ob.var_order,
-                    OptProfile { enabled: true, cert: CertMode::Off },
                 );
-                assert!(r.is_proved(), "{} at width {width}: BDD+opt: {r:?}", d.name);
+                assert!(r.is_proved(), "{} at width {width}: BDD via AIG: {r:?}", d.name);
                 t.elapsed().as_nanos() as u64
             });
 
-            let time_sat = |profile: OptProfile| -> (u64, bool) {
-                let mut best = u64::MAX;
-                let mut proved = true;
-                for _ in 0..REPS {
-                    let t = Instant::now();
-                    let r = prove_net_with(
-                        &ob.netlist,
-                        ob.property,
-                        Backend::Sat,
-                        width as usize,
-                        &ob.var_order,
-                        profile,
-                    );
-                    best = best.min(t.elapsed().as_nanos() as u64);
-                    proved &= r.is_proved();
-                }
-                (best, proved)
-            };
-            let (sat_ns, raw_proved) = time_sat(OptProfile::off());
-            let (sat_opt_ns, opt_proved) =
-                time_sat(OptProfile { enabled: true, cert: CertMode::Off });
-            let sat_proved = raw_proved && opt_proved;
+            let mut sat_ns = u64::MAX;
+            let mut sat_proved = true;
+            for _ in 0..REPS {
+                let t = Instant::now();
+                let r = prove_net(
+                    &ob.netlist,
+                    ob.property,
+                    Backend::Sat,
+                    width as usize,
+                    &ob.var_order,
+                );
+                sat_ns = sat_ns.min(t.elapsed().as_nanos() as u64);
+                sat_proved &= r.is_proved();
+            }
             all_sat_proved &= sat_proved;
             println!(
-                "{:>6} {:>12} {:>12} {:>12} {:>12} {:>14} {:>9}",
+                "{:>6} {:>7} {:>12} {:>12} {:>12} {:>9}",
                 width,
+                folded,
                 bdd_ns.map_or("-".into(), |ns| format!("{:.2}ms", ns as f64 / 1e6)),
-                bdd_opt_ns.map_or("-".into(), |ns| format!("{:.2}ms", ns as f64 / 1e6)),
+                bdd_aig_ns.map_or("-".into(), |ns| format!("{:.2}ms", ns as f64 / 1e6)),
                 format!("{:.2}ms", sat_ns as f64 / 1e6),
-                format!("{:.2}ms", sat_opt_ns as f64 / 1e6),
-                format!("{pre_ands}/{post_ands}"),
                 if sat_proved { "UNSAT" } else { "SAT?!" }
             );
-            rows.push(Row {
-                width,
-                bdd_ns,
-                bdd_opt_ns,
-                sat_ns,
-                sat_opt_ns,
-                pre_ands,
-                post_ands,
-                sat_proved,
-            });
+            rows.push(Row { width, folded, bdd_ns, bdd_aig_ns, sat_ns, sat_proved });
         }
         if let Some(r) = rows.iter().find(|r| r.width == bdd_ceiling(d.name)) {
             if let Some(b) = r.bdd_ns {
@@ -379,26 +315,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     r.width,
                     b as f64 / r.sat_ns.max(1) as f64
                 );
-                if let Some(bo) = r.bdd_opt_ns {
+                if let Some(ba) = r.bdd_aig_ns {
                     println!(
-                        "  optimizer speedup on the BDD engine at its ceiling (w={}): {:.1}x",
+                        "  AIG front end speedup on the BDD engine at its ceiling (w={}): {:.1}x",
                         r.width,
-                        b as f64 / bo.max(1) as f64
+                        b as f64 / ba.max(1) as f64
                     );
                 }
             }
         }
-        if let Some(r) = rows.iter().find(|r| r.width == prev_ceiling(d.name)) {
-            println!(
-                "  optimizer speedup at previous ceiling (w={}): {:.2}x ({} -> {} ands)\n",
-                r.width,
-                r.sat_ns as f64 / r.sat_opt_ns.max(1) as f64,
-                r.pre_ands,
-                r.post_ands
-            );
-        } else {
-            println!();
-        }
+        println!();
         per_design.push((d.name, rows));
     }
 
@@ -558,40 +484,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let at_bdd_ceiling = rows.iter().find(|r| r.width == bdd_ceiling(name));
         let speedup =
             at_bdd_ceiling.and_then(|r| r.bdd_ns.map(|b| b as f64 / r.sat_ns.max(1) as f64));
-        let bdd_opt_speedup = at_bdd_ceiling.and_then(|r| {
-            r.bdd_ns.zip(r.bdd_opt_ns).map(|(b, bo)| b as f64 / bo.max(1) as f64)
+        let aig_bdd_speedup = at_bdd_ceiling.and_then(|r| {
+            r.bdd_ns.zip(r.bdd_aig_ns).map(|(b, ba)| b as f64 / ba.max(1) as f64)
         });
-        let opt_speedup = rows
-            .iter()
-            .find(|r| r.width == prev_ceiling(name))
-            .map(|r| r.sat_ns as f64 / r.sat_opt_ns.max(1) as f64);
         json.push_str(&format!("    \"{name}\": {{\n"));
         json.push_str(&format!("      \"bdd_ceiling\": {},\n", bdd_ceiling(name)));
-        json.push_str(&format!("      \"prev_gate_ceiling\": {},\n", prev_ceiling(name)));
         json.push_str(&format!(
             "      \"speedup_at_bdd_ceiling\": {},\n",
             speedup.map_or("null".into(), |s| format!("{s:.3}"))
         ));
         json.push_str(&format!(
-            "      \"opt_bdd_speedup_at_bdd_ceiling\": {},\n",
-            bdd_opt_speedup.map_or("null".into(), |s| format!("{s:.3}"))
-        ));
-        json.push_str(&format!(
-            "      \"opt_sat_speedup_at_prev_ceiling\": {},\n",
-            opt_speedup.map_or("null".into(), |s| format!("{s:.3}"))
+            "      \"aig_bdd_speedup_at_bdd_ceiling\": {},\n",
+            aig_bdd_speedup.map_or("null".into(), |s| format!("{s:.3}"))
         ));
         json.push_str("      \"rows\": [\n");
         for (i, r) in rows.iter().enumerate() {
             json.push_str(&format!(
-                "        {{ \"width\": {}, \"bdd_ns\": {}, \"bdd_opt_ns\": {}, \"sat_ns\": {}, \
-                 \"sat_opt_ns\": {}, \"pre_ands\": {}, \"post_ands\": {}, \"sat_proved\": {} }}{}\n",
+                "        {{ \"width\": {}, \"folded\": {}, \"bdd_ns\": {}, \"bdd_aig_ns\": {}, \
+                 \"sat_ns\": {}, \"sat_proved\": {} }}{}\n",
                 r.width,
+                r.folded,
                 r.bdd_ns.map_or("null".into(), |n| n.to_string()),
-                r.bdd_opt_ns.map_or("null".into(), |n| n.to_string()),
+                r.bdd_aig_ns.map_or("null".into(), |n| n.to_string()),
                 r.sat_ns,
-                r.sat_opt_ns,
-                r.pre_ands,
-                r.post_ands,
                 r.sat_proved,
                 if i + 1 < rows.len() { "," } else { "" }
             ));
