@@ -8,10 +8,12 @@
 //!   ([`chicala_chisel::Simulator`]) against the generated sequential
 //!   program ([`chicala_seq::SeqRunner`]), cycle by cycle over every
 //!   output and register (experiment E3).
-//! * [`Layer::Gates`] — the bit-blasted netlist ([`chicala_lowlevel::unroll`])
-//!   against the interpreter, two ways: concrete evaluation per sampled
-//!   case, plus one *formal* design-vs-golden-model equivalence proof per
-//!   width ([`formal_gate_obligation`], discharged by
+//! * [`Layer::Gates`] — the bit-blasted design ([`chicala_lowlevel::unroll`]),
+//!   two ways: each sampled case blasted over its concrete input bits
+//!   ([`chicala_lowlevel::Eval`]) against the reference simulator the
+//!   [`SimBackend`] selects, plus one *formal* design-vs-golden-model
+//!   equivalence proof per width over a symbolic netlist
+//!   ([`formal_gate_obligation`], discharged by
 //!   [`chicala_lowlevel::Backend::Auto`]: BDDs at small widths, AIG + CDCL
 //!   SAT above the crossover).
 //! * [`Layer::Spec`] — the final state after the design's full latency
@@ -29,7 +31,8 @@ use chicala_chisel::{
 use chicala_core::transform;
 use chicala_lowlevel::{
     constant_word, fresh_inputs, prove_net, prove_net_sweep_scheduled, sweep_pool, unroll,
-    Backend, Net, Netlist, OptProfile, ProveResult, SweepItem, SweepReport, UnrolledState, Word,
+    Backend, Eval, Net, Netlist, OptProfile, ProveResult, SweepItem, SweepReport, UnrolledState,
+    Word,
 };
 use chicala_par::ThreadPool;
 use chicala_seq::{compile_seq, SValue, SeqCompiled, SeqProgram, SeqRunner, SeqVm};
@@ -39,14 +42,16 @@ use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Which simulator drives the cosim and spec layers.
+/// Which simulator drives the cosim layer and the reference side of the
+/// gates and spec layers.
 ///
 /// The compiled backend lowers both sides of the cosim comparison once per
 /// (design, width) — the elaborated module to a slot-indexed
 /// [`CompiledSim`] and the generated sequential program to a [`SeqVm`] —
-/// and reuses the programs across every case and worker. It is exact where
-/// it answers at all: any construct or value outside the compiled subset
-/// falls back to the tree-walking interpreters for that case.
+/// and reuses the programs across every case, layer and worker. It is
+/// exact where it answers at all: any construct or value outside the
+/// compiled subset falls back to the tree-walking interpreters for that
+/// case.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimBackend {
     /// Tree-walking interpreters ([`Simulator`] / [`SeqRunner`]) only.
@@ -97,7 +102,9 @@ impl fmt::Display for SimBackend {
 pub enum Layer {
     /// Interpreter vs generated sequential program, cycle by cycle.
     Cosim,
-    /// Interpreter vs concrete gate-level evaluation (small widths).
+    /// Reference simulator vs the design blasted to gates and evaluated
+    /// on the case's bits, plus one formal gate-level proof per width
+    /// (widths up to the design's `gate_max_width`).
     Gates,
     /// Final state vs mathematical specification.
     Spec,
@@ -200,7 +207,7 @@ pub struct Config {
     /// Stop a design's layer at the first divergence (soak runs may prefer
     /// to keep going and report all of them).
     pub stop_at_first: bool,
-    /// Simulator driving the cosim and spec layers.
+    /// Simulator driving the cosim layer and the gates and spec references.
     pub backend: SimBackend,
 }
 
@@ -899,15 +906,20 @@ pub fn formal_gate_obligation_shared(
     Ok(Some(SharedObligation { property, var_order, inputs, state, golden }))
 }
 
-/// The value of a netlist word under an evaluation of the whole netlist.
-pub(crate) fn word_value(word: &Word<Net>, vals: &[bool]) -> BigInt {
+/// The unsigned value of little-endian bits.
+fn bits_value(bits: impl IntoIterator<Item = bool>) -> BigInt {
     let mut v = BigInt::zero();
-    for (i, bit) in word.bits.iter().enumerate() {
-        if vals[bit.0 as usize] {
+    for (i, bit) in bits.into_iter().enumerate() {
+        if bit {
             v = v + BigInt::pow2(i as u64);
         }
     }
     v
+}
+
+/// The value of a netlist word under an evaluation of the whole netlist.
+pub(crate) fn word_value(word: &Word<Net>, vals: &[bool]) -> BigInt {
+    bits_value(word.bits.iter().map(|bit| vals[bit.0 as usize]))
 }
 
 /// One formal design-vs-golden equivalence proof per (design, width),
@@ -1053,77 +1065,82 @@ fn check_gates_formal_uncached(d: &Design, width: u64) -> Result<(), String> {
     }
 }
 
-/// Layer B: interpreter vs concrete evaluation of the bit-blasted netlist
-/// (inputs baked in as constants), comparing every register after the run.
-fn check_gates(d: &Design, case: &Case) -> Result<u64, String> {
+/// Layer B: the design bit-blasted over the concrete input bits
+/// ([`Eval`]: each gate's value, no netlist kept) against the reference
+/// simulator `backend` selects, comparing every register after the run.
+fn check_gates(d: &Design, case: &Case, backend: SimBackend) -> Result<u64, String> {
     // Formal first: one design-vs-golden proof per width (memoised), via
     // the Auto backend — BDD below the crossover, AIG + SAT above it.
     check_gates_formal(d, case.width)?;
+    let reference = state_after(d, case, case.cycles, backend, Layer::Gates)?;
+    let blasted = blast_regs(d, case)?;
+    compare_gate_regs(case.cycles, &blasted, &reference.regs)?;
+    Ok(case.cycles)
+}
+
+/// The design's registers after `case.cycles` cycles, blasted over the
+/// case's concrete input bits.
+fn blast_regs(d: &Design, case: &Case) -> Result<BTreeMap<String, Word<bool>>, String> {
     let em = elab(d, case.width)?;
     let hw_inputs = case.input_map(d);
-    let mut sim = Simulator::new(&em, &BTreeMap::new()).map_err(|e| e.to_string())?;
-    for _ in 0..case.cycles {
-        sim.step(&hw_inputs).map_err(|e| e.to_string())?;
-    }
-
-    let mut kit = Netlist::new();
-    let mut inputs: BTreeMap<String, Word<chicala_lowlevel::Net>> = BTreeMap::new();
-    for s in &em.signals {
-        if s.kind == ElabKind::Input {
+    let mut kit = Eval;
+    let inputs: BTreeMap<String, Word<bool>> = em
+        .signals
+        .iter()
+        .filter(|s| s.kind == ElabKind::Input)
+        .map(|s| {
             let val = hw_inputs.get(&s.name).cloned().unwrap_or_else(BigInt::zero);
-            inputs.insert(
-                s.name.clone(),
-                constant_word(&mut kit, &val, s.width as usize, s.signed),
-            );
-        }
-    }
+            (s.name.clone(), constant_word(&mut kit, &val, s.width as usize, s.signed))
+        })
+        .collect();
     let st = unroll(&em, &mut kit, &inputs, &BTreeMap::new(), case.cycles as usize)
         .map_err(|e| format!("gates: unroll: {e}"))?;
-    let values = kit.eval(&|_| false);
-    for (name, word) in &st.regs {
-        let mut got = BigInt::zero();
-        for (i, bit) in word.bits.iter().enumerate() {
-            if values[bit.0 as usize] {
-                got = got + BigInt::pow2(i as u64);
-            }
-        }
-        let want = sim
-            .reg(name)
+    Ok(st.regs)
+}
+
+/// The gates layer's concrete comparison: every blasted register word
+/// against the reference simulator's register of the same name.
+fn compare_gate_regs(
+    cycles: u64,
+    blasted: &BTreeMap<String, Word<bool>>,
+    reference: &BTreeMap<String, BigInt>,
+) -> Result<(), String> {
+    for (name, word) in blasted {
+        let got = bits_value(word.bits.iter().copied());
+        let want = reference
+            .get(name)
             .ok_or_else(|| format!("gates: netlist register `{name}` unknown to interpreter"))?
             .to_unsigned(word.bits.len() as u64);
         if got != want {
             return Err(format!(
-                "gates: after {} cycles: register `{name}`: interpreter={want} netlist={got}",
-                case.cycles
+                "gates: after {cycles} cycles: register `{name}`: interpreter={want} netlist={got}"
             ));
         }
     }
-    Ok(case.cycles)
+    Ok(())
 }
 
-/// Runs the interpreter for the design's full latency and returns the
-/// observable final state (used by the spec layer and by callers wanting
-/// end-to-end results).
-pub fn final_state(d: &Design, case: &Case) -> Result<FinalState, String> {
+/// Runs the interpreter for `cycles` cycles and returns the observable
+/// state.
+fn run_interp(d: &Design, case: &Case, cycles: u64) -> Result<FinalState, String> {
     let em = elab(d, case.width)?;
     let mut sim = Simulator::new(&em, &BTreeMap::new()).map_err(|e| e.to_string())?;
     let hw_inputs = case.input_map(d);
-    let latency = (d.latency)(case.width);
     let mut outputs = BTreeMap::new();
-    for _ in 0..latency {
+    for _ in 0..cycles {
         outputs = sim.step(&hw_inputs).map_err(|e| e.to_string())?;
     }
     Ok(FinalState { regs: sim.regs().clone(), outputs })
 }
 
-/// [`final_state`] on the compiled Chisel VM; `None` when this (design,
+/// [`run_interp`] on the compiled Chisel VM; `None` when this (design,
 /// width) is outside the compiled subset.
-fn final_state_compiled(d: &Design, case: &Case) -> Result<Option<FinalState>, String> {
+fn run_compiled(d: &Design, case: &Case, cycles: u64) -> Result<Option<FinalState>, String> {
     let plan = sim_plan(d, case.width)?;
     let Some(chisel) = &plan.chisel else { return Ok(None) };
     let mut vm = CompiledSim::new(chisel, &BTreeMap::new());
     vm.set_inputs(&case.input_map(d));
-    for _ in 0..(d.latency)(case.width) {
+    for _ in 0..cycles {
         vm.step();
     }
     let prog = chisel.as_ref();
@@ -1136,41 +1153,58 @@ fn final_state_compiled(d: &Design, case: &Case) -> Result<Option<FinalState>, S
     Ok(Some(FinalState { regs, outputs }))
 }
 
-/// Layer C: final state after the full latency vs the mathematical spec.
-fn check_spec(d: &Design, case: &Case, backend: SimBackend) -> Result<u64, String> {
-    let fin = match backend {
-        SimBackend::Interp => final_state(d, case)?,
-        SimBackend::Compiled => match final_state_compiled(d, case)? {
-            Some(fin) => fin,
+/// The state after `cycles` cycles on the simulator `backend` selects —
+/// the reference of the gates and spec layers. `Compiled` falls back to
+/// the interpreter where the VM is unavailable; `Both` runs the two and
+/// reports any disagreement as a `layer` divergence.
+fn state_after(
+    d: &Design,
+    case: &Case,
+    cycles: u64,
+    backend: SimBackend,
+    layer: Layer,
+) -> Result<FinalState, String> {
+    match backend {
+        SimBackend::Interp => run_interp(d, case, cycles),
+        SimBackend::Compiled => match run_compiled(d, case, cycles)? {
+            Some(fin) => Ok(fin),
             // The compiled VM is unavailable at this (design, width) — a
             // compile-driven fallback, counted after the interpreter ran.
             None => {
-                let r = final_state(d, case);
+                let r = run_interp(d, case, cycles);
                 count_case_fallback("compile", &r);
-                r?
+                r
             }
         },
         SimBackend::Both => {
-            let want = final_state(d, case)?;
-            if let Some(got) = final_state_compiled(d, case)? {
+            let want = run_interp(d, case, cycles)?;
+            if let Some(got) = run_compiled(d, case, cycles)? {
                 if got.regs != want.regs || got.outputs != want.outputs {
                     return Err(format!(
-                        "spec: compiled Chisel VM diverges from interpreter after {} cycles: \
-                         interp regs={:?} outs={:?}; compiled regs={:?} outs={:?}",
-                        (d.latency)(case.width),
-                        want.regs,
-                        want.outputs,
-                        got.regs,
-                        got.outputs
+                        "{layer}: compiled Chisel VM diverges from interpreter after {cycles} \
+                         cycles: interp regs={:?} outs={:?}; compiled regs={:?} outs={:?}",
+                        want.regs, want.outputs, got.regs, got.outputs
                     ));
                 }
             }
-            want
+            Ok(want)
         }
-    };
+    }
+}
+
+/// Runs the interpreter for the design's full latency and returns the
+/// observable final state (used by callers wanting end-to-end results).
+pub fn final_state(d: &Design, case: &Case) -> Result<FinalState, String> {
+    run_interp(d, case, (d.latency)(case.width))
+}
+
+/// Layer C: final state after the full latency vs the mathematical spec.
+fn check_spec(d: &Design, case: &Case, backend: SimBackend) -> Result<u64, String> {
+    let latency = (d.latency)(case.width);
+    let fin = state_after(d, case, latency, backend, Layer::Spec)?;
     (d.spec)(case.width, &case.input_map(d), &fin)
-        .map_err(|e| format!("spec: after {} cycles: {e}", (d.latency)(case.width)))?;
-    Ok((d.latency)(case.width))
+        .map_err(|e| format!("spec: after {latency} cycles: {e}"))?;
+    Ok(latency)
 }
 
 /// Checks one case against one layer. Returns the number of cycles
@@ -1191,14 +1225,17 @@ pub fn check_case_with(
     let case = case.normalized(d);
     match layer {
         Layer::Cosim => check_cosim(d, &case, backend),
-        Layer::Gates => check_gates(d, &case),
+        Layer::Gates => check_gates(d, &case, backend),
         Layer::Spec => check_spec(d, &case, backend),
     }
 }
 
 /// [`gen_case`] plus the per-layer adjustments the runner applies: the
-/// gate layer bounds cycles so the unrolled netlist stays affordable.
-/// Replay must regenerate through here to reproduce the exact case run.
+/// gate layer bounds cycles at the design's latency + 2, which caps each
+/// case's blasting cost (every cycle re-evaluates every gate) a little
+/// past the point where the result is ready. The bound is part of the
+/// replay contract: replay must regenerate through here to reproduce the
+/// exact case run.
 pub fn gen_case_for(d: &Design, layer: Layer, case_seed: u64, max_width: u64) -> Case {
     let mut case = gen_case(d, case_seed, max_width);
     if layer == Layer::Gates {
@@ -1374,10 +1411,31 @@ mod tests {
             cycles: 5,
             inputs: vec![BigInt::from(11u64), BigInt::from(13u64)],
         };
-        for layer in Layer::ALL {
-            check_case(&d, layer, &case)
-                .unwrap_or_else(|e| panic!("layer {layer}: {e}"));
+        for backend in [SimBackend::Interp, SimBackend::Compiled, SimBackend::Both] {
+            for layer in Layer::ALL {
+                check_case_with(&d, layer, &case, backend)
+                    .unwrap_or_else(|e| panic!("layer {layer}, backend {backend}: {e}"));
+            }
         }
+    }
+
+    #[test]
+    fn gates_comparison_reports_a_flipped_register_bit() {
+        let d = Design::by_name("rmul").expect("registered");
+        let case = Case {
+            width: 4,
+            cycles: 5,
+            inputs: vec![BigInt::from(11u64), BigInt::from(13u64)],
+        };
+        let reference = state_after(&d, &case, case.cycles, SimBackend::Interp, Layer::Gates)
+            .expect("interpreter runs");
+        let mut blasted = blast_regs(&d, &case).expect("blasts");
+        compare_gate_regs(case.cycles, &blasted, &reference.regs).expect("agrees before the flip");
+        blasted.get_mut("acc").expect("acc register").bits[0] ^= true;
+        assert_eq!(
+            compare_gate_regs(case.cycles, &blasted, &reference.regs),
+            Err("gates: after 5 cycles: register `acc`: interpreter=143 netlist=142".to_string())
+        );
     }
 
     #[test]

@@ -89,9 +89,12 @@ pub struct Design {
     pub inputs: &'static [InputSpec],
     /// Smallest width the design elaborates at.
     pub min_width: u64,
-    /// Width cap for the gate-level layer (concrete evaluation plus, when
-    /// [`Design::gate_spec`] is set, one formal equivalence proof per
-    /// width via [`chicala_lowlevel::Backend::Auto`]).
+    /// Width cap for the gate-level layer. It bounds the one formal
+    /// equivalence proof per width (when [`Design::gate_spec`] is set, via
+    /// [`chicala_lowlevel::Backend::Auto`]), whose symbolic netlist grows
+    /// with width; the concrete cases, blasted over plain bits, are cheap
+    /// at any width but share the cap so each checked width also has its
+    /// proof.
     pub gate_max_width: u64,
     /// Cycles from reset until the result registers hold the final answer
     /// (inputs held constant, run started from the ready state).

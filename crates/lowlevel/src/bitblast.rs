@@ -1,11 +1,13 @@
 //! Bit-blasting: lowering elaborated (fixed-width) driver expressions to
 //! single-bit operations over an abstract bit kit.
 //!
-//! The same blaster serves two back-ends: the [`crate::bdd`] manager (for
-//! the per-width formal-verification baseline) and the gate netlist (for
-//! gate counts and gate-level simulation). This is exactly the "flatten
-//! everything" low-level path the paper contrasts with its parametric
-//! verification.
+//! The same blaster serves three kits: the [`crate::bdd`] manager (the
+//! per-width formal-verification baseline), the structurally hashed gate
+//! netlist (gate counts, and the symbolic cones the AIG front end lowers
+//! for BDD/SAT proofs), and [`Eval`], which computes each gate's value on
+//! plain bits (gate-level simulation of one concrete case). This is
+//! exactly the "flatten everything" low-level path the paper contrasts
+//! with its parametric verification.
 
 use chicala_bigint::BigInt;
 use chicala_chisel::{BinaryOp, ElabModule, Expr, PExpr, SignalRef, UnaryOp};
@@ -51,6 +53,45 @@ pub trait BitKit {
     /// a meaningful size.
     fn size_hint(&self) -> Option<usize> {
         None
+    }
+}
+
+/// The concrete kit: every operation returns the value its gate would
+/// evaluate to, so blasting over constant leaves simulates the circuit
+/// without building it. Bit for bit the same as evaluating the
+/// [`crate::Netlist`] the blaster would build from the same leaves.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Eval;
+
+impl BitKit for Eval {
+    type Bit = bool;
+
+    fn constant(&mut self, v: bool) -> bool {
+        v
+    }
+
+    fn and(&mut self, a: bool, b: bool) -> bool {
+        a && b
+    }
+
+    fn or(&mut self, a: bool, b: bool) -> bool {
+        a || b
+    }
+
+    fn xor(&mut self, a: bool, b: bool) -> bool {
+        a ^ b
+    }
+
+    fn not(&mut self, a: bool) -> bool {
+        !a
+    }
+
+    fn mux(&mut self, c: bool, t: bool, f: bool) -> bool {
+        if c {
+            t
+        } else {
+            f
+        }
     }
 }
 

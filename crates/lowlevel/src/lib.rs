@@ -2,8 +2,9 @@
 //! designs are emitted as word-level Verilog ([`emit_verilog`], the
 //! `#Verilog` column of Table 1), bit-blasted over an abstract bit kit
 //! ([`bitblast`]), materialised as gate netlists ([`netlist`]) or reduced
-//! ordered BDDs ([`bdd`]), and checked *per bit width* by symbolic
-//! unrolling ([`check`]) — the approach whose cost grows with width.
+//! ordered BDDs ([`bdd`]) or evaluated on plain bits ([`Eval`]), and
+//! checked *per bit width* by symbolic unrolling ([`check`]) — the
+//! approach whose cost grows with width.
 
 pub mod aig;
 pub mod bdd;
@@ -18,7 +19,7 @@ pub mod verilog;
 pub use aig::{from_netlist, Aig, AigNode, AigRef, AIG_FALSE, AIG_TRUE};
 pub use bitblast::{
     add_words, clamp, constant_word, divide, extend, ge_words, less_than, mux_word, reduce_or,
-    sub_words, BitKit, BlastError, Blaster, Word,
+    sub_words, BitKit, BlastError, Blaster, Eval, Word,
 };
 pub use check::{
     fresh_inputs, implies_net, nets_equal, prove_net, prove_net_bdd, prove_net_with, unroll,

@@ -1,6 +1,8 @@
 //! A gate-level netlist: the [`crate::bitblast::BitKit`] back-end that
-//! materialises gates, for gate counts (area proxy) and gate-level
-//! simulation.
+//! materialises structurally hashed gates, for gate counts (area proxy)
+//! and for the symbolic cones that proofs lower to the AIG. Simulating
+//! one concrete case does not need the gates: blast it over
+//! [`crate::Eval`] instead ([`Netlist::eval`] gives the same bits).
 
 use crate::bitblast::BitKit;
 use std::collections::HashMap;
