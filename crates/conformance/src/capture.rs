@@ -279,9 +279,8 @@ pub fn capture_traces(
 ) -> (Vec<Trace>, Option<Divergence>) {
     if layer == Layer::Gates {
         if let Ok(Some(ob)) = formal_gate_obligation(d, case.width) {
-            let backend = Backend::from_env().unwrap_or(Backend::Auto);
             if let ProveResult::Counterexample { inputs: cex, .. } =
-                prove_net(&ob.netlist, ob.property, backend, case.width as usize, &ob.var_order)
+                prove_net(&ob.netlist, ob.property, Backend::Auto, case.width as usize, &ob.var_order)
             {
                 let vals = ob.netlist.eval(&|net| cex.get(&net).copied().unwrap_or(false));
                 let t = miter_trace(&ob, &vals);
@@ -328,13 +327,12 @@ pub fn capture_failure(d: &Design, failure: &Failure, cfg: &Config) -> Option<Pa
     }
     let case = failure.shrunk.normalized(d);
     let (traces, divergence) = capture_traces(d, failure.layer, &case);
-    let backend = format!("{:?}", Backend::from_env().unwrap_or(Backend::Auto)).to_lowercase();
     let mut bundle = ReplayBundle {
         schema: SCHEMA_VERSION,
         kind: "conformance".to_string(),
         design: failure.design.clone(),
         layer: failure.layer.name().to_string(),
-        backend,
+        backend: "auto".to_string(),
         sim_backend: cfg.backend.name().to_string(),
         master_seed: failure.master_seed,
         case_seed: failure.case_seed,

@@ -30,9 +30,8 @@ use chicala_chisel::{
 };
 use chicala_core::transform;
 use chicala_lowlevel::{
-    constant_word, fresh_inputs, prove_net, prove_net_sweep_scheduled, sweep_pool, unroll,
-    Backend, Eval, Net, Netlist, OptProfile, ProveResult, SweepItem, SweepReport, UnrolledState,
-    Word,
+    constant_word, fresh_inputs, prove_net, unroll, Backend, Eval, Net, Netlist, ProveResult,
+    UnrolledState, Word,
 };
 use chicala_par::ThreadPool;
 use chicala_seq::{compile_seq, SValue, SeqCompiled, SeqProgram, SeqRunner, SeqVm};
@@ -800,7 +799,7 @@ fn check_cosim_both(d: &Design, case: &Case) -> Result<u64, String> {
 
 /// The formal gate-level obligation for one design at one width, ready to
 /// hand to any [`prove_net`] backend (the conformance gates layer, the
-/// backend-agreement tests, and `bench_lowlevel` all start from here).
+/// backend-agreement tests, and the serve `prove` op all start from here).
 pub struct FormalObligation {
     /// The netlist holding the unrolled design, the golden model, and the
     /// property cone.
@@ -943,70 +942,10 @@ fn check_gates_formal(d: &Design, width: u64) -> Result<(), String> {
     r
 }
 
-/// Per-width gate verdicts from a sweep: `(width, Ok(()) | Err(report))`,
-/// byte-identical to what [`check_gates_formal`] returns width by width.
-pub type SweepVerdicts = Vec<(u64, Result<(), String>)>;
-
-/// Sweeps a design's formal gate obligations at `widths` (ascending)
-/// through one incremental SAT session on the scheduler pool: the whole
-/// family shares a hash-consed kit ([`formal_gate_obligation_shared`]),
-/// widths below the `Auto` crossover race a BDD pool job against the
-/// session, and every proved width primes the next one's query.
-///
-/// Returns the raw [`SweepReport`] plus the per-width gate verdicts. The
-/// verdicts are byte-identical to [`check_gates_formal`]'s one-shot path:
-/// proved widths are `Ok(())` either way, and a counterexample is
-/// re-derived by the one-shot engine itself (the session only routes).
-/// `verify_ab` re-proves every width one-shot and counts disagreements in
-/// [`chicala_lowlevel::SweepStats::divergences`] — the CI tripwire.
-pub fn sweep_gates_formal(
-    d: &Design,
-    widths: &[u64],
-    verify_ab: bool,
-) -> Result<(SweepReport, SweepVerdicts), String> {
-    let _span = telemetry::span!("sweep_gates_formal:{}", d.name);
-    let mut kit = Netlist::new();
-    let mut shared_inputs = BTreeMap::new();
-    let mut obs = Vec::with_capacity(widths.len());
-    for &w in widths {
-        let Some(ob) = formal_gate_obligation_shared(d, w, &mut kit, &mut shared_inputs)? else {
-            return Err(format!("{}: no gate spec to sweep", d.name));
-        };
-        obs.push((w, ob));
-    }
-    let items: Vec<SweepItem<'_>> = obs
-        .iter()
-        .map(|(w, ob)| SweepItem {
-            nl: &kit,
-            root: ob.property,
-            width: *w,
-            var_order: ob.var_order.clone(),
-        })
-        .collect();
-    let backend = Backend::from_env().unwrap_or(Backend::Auto);
-    let report = prove_net_sweep_scheduled(sweep_pool(), &items, backend, OptProfile, verify_ab);
-    let per_width = report
-        .outcomes
-        .iter()
-        .map(|o| {
-            let r = if o.result.is_proved() {
-                Ok(())
-            } else {
-                // The one-shot path owns counterexample decoding and its
-                // error bytes; re-deriving keeps the memo entry identical.
-                check_gates_formal_uncached(d, o.width)
-            };
-            (o.width, r)
-        })
-        .collect();
-    Ok((report, per_width))
-}
-
 fn check_gates_formal_uncached(d: &Design, width: u64) -> Result<(), String> {
     let _span = telemetry::span!("gates_formal:{}x{}", d.name, width);
     let Some(ob) = formal_gate_obligation(d, width)? else { return Ok(()) };
-    let backend = Backend::from_env().unwrap_or(Backend::Auto);
-    match prove_net(&ob.netlist, ob.property, backend, width as usize, &ob.var_order) {
+    match prove_net(&ob.netlist, ob.property, Backend::Auto, width as usize, &ob.var_order) {
         ProveResult::Proved { .. } => Ok(()),
         ProveResult::Counterexample { backend, inputs: cex } => {
             let vals = ob.netlist.eval(&|net| cex.get(&net).copied().unwrap_or(false));

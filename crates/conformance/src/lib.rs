@@ -32,9 +32,8 @@ pub mod shrink;
 
 pub use engine::{
     check_case, check_case_with, final_state, formal_gate_obligation, gen_case, gen_case_for,
-    formal_gate_obligation_shared, replay_case, run_all, run_design, sweep_gates_formal, Case,
-    Config, Failure, FormalObligation, Layer, LayerStats, Report, SharedObligation, SimBackend,
-    SweepVerdicts,
+    formal_gate_obligation_shared, replay_case, run_all, run_design, Case, Config, Failure,
+    FormalObligation, Layer, LayerStats, Report, SharedObligation, SimBackend,
 };
 pub use registry::{all_designs, drill_designs, Design, FinalState, GateEnv, GateSpecFn, InputSpec};
 pub use capture::{capture_failure, capture_traces, miter_trace};

@@ -2,18 +2,22 @@
 //!
 //! The sweep contract is byte-identity: for every (design, width), the
 //! report produced by driving the whole family through one incremental
-//! session (with the BDD race below the crossover) must equal what the
-//! one-shot `prove_net` path returns for that width alone — same verdict,
-//! same backend tag, same counterexample bytes. The `verify_ab` tripwire
-//! re-proves every width one-shot inside the sweep itself and must count
-//! zero divergences on a sound session.
+//! session (the serve `sweep` op's path: one shared kit from
+//! `formal_gate_obligation_shared`, then `prove_net_sweep`) must equal what
+//! the one-shot `prove_net` path returns for that width alone — same
+//! verdict, same backend tag, same counterexample bytes. The `verify_ab`
+//! tripwire re-proves every width one-shot inside the sweep itself and must
+//! count zero divergences on a sound session.
 
-use chicala_conformance::{all_designs, formal_gate_obligation, sweep_gates_formal};
-use chicala_lowlevel::{prove_net, Backend};
+use chicala_conformance::{
+    all_designs, formal_gate_obligation, formal_gate_obligation_shared, Design,
+};
+use chicala_lowlevel::{prove_net, prove_net_sweep, Backend, Netlist, SweepItem, SweepReport};
+use std::collections::BTreeMap;
 
 /// A few cheap registry designs with golden models, enough to cover both
-/// the BDD-race widths (≤ 6) and the SAT session above the crossover.
-fn sample() -> Vec<chicala_conformance::Design> {
+/// the one-shot BDD widths (≤ 6) and the SAT session above the crossover.
+fn sample() -> Vec<Design> {
     all_designs()
         .into_iter()
         .filter(|d| d.gate_spec.is_some())
@@ -21,16 +25,40 @@ fn sample() -> Vec<chicala_conformance::Design> {
         .collect()
 }
 
+/// Sweeps `d`'s gate obligations at `widths` (ascending) over one shared
+/// hash-consed kit.
+fn sweep(d: &Design, widths: &[u64], verify_ab: bool) -> SweepReport {
+    let mut kit = Netlist::new();
+    let mut shared_inputs = BTreeMap::new();
+    let obs: Vec<_> = widths
+        .iter()
+        .map(|&w| {
+            formal_gate_obligation_shared(d, w, &mut kit, &mut shared_inputs)
+                .unwrap_or_else(|e| panic!("{}: {e}", d.name))
+                .expect("sampled designs have golden models")
+        })
+        .collect();
+    let items: Vec<SweepItem<'_>> = obs
+        .iter()
+        .zip(widths)
+        .map(|(ob, &width)| SweepItem {
+            nl: &kit,
+            root: ob.property,
+            width,
+            var_order: ob.var_order.clone(),
+        })
+        .collect();
+    prove_net_sweep(&items, Backend::Auto, verify_ab)
+}
+
 #[test]
 fn sweep_report_is_byte_identical_to_oneshot_per_width() {
     for d in sample() {
         let widths: Vec<u64> = (d.min_width..=d.min_width.max(2) + 8).collect();
-        let (report, per_width) =
-            sweep_gates_formal(&d, &widths, false).unwrap_or_else(|e| panic!("{}: {e}", d.name));
+        let report = sweep(&d, &widths, false);
         assert_eq!(report.outcomes.len(), widths.len());
         // Registry miters fold during lowering: every width the session
-        // claimed (each counted once, whichever side won a race) closed
-        // structurally, and none reached the solver.
+        // saw closed structurally, and none reached the solver.
         assert_eq!(
             report.stats.folded, report.stats.widths,
             "{}: every session width must fold",
@@ -48,9 +76,12 @@ fn sweep_report_is_byte_identical_to_oneshot_per_width() {
                 "{} at width {}: sweep and one-shot reports must be byte-identical",
                 d.name, o.width
             );
-        }
-        for (w, r) in &per_width {
-            assert_eq!(r, &Ok(()), "{} at width {w}: registry design must prove", d.name);
+            assert!(
+                o.result.is_proved(),
+                "{} at width {}: registry design must prove",
+                d.name,
+                o.width
+            );
         }
     }
 }
@@ -59,8 +90,7 @@ fn sweep_report_is_byte_identical_to_oneshot_per_width() {
 fn sweep_ab_tripwire_is_quiet_on_sound_sessions() {
     for d in sample() {
         let widths: Vec<u64> = (d.min_width..=d.min_width.max(2) + 6).collect();
-        let (report, _) =
-            sweep_gates_formal(&d, &widths, true).unwrap_or_else(|e| panic!("{}: {e}", d.name));
+        let report = sweep(&d, &widths, true);
         assert!(report.all_proved(), "{}: family must prove", d.name);
         assert_eq!(
             report.stats.divergences, 0,

@@ -6,7 +6,7 @@
 use crate::aig::{from_netlist, Aig, AigNode, AigRef, AIG_FALSE, AIG_TRUE};
 use crate::bitblast::{clamp, BitKit, BlastError, Blaster, Word};
 use crate::cnf::tseitin_pg;
-use crate::netlist::{Gate, Net, Netlist};
+use crate::netlist::{Net, Netlist};
 use chicala_chisel::{ElabKind, ElabModule};
 use chicala_sat::{SatResult, Solver};
 use chicala_telemetry as telemetry;
@@ -144,17 +144,6 @@ pub enum Backend {
 pub const AUTO_SAT_CROSSOVER_WIDTH: usize = 6;
 
 impl Backend {
-    /// Reads the `CHICALA_GATE_BACKEND` override (`bdd` | `sat` | `auto`,
-    /// case-insensitive); unset or unrecognised values yield `None`.
-    pub fn from_env() -> Option<Backend> {
-        match std::env::var("CHICALA_GATE_BACKEND").ok()?.to_ascii_lowercase().as_str() {
-            "bdd" => Some(Backend::Bdd),
-            "sat" => Some(Backend::Sat),
-            "auto" => Some(Backend::Auto),
-            _ => None,
-        }
-    }
-
     /// The concrete engine for a property at design width `width`.
     pub fn resolve(self, width: usize) -> Backend {
         match self {
@@ -376,87 +365,6 @@ fn aig_bdd_cex(aig: &Aig, root: AigRef, var_order: &[u32]) -> Option<BTreeMap<u3
     )
 }
 
-/// The netlist-level BDD baseline: evaluates the cone of `root`
-/// topologically into a fresh manager, with no AIG front end, and checks
-/// the result for tautology. No prove path uses it; `bench_lowlevel` times
-/// it as the monolithic-BDD blow-up the AIG path avoids.
-pub fn prove_net_bdd(nl: &Netlist, root: Net, var_order: &[Net]) -> ProveResult {
-    let _span = telemetry::span!("prove_net:bdd");
-    let mut bdd = crate::bdd::Bdd::new();
-    // Mark the cone so dead netlist regions cost nothing.
-    let mut in_cone = vec![false; nl.len()];
-    let mut stack = vec![root];
-    while let Some(n) = stack.pop() {
-        if std::mem::replace(&mut in_cone[n.0 as usize], true) {
-            continue;
-        }
-        match nl.gate(n) {
-            Gate::And(a, b) | Gate::Or(a, b) | Gate::Xor(a, b) => {
-                stack.push(a);
-                stack.push(b);
-            }
-            Gate::Not(a) => stack.push(a),
-            Gate::Const(_) | Gate::Input => {}
-        }
-    }
-    // Input net -> BDD variable index, honouring the requested order.
-    let mut var_of_net: BTreeMap<Net, u32> = BTreeMap::new();
-    for (i, &n) in var_order.iter().enumerate() {
-        var_of_net.insert(n, i as u32);
-    }
-    let mut next_var = var_order.len() as u32;
-    let mut refs: Vec<crate::bdd::Ref> = Vec::with_capacity(nl.len());
-    for (i, &cone) in in_cone.iter().enumerate() {
-        let net = Net(i as u32);
-        let r = if !cone {
-            crate::bdd::FALSE // placeholder, never read
-        } else {
-            match nl.gate(net) {
-                Gate::Const(b) => bdd.constant(b),
-                Gate::Input => {
-                    let v = *var_of_net.entry(net).or_insert_with(|| {
-                        let v = next_var;
-                        next_var += 1;
-                        v
-                    });
-                    bdd.var(v)
-                }
-                Gate::And(a, b) => {
-                    let (x, y) = (refs[a.0 as usize], refs[b.0 as usize]);
-                    bdd.and(x, y)
-                }
-                Gate::Or(a, b) => {
-                    let (x, y) = (refs[a.0 as usize], refs[b.0 as usize]);
-                    bdd.or(x, y)
-                }
-                Gate::Xor(a, b) => {
-                    let (x, y) = (refs[a.0 as usize], refs[b.0 as usize]);
-                    bdd.xor(x, y)
-                }
-                Gate::Not(a) => {
-                    let x = refs[a.0 as usize];
-                    bdd.not(x)
-                }
-            }
-        };
-        refs.push(r);
-    }
-    telemetry::record("prove.bdd_nodes", bdd.node_count() as u64);
-    let r = refs[root.0 as usize];
-    if bdd.is_true(r) {
-        return ProveResult::Proved { backend: Backend::Bdd };
-    }
-    // A violating assignment is a satisfying assignment of ¬root.
-    let nr = bdd.not(r);
-    let sat = bdd.any_sat(nr).expect("non-true BDD has a falsifying assignment");
-    let net_of_var: BTreeMap<u32, Net> = var_of_net.iter().map(|(n, v)| (*v, *n)).collect();
-    let inputs = sat
-        .into_iter()
-        .filter_map(|(v, b)| net_of_var.get(&v).map(|n| (*n, b)))
-        .collect();
-    ProveResult::Counterexample { backend: Backend::Bdd, inputs }
-}
-
 /// Builds the implication `assumptions → property` as a single net:
 /// the standard shape of a conditional equivalence obligation (e.g.
 /// "divisor nonzero implies quotient/remainder match").
@@ -567,32 +475,6 @@ mod tests {
                         !vals[eq.0 as usize],
                         "{backend:?} returned a non-falsifying counterexample"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn netlist_bdd_baseline_agrees_with_the_aig_path() {
-        // The netlist-level BDD baseline and the single AIG prove path must
-        // agree on verdicts, and both counterexamples must falsify the net.
-        let mut nl = crate::netlist::Netlist::new();
-        let w = 5usize;
-        let a = Word { bits: (0..w).map(|_| nl.input()).collect::<Vec<_>>(), signed: false };
-        let b = Word { bits: (0..w).map(|_| nl.input()).collect::<Vec<_>>(), signed: false };
-        let ab = add_words(&mut nl, &a, &b, w);
-        let ba = add_words(&mut nl, &b, &a, w);
-        let valid = nets_equal(&mut nl, &ab, &ba);
-        let shifted = add_words(&mut nl, &ab, &a, w);
-        let invalid = nets_equal(&mut nl, &ab, &shifted); // fails when a ≠ 0
-        assert!(prove_net_bdd(&nl, valid, &[]).is_proved());
-        assert!(prove_net(&nl, valid, Backend::Bdd, w, &[]).is_proved());
-        for r in [prove_net_bdd(&nl, invalid, &[]), prove_net(&nl, invalid, Backend::Bdd, w, &[])] {
-            match r {
-                ProveResult::Proved { .. } => panic!("a+b == a+b+a is not valid"),
-                ProveResult::Counterexample { inputs, .. } => {
-                    let vals = nl.eval(&|net| inputs.get(&net).copied().unwrap_or(false));
-                    assert!(!vals[invalid.0 as usize], "counterexample must be real");
                 }
             }
         }

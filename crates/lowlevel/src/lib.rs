@@ -22,7 +22,7 @@ pub use bitblast::{
     sub_words, BitKit, BlastError, Blaster, Eval, Word,
 };
 pub use check::{
-    fresh_inputs, implies_net, nets_equal, prove_net, prove_net_bdd, prove_net_with, unroll,
+    fresh_inputs, implies_net, nets_equal, prove_net, prove_net_with, unroll,
     words_equal, Backend, OptProfile, ProveResult, UnrolledState, AUTO_SAT_CROSSOVER_WIDTH,
 };
 pub use cnf::{tseitin, tseitin_pg, CnfFrame, CnfRoot, FrameStats};

@@ -24,11 +24,10 @@
 //! guarantees **byte-identical results** to the one-shot
 //! [`prove_net`] path: proved widths are reported with the resolved
 //! backend tag, and any counterexample is re-derived by the one-shot
-//! engine itself (the session verdict only routes). [`prove_net_sweep_scheduled`]
-//! adds the `par::StealPool` race: widths below the `Auto` crossover are
-//! claimed by whichever of the BDD pool job or the ascending SAT session
-//! gets there first; the loser is cancelled. Either way the reported bytes
-//! are the same, so worker count never changes a report.
+//! engine itself (the session verdict only routes). Widths at or below
+//! the `Auto` crossover take the one-shot BDD path in order; the sweep
+//! runs on the caller's thread, so its report and statistics do not
+//! depend on worker count or timing.
 
 use crate::aig::{Aig, AigNode, AigRef, AIG_FALSE, AIG_TRUE};
 use crate::check::{prove_net, Backend, OptProfile, ProveResult};
@@ -37,8 +36,7 @@ use crate::netlist::{Gate, Net, Netlist};
 use chicala_sat::{Lit, SatResult, Solver};
 use chicala_telemetry as telemetry;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Per-width session telemetry (the warm-vs-cold story of one sweep).
@@ -353,7 +351,7 @@ impl LowerSession {
 ///
 /// `verify_ab` additionally re-proves every width one-shot and counts any
 /// disagreement in [`SweepStats::divergences`], reporting the one-shot
-/// result — this is the A/B tripwire the drill and CI rely on.
+/// result — this is the A/B tripwire the drill and the tests rely on.
 pub fn prove_net_sweep(items: &[SweepItem<'_>], backend: Backend, verify_ab: bool) -> SweepReport {
     prove_sweep_inner(items, backend, verify_ab, false)
 }
@@ -424,105 +422,27 @@ fn prove_sweep_inner(
     SweepReport { outcomes, stats: session.stats }
 }
 
-/// The process-wide sweep scheduler pool, sized like every other pool by
-/// `CHICALA_WORKERS` (or available parallelism).
+/// An idle [`chicala_par::StealPool`], sized by `CHICALA_WORKERS` (or
+/// available parallelism). Nothing submits to it; it remains only because
+/// the repository benchmark (`perfbench/src/gates.rs`) reads its stats.
 pub fn sweep_pool() -> &'static chicala_par::StealPool {
     static POOL: OnceLock<chicala_par::StealPool> = OnceLock::new();
     POOL.get_or_init(chicala_par::StealPool::with_default_workers)
 }
 
-/// [`prove_net_sweep`] scheduled through a [`chicala_par::StealPool`]:
-/// widths at or below the `Auto` crossover are raced — a BDD pool job and
-/// the ascending SAT session both try to claim each one, and the loser is
-/// cancelled (never runs). Because proved widths are tag-normalized and
-/// counterexamples are always re-derived one-shot, the report is
-/// byte-identical to [`prove_net`] per width at any worker count.
-/// [`SweepStats`] counts only the widths the session claimed, so a raced
-/// width lands in `widths` at most once.
-///
-/// Jobs need owned data, so the small-width netlists are cloned into the
-/// race; at crossover widths (≤ 6) the kits are tiny. `_opt` does nothing
-/// (see [`OptProfile`]).
+/// [`prove_net_sweep`], ignoring `_pool` and `_opt`. It remains only
+/// because the repository benchmark (`perfbench/src/gates.rs`) calls it.
 pub fn prove_net_sweep_scheduled(
-    pool: &chicala_par::StealPool,
+    _pool: &chicala_par::StealPool,
     items: &[SweepItem<'_>],
     backend: Backend,
     _opt: OptProfile,
     verify_ab: bool,
 ) -> SweepReport {
-    let _span = telemetry::span!("prove_net_sweep_scheduled");
-    // Race claims: one per item, first claimant proves the width.
-    let claims: Arc<Vec<AtomicBool>> =
-        Arc::new(items.iter().map(|_| AtomicBool::new(false)).collect());
-    let mut handles: Vec<Option<chicala_par::JobHandle<Option<ProveResult>>>> =
-        Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        if backend.resolve(item.width as usize) != Backend::Bdd {
-            handles.push(None);
-            continue;
-        }
-        let claims = Arc::clone(&claims);
-        let nl: Netlist = (*item.nl).clone();
-        let (root, width, var_order) = (item.root, item.width, item.var_order.clone());
-        handles.push(Some(pool.submit(10, move || {
-            if claims[i].swap(true, Ordering::SeqCst) {
-                return None; // the session got here first: cancelled
-            }
-            Some(prove_net(&nl, root, backend, width as usize, &var_order))
-        })));
-    }
-    // The SAT session runs on the caller thread, ascending; it claims any
-    // crossover width the BDD job has not started yet.
-    let mut session = IncrementalProver::new();
-    let mut lower = LowerSession::new();
-    let mut last_kit: *const Netlist = std::ptr::null();
-    let mut inline: Vec<Option<ProveResult>> = vec![None; items.len()];
-    for (i, item) in items.iter().enumerate() {
-        let resolved = backend.resolve(item.width as usize);
-        if resolved == Backend::Bdd && claims[i].swap(true, Ordering::SeqCst) {
-            continue; // BDD job owns it
-        }
-        if !std::ptr::eq(last_kit, item.nl) {
-            lower = LowerSession::new();
-            last_kit = item.nl;
-        }
-        let aroot = lower.lower(item.nl, item.root, &mut session.aig);
-        let result = match session.prove_root(item.width, aroot) {
-            SweepVerdict::Proved => ProveResult::Proved { backend: resolved },
-            SweepVerdict::Counterexample(_) => {
-                let oneshot = item.oneshot(backend);
-                if oneshot.is_proved() {
-                    session.stats.divergences += 1;
-                    telemetry::counter("sweep.divergences", 1);
-                }
-                oneshot
-            }
-        };
-        inline[i] = Some(result);
-    }
-    let mut outcomes = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        let from_race = handles[i].as_ref().and_then(|h| h.join());
-        let result = match (inline[i].take(), from_race) {
-            (Some(r), _) => r,
-            (None, Some(r)) => r,
-            (None, None) => unreachable!("every width has exactly one claimant"),
-        };
-        let result = if verify_ab {
-            let oneshot = item.oneshot(backend);
-            if oneshot != result {
-                session.stats.divergences += 1;
-            }
-            oneshot
-        } else {
-            result
-        };
-        outcomes.push(SweepOutcome { width: item.width, result });
-    }
-    SweepReport { outcomes, stats: session.stats }
+    prove_net_sweep(items, backend, verify_ab)
 }
 
-/// Hard arithmetic width families for the sweep bench and fuzz tests:
+/// Hard arithmetic width families for the `gates` benchmark and the tests:
 /// identities that strash does **not** fold (the two sides build their
 /// result through structurally different carry networks), so the CDCL
 /// engine does real, superlinearly growing work per width — exactly the
@@ -761,11 +681,10 @@ mod tests {
     #[test]
     fn stats_count_each_session_width_once() {
         // Folding miters (a+b == b+a hashes to one node) at widths that
-        // straddle the Auto crossover. The sequential driver proves the
-        // BDD widths one-shot, outside the session, so only the SAT widths
-        // count; the scheduled driver counts a raced width once, whichever
-        // side claims it.
+        // straddle the Auto crossover. The sweep proves the BDD widths
+        // one-shot, outside the session, so exactly the SAT widths count.
         use crate::bitblast::{add_words, Word};
+        use crate::check::AUTO_SAT_CROSSOVER_WIDTH;
         let cones: Vec<(Netlist, Net)> = (4..=9)
             .map(|w| {
                 let mut nl = Netlist::new();
@@ -782,20 +701,12 @@ mod tests {
             .zip(4u64..)
             .map(|((nl, root), width)| SweepItem { nl, root: *root, width, var_order: Vec::new() })
             .collect();
-        let sat_widths = items
-            .iter()
-            .filter(|i| Backend::Auto.resolve(i.width as usize) == Backend::Sat)
-            .count() as u64;
-        let seq = prove_net_sweep(&items, Backend::Auto, false);
-        assert!(seq.all_proved());
-        assert_eq!(seq.stats.widths, sat_widths, "sequential: SAT widths only");
-        assert_eq!(seq.stats.folded, seq.stats.widths);
-        assert_eq!(seq.stats.sat_calls, 0);
-        let pool = chicala_par::StealPool::new(1);
-        let sched = prove_net_sweep_scheduled(&pool, &items, Backend::Auto, OptProfile, false);
-        assert!(sched.all_proved());
-        assert!((sat_widths..=items.len() as u64).contains(&sched.stats.widths));
-        assert_eq!(sched.stats.folded, sched.stats.widths, "scheduled: one count per width");
+        let report = prove_net_sweep(&items, Backend::Auto, false);
+        assert!(report.all_proved());
+        assert_eq!(AUTO_SAT_CROSSOVER_WIDTH, 6);
+        assert_eq!(report.stats.widths, 3, "widths 7..=9 only, each once");
+        assert_eq!(report.stats.folded, report.stats.widths);
+        assert_eq!(report.stats.sat_calls, 0);
     }
 
     #[test]

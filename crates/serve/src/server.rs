@@ -27,9 +27,7 @@ use chicala_conformance::{
     formal_gate_obligation, formal_gate_obligation_shared, run_design, Config, Design,
     FormalObligation, Layer, SimBackend,
 };
-use chicala_lowlevel::{
-    prove_net, prove_net_sweep_scheduled, Backend, Netlist, OptProfile, ProveResult, SweepItem,
-};
+use chicala_lowlevel::{prove_net, prove_net_sweep, Backend, Netlist, ProveResult, SweepItem};
 use chicala_par::StealPool;
 use chicala_telemetry as telemetry;
 use chicala_telemetry::{fnv128, JsonValue};
@@ -255,7 +253,7 @@ impl Server {
         }
         let backend = match json::get(req, "backend").and_then(json::as_str) {
             Some(s) => parse_backend(s).ok_or_else(|| format!("unknown backend `{s}`"))?,
-            None => Backend::from_env().unwrap_or(Backend::Auto),
+            None => Backend::Auto,
         };
         let priority = request_priority(req);
         let (ob, batched) = self.obligation(&d, width)?;
@@ -284,13 +282,13 @@ impl Server {
     }
 
     /// The `sweep` op: proves a design's whole width family through one
-    /// incremental SAT session on the server pool (widths below the `Auto`
-    /// crossover race BDD pool jobs against the session). Per-width result
+    /// incremental SAT session ([`prove_net_sweep`]). Per-width result
     /// rows are byte-identical to the `prove` op for the same width, and —
     /// when caching is on — each row is stored in the prove cache under
     /// the same key `prove` uses, so later `prove` requests hit without
-    /// re-proving. Session statistics are timing-dependent (the race
-    /// claims differ run to run) and therefore live in `meta`.
+    /// re-proving. Session statistics are deterministic too, but they say
+    /// how the rows were reached, not what they are, so they live in
+    /// `meta`.
     fn op_sweep(&self, req: &JsonValue) -> OpOutcome {
         let design = json::get(req, "design")
             .and_then(json::as_str)
@@ -309,7 +307,7 @@ impl Server {
         }
         let backend = match json::get(req, "backend").and_then(json::as_str) {
             Some(s) => parse_backend(s).ok_or_else(|| format!("unknown backend `{s}`"))?,
-            None => Backend::from_env().unwrap_or(Backend::Auto),
+            None => Backend::Auto,
         };
         let verify_ab = json::get(req, "verify_ab") == Some(&JsonValue::Bool(true));
         // One hash-consed kit for the whole family: the session reuses
@@ -331,7 +329,7 @@ impl Server {
                 var_order: ob.var_order.clone(),
             })
             .collect();
-        let report = prove_net_sweep_scheduled(&self.pool, &items, backend, OptProfile, verify_ab);
+        let report = prove_net_sweep(&items, backend, verify_ab);
         let mut rows = Vec::with_capacity(report.outcomes.len());
         let mut all_proved = true;
         for o in &report.outcomes {

@@ -16,7 +16,7 @@
 //!   "kind": "conformance",            // or "gen"
 //!   "design": "rmul",                 // registry name, or "generated"
 //!   "layer": "cosim",                 // cosim | gates | spec | gen stage
-//!   "backend": "auto",                // gate-level backend selection
+//!   "backend": "auto",                // gate-level backend (always auto)
 //!   "sim_backend": "compiled",        // interp | compiled | both
 //!   "master_seed": "0x…16 hex…",      // seeds are hex strings: JSON
 //!   "case_seed": "0x…16 hex…",        //   numbers truncate above 2^53
@@ -99,7 +99,8 @@ pub struct ReplayBundle {
     pub design: String,
     /// Layer / stage that diverged.
     pub layer: String,
-    /// Gate-level backend selection in effect (`auto` unless overridden).
+    /// Gate-level backend selection. Always `auto`: gate proofs take no
+    /// backend override. Kept so older bundles load under this schema.
     pub backend: String,
     /// Simulation backend in effect (`interp` / `compiled` / `both`).
     pub sim_backend: String,
