@@ -72,8 +72,9 @@ impl<'a> GateEnv<'a> {
 ///
 /// Golden models mirror the design's register recurrence *structurally*
 /// (same adder/comparator/mux shapes, built from the public blaster
-/// helpers), so the AIG front-end's constant propagation and structural
-/// hashing collapse the miter and the SAT engine stays near-linear even at
+/// helpers), so the [`Netlist`] kit's unit rules and structural hashing
+/// collapse the miter as it is built: every registry property is the
+/// constant-true net before any lowering, and no engine runs on it even at
 /// widths where a monolithic BDD blows up.
 pub type GateSpecFn = fn(&mut Netlist, &GateEnv) -> Net;
 
@@ -91,10 +92,11 @@ pub struct Design {
     pub min_width: u64,
     /// Width cap for the gate-level layer. It bounds the one formal
     /// equivalence proof per width (when [`Design::gate_spec`] is set, via
-    /// [`chicala_lowlevel::Backend::Auto`]), whose symbolic netlist grows
-    /// with width; the concrete cases, blasted over plain bits, are cheap
-    /// at any width but share the cap so each checked width also has its
-    /// proof.
+    /// [`chicala_lowlevel::Backend::Auto`]). That property folds to the
+    /// constant-true net while the netlist is built, so the proof costs the
+    /// symbolic unroll, which grows with width; the concrete cases, blasted
+    /// over plain bits, are cheap at any width but share the cap so each
+    /// checked width also has its proof.
     pub gate_max_width: u64,
     /// Cycles from reset until the result registers hold the final answer
     /// (inputs held constant, run started from the ready state).
@@ -541,9 +543,9 @@ pub fn all_designs() -> Vec<Design> {
                 InputSpec { name: "io_b", nonzero: false },
             ],
             min_width: 1,
-            // 24 before the AIG optimizer PR; the optimized prove path
-            // closes the miter structurally, so the ceiling is set by the
-            // (linear) netlist→AIG lowering cost, not by the solver.
+            // 24 before the AIG optimizer; the miter now closes
+            // structurally as the netlist is built, so the ceiling is set
+            // by the unroll's cost, not by a solver.
             gate_max_width: 32,
             latency: |w| w + 1,
             spec: rmul_spec,

@@ -4,10 +4,14 @@
 //! *both* engines at every width up to 6 (the Auto crossover), and at tiny
 //! widths the miter is additionally evaluated exhaustively over every
 //! input assignment and cross-checked against the mathematical spec layer.
+//! The netlist folds every registry miter to the constant-true net as it is
+//! built, so both engines answer from that constant root here; the engines
+//! themselves are exercised by `crates/lowlevel`'s tests and the sweep
+//! families.
 
 use chicala_bigint::BigInt;
 use chicala_conformance::{all_designs, check_case, formal_gate_obligation, Case, Layer};
-use chicala_lowlevel::{from_netlist, prove_net, Backend, AIG_TRUE};
+use chicala_lowlevel::{from_netlist, prove_net, Backend, Gate, AIG_TRUE};
 use std::collections::BTreeMap;
 
 #[test]
@@ -34,10 +38,10 @@ fn sat_closes_every_design_at_its_ceiling_width() {
     // The tentpole claim: at each design's raised `gate_max_width` (≥ 24,
     // ≥ 16 for the Booth multiplier) the Auto backend resolves to SAT and
     // every miter comes back UNSAT (proved). The premise behind the single
-    // prove path: every golden model folds its miter to constant-true
-    // during netlist→AIG lowering, so no cone reaches an engine. A golden
-    // model that stops folding fails here rather than silently costing
-    // SAT time.
+    // prove path: every golden model's miter is constant-true by the time
+    // it is lowered (the netlist folds it as it is built, pinned by the
+    // next test), so no cone reaches an engine. A golden model that stops
+    // folding fails here rather than silently costing SAT time.
     for d in all_designs() {
         let width = d.gate_max_width;
         assert!(width >= 16, "{}: ceiling {width} below the lifted floor", d.name);
@@ -53,6 +57,27 @@ fn sat_closes_every_design_at_its_ceiling_width() {
         );
         let r = prove_net(&ob.netlist, ob.property, Backend::Auto, width as usize, &ob.var_order);
         assert!(r.is_proved(), "{} at ceiling width {width}: {r:?}", d.name);
+    }
+}
+
+#[test]
+fn every_property_is_the_constant_true_net_as_built() {
+    // The netlist folds its unit rules while the obligation is built, so
+    // the miter is already the constant-true net before any lowering. A
+    // golden model or design change that stops this fails here.
+    for d in all_designs() {
+        let middle = (d.min_width + d.gate_max_width) / 2;
+        for width in [d.min_width, middle, d.gate_max_width] {
+            let ob = formal_gate_obligation(&d, width)
+                .unwrap_or_else(|e| panic!("{}: {e}", d.name))
+                .expect("golden model registered");
+            assert_eq!(
+                ob.netlist.gate(ob.property),
+                Gate::Const(true),
+                "{} at width {width}: property is not the constant-true net",
+                d.name
+            );
+        }
     }
 }
 

@@ -57,8 +57,8 @@ fn sweep_report_is_byte_identical_to_oneshot_per_width() {
         let widths: Vec<u64> = (d.min_width..=d.min_width.max(2) + 8).collect();
         let report = sweep(&d, &widths, false);
         assert_eq!(report.outcomes.len(), widths.len());
-        // Registry miters fold during lowering: every width the session
-        // saw closed structurally, and none reached the solver.
+        // Registry miters are constant nets as built: every width the
+        // session saw closed structurally, and none reached the solver.
         assert_eq!(
             report.stats.folded, report.stats.widths,
             "{}: every session width must fold",

@@ -5,8 +5,8 @@
 //! edges. Three simplifications run *during construction*, so structurally
 //! similar design/golden pairs collapse before any CNF is emitted:
 //!
-//! * **constant propagation** — unrolled sequential designs carry constant
-//!   counter registers, so muxes and indexed shifts fold to plain wiring;
+//! * **constant propagation** — the unit rules (constant operand,
+//!   idempotence, complement);
 //! * **structural hashing** — identical `(lhs, rhs)` AND gates are shared
 //!   (commutatively normalised), merging the common substructure of a
 //!   miter's two halves;
@@ -14,16 +14,23 @@
 //!   (idempotence, contradiction, subsumption, substitution) catch the
 //!   redundancies hashing alone cannot see.
 //!
+//! The [`Netlist`] kit applies the same unit rules as each gate is built,
+//! so an unrolled design's constant counter registers, and the muxes and
+//! indexed shifts they select, are plain wiring before lowering starts:
+//! every registry miter arrives here as a constant net. The 2-level rules
+//! stay here, for general cones (fuzzer self-miters, sweep families).
+//!
 //! The result feeds [`crate::cnf`] for Tseitin encoding.
 
 use crate::netlist::{Gate, Net, Netlist};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A multiply-xor hasher for the strash table. AND keys are two dense
-/// 32-bit edge ids, so a single 64-bit multiply mixes them better per
-/// cycle than the DoS-resistant default hasher — and the strash lookup is
-/// the inner loop of every netlist lowering.
+/// A multiply-xor hasher for the strash tables of the AIG and the
+/// [`Netlist`] kit. Their keys are a few dense 32-bit ids (plus a gate
+/// tag), so a single 64-bit multiply per word mixes them better per cycle
+/// than the DoS-resistant default hasher — and the strash lookup is the
+/// inner loop of every unroll and every lowering.
 #[derive(Default)]
 pub(crate) struct MixHasher(u64);
 
@@ -41,6 +48,11 @@ impl Hasher for MixHasher {
     fn write_u64(&mut self, v: u64) {
         self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         self.0 ^= self.0 >> 29;
+    }
+
+    // Derived `Hash` writes enum tags through here.
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
     }
 
     fn finish(&self) -> u64 {

@@ -620,8 +620,10 @@ pub fn sub_words<K: BitKit>(kit: &mut K, a: &Word<K::Bit>, b: &Word<K::Bit>) -> 
 }
 
 /// One-bit-condition multiplexer over whole words, mirroring the shape the
-/// blaster builds for `Expr::Mux` (condition words reduce to one bit there;
-/// constant-folding in the AIG front-end makes the two shapes identical).
+/// blaster builds for `Expr::Mux`. The blaster reduces the condition word
+/// to one bit with [`reduce_or`], whose leading `0 ∨ c` the
+/// [`crate::Netlist`] kit folds as it is built, so a one-bit condition
+/// gives the same gates either way (and a constant one gives plain wiring).
 pub fn mux_word<K: BitKit>(
     kit: &mut K,
     c: K::Bit,

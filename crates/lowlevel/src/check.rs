@@ -197,7 +197,8 @@ impl ProveResult {
 /// Every gate proof takes one path: the cone is lowered to the
 /// structurally hashed AIG ([`from_netlist`]), a constant root is the
 /// verdict, and otherwise the resolved engine (BDD or CDCL SAT) runs on
-/// that AIG. Registry miters all fold to a constant during lowering.
+/// that AIG. Registry miters are already the constant-true net when built
+/// (the [`Netlist`] kit folds as it goes), so they never reach an engine.
 pub fn prove_net(
     nl: &Netlist,
     root: Net,

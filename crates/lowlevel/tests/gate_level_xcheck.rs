@@ -63,7 +63,8 @@ fn state_bits<B>(st: &UnrolledState<B>, bit: impl Fn(&B) -> bool) -> Vec<(String
 /// The concrete kit agrees bit for bit with building the structurally
 /// hashed netlist over the same constant inputs and evaluating it, on
 /// every register and output, for every registry design at its minimum,
-/// a middle and its top soak width.
+/// a middle and its top soak width. Over constant inputs the netlist's
+/// unit rules fold every gate, so this also pins those rules.
 #[test]
 fn eval_kit_matches_netlist_evaluation() {
     const CASES_PER_WIDTH: usize = 3;

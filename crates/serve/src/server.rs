@@ -258,6 +258,8 @@ impl Server {
         let priority = request_priority(req);
         let (ob, batched) = self.obligation(&d, width)?;
         // Identical concurrent proofs coalesce on the obligation's digest.
+        // Two designs can share one (the transcript names no design), so
+        // the job returns the bare verdict and each request labels it.
         let dedup = fnv128(&chicala_lowlevel::cache::prove_key(
             &ob.netlist,
             ob.property,
@@ -265,19 +267,17 @@ impl Server {
             width as usize,
             &ob.var_order,
         ));
-        let design_name = d.name.to_string();
         let job_ob = Arc::clone(&ob);
         let handle = self.pool.submit_keyed(priority, dedup, move || {
-            let result = prove_net(
+            prove_net(
                 &job_ob.netlist,
                 job_ob.property,
                 backend,
                 width as usize,
                 &job_ob.var_order,
-            );
-            prove_result_json(&design_name, width, &result)
+            )
         });
-        let result = handle.join();
+        let result = prove_result_json(d.name, width, &handle.join());
         Ok((result, vec![("batched", JsonValue::Bool(batched))]))
     }
 
@@ -728,6 +728,71 @@ mod tests {
         let batch = json::get(&stats, "batch").unwrap();
         assert_eq!(json::get(batch, "builds").and_then(json::as_u64), Some(1));
         assert_eq!(json::get(batch, "reuses").and_then(json::as_u64), Some(1));
+    }
+
+    #[test]
+    fn deduped_twins_name_their_own_design() {
+        let _hooks = prove_hook_lock();
+        let s = Arc::new(uncached());
+        // rdiv and xdiv at width 32 are the same obligation: both fold to
+        // the constant-true net over the same input nets. Their prove jobs
+        // therefore share one dedup key.
+        let key = |name: &str| {
+            let d = Design::by_name(name).expect("registered design");
+            let (ob, _) = s.obligation(&d, 32).expect("obligation builds");
+            chicala_lowlevel::cache::prove_key(
+                &ob.netlist,
+                ob.property,
+                Backend::Auto,
+                32,
+                &ob.var_order,
+            )
+        };
+        assert_eq!(key("rdiv"), key("xdiv"), "twin obligations must share a key");
+        // Park every worker, so each request below finds its twin's job
+        // still in flight and attaches to it.
+        let gate = Arc::new(std::sync::RwLock::new(()));
+        let held = gate.write().unwrap();
+        let parked = Arc::new(AtomicU64::new(0));
+        let workers = s.pool.workers();
+        let blockers: Vec<_> = (0..workers)
+            .map(|_| {
+                let (gate, parked) = (Arc::clone(&gate), Arc::clone(&parked));
+                s.pool.submit(i32::MAX, move || {
+                    parked.fetch_add(1, Ordering::SeqCst);
+                    drop(gate.read());
+                })
+            })
+            .collect();
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + std::time::Duration::from_secs(60);
+            while !done() {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        };
+        wait_for("parked workers", &|| parked.load(Ordering::SeqCst) == workers as u64);
+        let designs = ["rdiv", "xdiv", "rdiv", "xdiv", "xdiv", "rdiv"];
+        let clients: Vec<_> = designs
+            .iter()
+            .map(|&name| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || {
+                    ok_result(&s, &format!(r#"{{"op":"prove","design":"{name}","width":32}}"#))
+                })
+            })
+            .collect();
+        let attached = designs.len() as u64 - 1;
+        wait_for("attached twins", &|| s.pool.stats().dedup_hits == attached);
+        drop(held);
+        for b in blockers {
+            b.join();
+        }
+        for (&name, client) in designs.iter().zip(clients) {
+            let r = client.join().expect("client thread");
+            assert_eq!(json::get(&r, "design"), Some(&JsonValue::str(name)), "{r}");
+            assert_eq!(json::get(&r, "status"), Some(&JsonValue::str("proved")), "{r}");
+        }
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! Two tables. First, the monolithic-BDD baseline: for each width w, the
 //! shift/add multiplier is unrolled symbolically over BDDs and the theorem
 //! `acc == a*b` is proved *at that width only* — this is the curve that
-//! forced the old `gate_max_width ≤ 10` ceilings. Second, the same
-//! per-width checking task as the conformance gates layer now runs it: the
-//! design-vs-golden-model miter discharged by `prove_net`, BDD and AIG+SAT
-//! side by side, showing where the crossover actually falls and how far
-//! past the old ceiling the SAT backend reaches.
+//! forced the old `gate_max_width ≤ 10` ceilings. Second, the per-width
+//! check as the conformance gates layer runs it: `formal_gate_obligation`
+//! unrolls the design and builds the golden-model miter, which the netlist
+//! folds to the constant-true net as it is built, then `prove_net` runs
+//! under BDD and under AIG+SAT. Both engine columns only time a return on
+//! that constant root; the build column is the per-width cost that
+//! remains, far past the old ceiling.
 //!
 //! Run with `cargo run --release --example lowlevel_blowup`.
 
@@ -57,12 +59,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let d = Design::by_name("rmul").expect("rmul is registered");
     println!(
-        "\nThe gates layer's actual per-width check (design-vs-golden miter,\n\
-         `prove_net`), BDD vs AIG+SAT on the identical netlist:\n"
+        "\nThe gates layer's actual per-width check: building the design-vs-golden\n\
+         obligation (the miter folds to the constant-true net as it is built),\n\
+         then `prove_net` under BDD and AIG+SAT, which both return on that root:\n"
     );
-    println!("{:>6} {:>12} {:>12} {:>9}", "width", "BDD", "SAT", "status");
+    println!("{:>6} {:>12} {:>12} {:>12} {:>9}", "width", "build", "BDD", "SAT", "status");
     for width in 2..=d.gate_max_width {
+        let t = Instant::now();
         let ob = formal_gate_obligation(&d, width)?.expect("rmul has a golden model");
+        let build = t.elapsed();
         let bdd_cell = if width <= BDD_DIRECT_MAX as u64 {
             let t = Instant::now();
             let r = prove_net(&ob.netlist, ob.property, Backend::Bdd, width as usize, &ob.var_order);
@@ -74,8 +79,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let t = Instant::now();
         let r = prove_net(&ob.netlist, ob.property, Backend::Sat, width as usize, &ob.var_order);
         println!(
-            "{:>6} {:>12} {:>12} {:>9}",
+            "{:>6} {:>12} {:>12} {:>12} {:>9}",
             width,
+            format!("{build:.2?}"),
             bdd_cell,
             format!("{:.2?}", t.elapsed()),
             if r.is_proved() { "PROVED" } else { "FAILED" }
