@@ -23,6 +23,36 @@
 //! itself) may be called with a live trail; the solver backtracks to the
 //! root first.
 //!
+//! # Storage
+//!
+//! Clauses live in one flat `Vec<u32>` arena, as in MiniSat (Eén and
+//! Sörensson, "An Extensible SAT-solver", SAT 2003). A clause is a record
+//! of `3 + len` words, and a clause reference is the offset of its first
+//! word:
+//!
+//! ```text
+//! word 0      len << 2 | learnt << 1 | deleted
+//! words 1, 2  activity: the low and high halves of an f64's bits
+//! words 3..   the literals; slots 0 and 1 are the watched pair
+//! ```
+//!
+//! Offset 0 holds a permanent tombstone: a record of length 0 with the
+//! deleted bit set. Clause-database reduction only sets a clause's deleted
+//! bit. Its watches stay where they are, and unit propagation drops each
+//! one lazily when it next scans it, exactly as if the clause were still
+//! there. Once deleted records hold more than half of the arena, reduction
+//! compacts it in place: live records slide down in order, and every
+//! reference (watches, reasons, the learnt list) is rewritten to the new
+//! offset. Watches of deleted clauses are rewritten to the tombstone
+//! rather than removed, so propagation meets the same watch entries, in
+//! the same order, whether or not a compaction ran in between.
+//!
+//! Each watch list is scanned in place and put back into its slot.
+//! Variable values are bytes, and a literal's value is its variable's byte
+//! XOR the literal's sign. None of this changes the search: decisions,
+//! conflicts, learnt clauses and every [`Stats`] counter are those of a
+//! solver that keeps each clause in its own allocation.
+//!
 //! # Examples
 //!
 //! ```
@@ -75,6 +105,12 @@ impl Lit {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The sign bit as a value code: `L_TRUE` for a positive literal,
+    /// `L_FALSE` for a negated one.
+    fn sign(self) -> u8 {
+        (self.0 & 1) as u8
+    }
 }
 
 impl std::ops::Not for Lit {
@@ -91,23 +127,13 @@ impl fmt::Debug for Lit {
     }
 }
 
-/// Tri-state assignment value.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum LBool {
-    True,
-    False,
-    Undef,
-}
-
-impl LBool {
-    fn from_bool(b: bool) -> LBool {
-        if b {
-            LBool::True
-        } else {
-            LBool::False
-        }
-    }
-}
+/// Value codes. `Solver::assigns` holds one per variable, and
+/// `assigns[v] ^ sign` is the value of a literal over `v` in the same
+/// code, so an unassigned variable's literals read `L_UNDEF` or
+/// `L_UNDEF | 1`: test for "unassigned" with `& L_UNDEF`.
+const L_TRUE: u8 = 0;
+const L_FALSE: u8 = 1;
+const L_UNDEF: u8 = 2;
 
 /// The outcome of [`Solver::solve`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -139,15 +165,104 @@ pub struct Stats {
     pub deleted_clauses: u64,
 }
 
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-    activity: f64,
-    learnt: bool,
-    deleted: bool,
+/// A clause: the arena offset of its header word.
+type ClauseRef = u32;
+
+/// Header bit: the clause was learnt.
+const LEARNT: u32 = 0b10;
+/// Header bit: the clause was deleted (its record awaits compaction).
+const DELETED: u32 = 0b01;
+/// Words before a clause's first literal: the header and the activity.
+const HEADER_WORDS: usize = 3;
+/// The permanent deleted record at offset 0 that compaction points the
+/// watches of reclaimed clauses at.
+const TOMBSTONE: ClauseRef = 0;
+
+/// Every clause of a solver, one record after another (layout in the
+/// module docs).
+struct ClauseArena {
+    words: Vec<u32>,
+    /// Words held by deleted records, reclaimed by the next compaction.
+    wasted: usize,
 }
 
-type ClauseRef = u32;
+impl ClauseArena {
+    /// An arena holding only the tombstone.
+    fn new() -> ClauseArena {
+        ClauseArena { words: vec![DELETED, 0, 0], wasted: 0 }
+    }
+
+    /// Appends a clause record with zero activity.
+    fn alloc(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
+        let cr = ClauseRef::try_from(self.words.len()).expect("clause arena exceeds 4 Gi words");
+        assert!(lits.len() < 1 << 30, "clause length fits the header's 30 bits");
+        self.words.push((lits.len() as u32) << 2 | if learnt { LEARNT } else { 0 });
+        self.words.extend([0, 0]);
+        self.words.extend(lits.iter().map(|l| l.0));
+        cr
+    }
+
+    fn len(&self, cr: ClauseRef) -> usize {
+        (self.words[cr as usize] >> 2) as usize
+    }
+
+    fn is_learnt(&self, cr: ClauseRef) -> bool {
+        self.words[cr as usize] & LEARNT != 0
+    }
+
+    fn is_deleted(&self, cr: ClauseRef) -> bool {
+        self.words[cr as usize] & DELETED != 0
+    }
+
+    /// Literal `k` of clause `cr`.
+    fn lit(&self, cr: ClauseRef, k: usize) -> Lit {
+        Lit(self.words[cr as usize + HEADER_WORDS + k])
+    }
+
+    /// Swaps literals `i` and `k` of clause `cr`.
+    fn swap_lits(&mut self, cr: ClauseRef, i: usize, k: usize) {
+        let base = cr as usize + HEADER_WORDS;
+        self.words.swap(base + i, base + k);
+    }
+
+    fn activity(&self, cr: ClauseRef) -> f64 {
+        let i = cr as usize + 1;
+        f64::from_bits(u64::from(self.words[i]) | u64::from(self.words[i + 1]) << 32)
+    }
+
+    fn set_activity(&mut self, cr: ClauseRef, a: f64) {
+        let i = cr as usize + 1;
+        let bits = a.to_bits();
+        self.words[i] = bits as u32;
+        self.words[i + 1] = (bits >> 32) as u32;
+    }
+
+    /// Marks `cr` deleted; its words stay until `compact`.
+    fn free(&mut self, cr: ClauseRef) {
+        self.words[cr as usize] |= DELETED;
+        self.wasted += HEADER_WORDS + self.len(cr);
+    }
+
+    /// Slides every live record down over the deleted ones, keeping their
+    /// order, and returns each live record's `(old, new)` offset, ascending
+    /// in both.
+    fn compact(&mut self) -> Vec<(ClauseRef, ClauseRef)> {
+        let mut moved = Vec::new();
+        let (mut from, mut to) = (HEADER_WORDS, HEADER_WORDS);
+        while from < self.words.len() {
+            let size = HEADER_WORDS + (self.words[from] >> 2) as usize;
+            if self.words[from] & DELETED == 0 {
+                moved.push((from as ClauseRef, to as ClauseRef));
+                self.words.copy_within(from..from + size, to);
+                to += size;
+            }
+            from += size;
+        }
+        self.words.truncate(to);
+        self.wasted = 0;
+        moved
+    }
+}
 
 /// A watch-list entry: the clause and a "blocker" literal whose truth makes
 /// the clause satisfied without touching its memory.
@@ -278,16 +393,28 @@ fn luby(mut i: u64) -> u64 {
 
 /// A CDCL solver instance. Create, add variables and clauses, solve.
 pub struct Solver {
-    clauses: Vec<Clause>,
-    /// Indices of learnt clauses still alive (for DB reduction).
+    /// Every clause of two or more literals, problem and learnt, in the
+    /// order they were added (see the module docs for the record layout,
+    /// the tombstone and compaction). Unit clauses are never stored: they
+    /// are root-level assignments.
+    arena: ClauseArena,
+    /// Problem (non-learnt) clauses in `arena`; they are never deleted.
+    num_problem: usize,
+    /// Learnt clauses still alive (for DB reduction). After a reduction
+    /// they are in ascending activity order.
     learnts: Vec<ClauseRef>,
     /// `watches[lit.index()]`: clauses to inspect when `lit` becomes true
-    /// (they watch `¬lit`).
+    /// (they watch `¬lit`). An entry may name a deleted clause or the
+    /// tombstone until propagation next scans it.
     watches: Vec<Vec<Watch>>,
-    assigns: Vec<LBool>,
+    /// One value code per variable (`L_TRUE`, `L_FALSE` or `L_UNDEF`).
+    assigns: Vec<u8>,
     /// Saved phase per variable (last assigned polarity).
     phase: Vec<bool>,
     level: Vec<u32>,
+    /// The clause that implied each assigned variable, with the implied
+    /// literal at slot 0; `None` for decisions, units and unassigned
+    /// variables. A reason clause is never deleted.
     reason: Vec<Option<ClauseRef>>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
@@ -326,7 +453,8 @@ impl Solver {
     /// An empty solver.
     pub fn new() -> Solver {
         Solver {
-            clauses: Vec::new(),
+            arena: ClauseArena::new(),
+            num_problem: 0,
             learnts: Vec::new(),
             watches: Vec::new(),
             assigns: Vec::new(),
@@ -354,7 +482,7 @@ impl Solver {
     /// Creates a fresh variable and returns its number.
     pub fn new_var(&mut self) -> Var {
         let v = self.assigns.len() as Var;
-        self.assigns.push(LBool::Undef);
+        self.assigns.push(L_UNDEF);
         self.phase.push(false);
         self.level.push(0);
         self.reason.push(None);
@@ -372,7 +500,7 @@ impl Solver {
 
     /// Number of problem (non-learnt) clauses added and kept.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.learnt && !c.deleted).count()
+        self.num_problem
     }
 
     /// Search statistics so far.
@@ -380,24 +508,9 @@ impl Solver {
         self.stats
     }
 
-    fn value_lit(&self, l: Lit) -> LBool {
-        match self.assigns[l.var() as usize] {
-            LBool::Undef => LBool::Undef,
-            LBool::True => {
-                if l.is_neg() {
-                    LBool::False
-                } else {
-                    LBool::True
-                }
-            }
-            LBool::False => {
-                if l.is_neg() {
-                    LBool::True
-                } else {
-                    LBool::False
-                }
-            }
-        }
+    /// The value code of `l` (see `L_TRUE`).
+    fn value_lit(&self, l: Lit) -> u8 {
+        self.assigns[l.var() as usize] ^ l.sign()
     }
 
     fn decision_level(&self) -> u32 {
@@ -424,13 +537,13 @@ impl Solver {
         sorted.dedup();
         for (i, &l) in sorted.iter().enumerate() {
             debug_assert!((l.var() as usize) < self.num_vars(), "literal over unknown var");
-            if self.value_lit(l) == LBool::True {
+            if self.value_lit(l) == L_TRUE {
                 return true; // already satisfied forever
             }
             if i + 1 < sorted.len() && sorted[i + 1] == !l {
                 return true; // tautology p ∨ ¬p
             }
-            if self.value_lit(l) == LBool::False {
+            if self.value_lit(l) == L_FALSE {
                 continue; // false at level 0 forever
             }
             c.push(l);
@@ -450,7 +563,7 @@ impl Solver {
                 }
             }
             _ => {
-                self.attach_new(c, false);
+                self.attach_new(&c, false);
                 true
             }
         }
@@ -467,22 +580,22 @@ impl Solver {
         ok
     }
 
-    fn attach_new(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
-        let cr = self.clauses.len() as ClauseRef;
-        let (l0, l1) = (lits[0], lits[1]);
-        self.clauses.push(Clause { lits, activity: 0.0, learnt, deleted: false });
+    fn attach_new(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
+        let cr = self.arena.alloc(lits, learnt);
         if learnt {
             self.learnts.push(cr);
+        } else {
+            self.num_problem += 1;
         }
-        self.watches[(!l0).index()].push(Watch { clause: cr, blocker: l1 });
-        self.watches[(!l1).index()].push(Watch { clause: cr, blocker: l0 });
+        self.watches[(!lits[0]).index()].push(Watch { clause: cr, blocker: lits[1] });
+        self.watches[(!lits[1]).index()].push(Watch { clause: cr, blocker: lits[0] });
         cr
     }
 
     fn enqueue(&mut self, l: Lit, reason: Option<ClauseRef>) {
-        debug_assert_eq!(self.value_lit(l), LBool::Undef);
+        debug_assert!(self.value_lit(l) & L_UNDEF != 0);
         let v = l.var() as usize;
-        self.assigns[v] = LBool::from_bool(!l.is_neg());
+        self.assigns[v] = l.sign();
         self.phase[v] = !l.is_neg();
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
@@ -495,44 +608,45 @@ impl Solver {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
+            let false_lit = !p;
             // Visit clauses watching ¬p (p just became true).
             let mut i = 0;
-            // Move the list out to sidestep aliasing; entries are pushed
-            // back or dropped as we go.
+            // The list is taken out of its slot so watches can be pushed
+            // onto other lists meanwhile (never onto this one: that would
+            // take a second copy of ¬p in the clause), and goes back into
+            // the slot afterwards.
             let mut ws = std::mem::take(&mut self.watches[p.index()]);
             let mut conflict = None;
             while i < ws.len() {
                 let w = ws[i];
                 // Blocker short-circuit: satisfied clause, watch unchanged.
-                if self.value_lit(w.blocker) == LBool::True {
+                if self.value_lit(w.blocker) == L_TRUE {
                     i += 1;
                     continue;
                 }
-                let cr = w.clause as usize;
-                if self.clauses[cr].deleted {
+                let cr = w.clause;
+                if self.arena.is_deleted(cr) {
                     ws.swap_remove(i);
                     continue;
                 }
                 // Make sure the false literal is at slot 1.
-                let false_lit = !p;
-                if self.clauses[cr].lits[0] == false_lit {
-                    self.clauses[cr].lits.swap(0, 1);
+                if self.arena.lit(cr, 0) == false_lit {
+                    self.arena.swap_lits(cr, 0, 1);
                 }
-                debug_assert_eq!(self.clauses[cr].lits[1], false_lit);
-                let first = self.clauses[cr].lits[0];
-                if first != w.blocker && self.value_lit(first) == LBool::True {
+                debug_assert_eq!(self.arena.lit(cr, 1), false_lit);
+                let first = self.arena.lit(cr, 0);
+                if first != w.blocker && self.value_lit(first) == L_TRUE {
                     ws[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
                 let mut moved = false;
-                for k in 2..self.clauses[cr].lits.len() {
-                    let lk = self.clauses[cr].lits[k];
-                    if self.value_lit(lk) != LBool::False {
-                        self.clauses[cr].lits.swap(1, k);
-                        self.watches[(!lk).index()]
-                            .push(Watch { clause: w.clause, blocker: first });
+                for k in 2..self.arena.len(cr) {
+                    let lk = self.arena.lit(cr, k);
+                    if self.value_lit(lk) != L_FALSE {
+                        self.arena.swap_lits(cr, 1, k);
+                        self.watches[(!lk).index()].push(Watch { clause: cr, blocker: first });
                         ws.swap_remove(i);
                         moved = true;
                         break;
@@ -542,15 +656,16 @@ impl Solver {
                     continue;
                 }
                 // Clause is unit or conflicting under the watch invariant.
-                if self.value_lit(first) == LBool::False {
-                    conflict = Some(w.clause);
+                if self.value_lit(first) == L_FALSE {
+                    conflict = Some(cr);
                     self.qhead = self.trail.len();
                     break;
                 }
-                self.enqueue(first, Some(w.clause));
+                self.enqueue(first, Some(cr));
                 i += 1;
             }
-            self.watches[p.index()].extend(ws);
+            debug_assert!(self.watches[p.index()].is_empty());
+            self.watches[p.index()] = ws;
             if conflict.is_some() {
                 return conflict;
             }
@@ -566,14 +681,15 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, cr: ClauseRef) {
-        let c = &mut self.clauses[cr as usize];
-        if !c.learnt {
+        if !self.arena.is_learnt(cr) {
             return;
         }
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
-            for &l in self.learnts.iter() {
-                self.clauses[l as usize].activity *= 1e-20;
+        let a = self.arena.activity(cr) + self.cla_inc;
+        self.arena.set_activity(cr, a);
+        if a > 1e20 {
+            for &l in &self.learnts {
+                let scaled = self.arena.activity(l) * 1e-20;
+                self.arena.set_activity(l, scaled);
             }
             self.cla_inc *= 1e-20;
         }
@@ -593,8 +709,8 @@ impl Solver {
             // conflict clause counts; afterwards the resolved literal `p`
             // (stored at slot 0 of its reason) is skipped.
             let start = usize::from(p.is_some());
-            for k in start..self.clauses[cr as usize].lits.len() {
-                let q = self.clauses[cr as usize].lits[k];
+            for k in start..self.arena.len(cr) {
+                let q = self.arena.lit(cr, k);
                 let v = q.var() as usize;
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -669,9 +785,8 @@ impl Solver {
         let Some(cr) = self.reason[l.var() as usize] else {
             return false;
         };
-        let n = self.clauses[cr as usize].lits.len();
-        for k in 0..n {
-            let q = self.clauses[cr as usize].lits[k];
+        for k in 0..self.arena.len(cr) {
+            let q = self.arena.lit(cr, k);
             let v = q.var() as usize;
             if q.var() == l.var() || self.level[v] == 0 || self.seen[v] {
                 continue;
@@ -714,8 +829,8 @@ impl Solver {
                     self.core.push(q);
                 }
                 Some(cr) => {
-                    for k in 1..self.clauses[cr as usize].lits.len() {
-                        let l = self.clauses[cr as usize].lits[k];
+                    for k in 1..self.arena.len(cr) {
+                        let l = self.arena.lit(cr, k);
                         if self.level[l.var() as usize] > 0 {
                             self.seen[l.var() as usize] = true;
                         }
@@ -735,7 +850,7 @@ impl Solver {
         while self.trail.len() > bound {
             let l = self.trail.pop().expect("trail nonempty");
             let v = l.var() as usize;
-            self.assigns[v] = LBool::Undef;
+            self.assigns[v] = L_UNDEF;
             self.reason[v] = None;
             self.order.insert(l.var());
         }
@@ -744,38 +859,56 @@ impl Solver {
     }
 
     /// Deletes the lower-activity half of the learnt database (keeping
-    /// binary clauses and clauses currently locked as reasons).
+    /// binary clauses and clauses currently locked as reasons), then
+    /// compacts the arena once deleted records hold more than half of it.
     fn reduce_db(&mut self) {
-        let mut live: Vec<ClauseRef> = Vec::with_capacity(self.learnts.len());
-        let mut act: Vec<(f64, ClauseRef)> = self
-            .learnts
-            .iter()
-            .copied()
-            .filter(|&cr| !self.clauses[cr as usize].deleted)
-            .map(|cr| (self.clauses[cr as usize].activity, cr))
-            .collect();
+        let mut act: Vec<(f64, ClauseRef)> =
+            self.learnts.iter().map(|&cr| (self.arena.activity(cr), cr)).collect();
         act.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         let target = act.len() / 2;
+        let mut live: Vec<ClauseRef> = Vec::with_capacity(act.len());
         for (i, &(_, cr)) in act.iter().enumerate() {
-            let c = &self.clauses[cr as usize];
-            let locked = self.reason[c.lits[0].var() as usize] == Some(cr)
-                && self.value_lit(c.lits[0]) == LBool::True;
-            if i < target && c.lits.len() > 2 && !locked {
-                let c = &mut self.clauses[cr as usize];
-                c.deleted = true;
-                c.lits = Vec::new();
-                c.lits.shrink_to_fit();
+            let first = self.arena.lit(cr, 0);
+            let locked =
+                self.reason[first.var() as usize] == Some(cr) && self.value_lit(first) == L_TRUE;
+            if i < target && self.arena.len(cr) > 2 && !locked {
+                self.arena.free(cr);
                 self.stats.deleted_clauses += 1;
             } else {
                 live.push(cr);
             }
         }
         self.learnts = live;
+        if 2 * self.arena.wasted > self.arena.words.len() {
+            self.compact();
+        }
+    }
+
+    /// Reclaims deleted records (see `ClauseArena::compact`) and rewrites
+    /// every clause reference to its new offset. Watches of deleted clauses
+    /// point at the tombstone afterwards and keep their place in their
+    /// lists.
+    fn compact(&mut self) {
+        let moved = self.arena.compact();
+        let forward = |cr: ClauseRef| match moved.binary_search_by_key(&cr, |&(old, _)| old) {
+            Ok(i) => moved[i].1,
+            Err(_) => TOMBSTONE,
+        };
+        for w in self.watches.iter_mut().flatten() {
+            w.clause = forward(w.clause);
+        }
+        for cr in self.reason.iter_mut().flatten() {
+            *cr = forward(*cr);
+            debug_assert_ne!(*cr, TOMBSTONE, "a reason clause was deleted");
+        }
+        for cr in &mut self.learnts {
+            *cr = forward(*cr);
+        }
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
         while let Some(v) = self.order.pop_max() {
-            if self.assigns[v as usize] == LBool::Undef {
+            if self.assigns[v as usize] == L_UNDEF {
                 let l = if self.phase[v as usize] { Lit::pos(v) } else { Lit::neg(v) };
                 return Some(l);
             }
@@ -829,7 +962,9 @@ impl Solver {
             self.assumptions = assumptions.to_vec();
         }
         if self.max_learnts == 0.0 {
-            self.max_learnts = (self.clauses.len() as f64 / 3.0).max(1000.0);
+            // The first call: nothing has been learnt yet, so every stored
+            // clause is a problem clause.
+            self.max_learnts = (self.num_problem as f64 / 3.0).max(1000.0);
         }
         // Per-call budget: this invocation analyses at most `max_conflicts`
         // conflicts (a zero budget still analyses one, so the trail is
@@ -852,7 +987,7 @@ impl Solver {
                 if learnt.len() == 1 {
                     self.enqueue(asserting, None);
                 } else {
-                    let cr = self.attach_new(learnt, true);
+                    let cr = self.attach_new(&learnt, true);
                     self.bump_clause(cr);
                     self.enqueue(asserting, Some(cr));
                 }
@@ -882,19 +1017,19 @@ impl Solver {
                     if dl < self.assumptions.len() {
                         let p = self.assumptions[dl];
                         match self.value_lit(p) {
-                            LBool::True => {
+                            L_TRUE => {
                                 // Already satisfied: open an empty level so
                                 // assumption index == decision level stays.
                                 self.trail_lim.push(self.trail.len());
                             }
-                            LBool::False => {
+                            L_FALSE => {
                                 // The other assumptions (or the formula)
                                 // force ¬p: extract the failing subset.
                                 self.analyze_final(p);
                                 self.cancel_until(0);
                                 return Some(SatResult::Unsat);
                             }
-                            LBool::Undef => break Some(p),
+                            _ => break Some(p),
                         }
                     } else {
                         break self.pick_branch();
@@ -902,11 +1037,7 @@ impl Solver {
                 };
                 match next {
                     None => {
-                        let model = self
-                            .assigns
-                            .iter()
-                            .map(|a| *a == LBool::True)
-                            .collect();
+                        let model = self.assigns.iter().map(|&a| a == L_TRUE).collect();
                         // Leave the solver reusable: drop to the root.
                         self.cancel_until(0);
                         return Some(SatResult::Sat(model));
@@ -932,6 +1063,7 @@ impl Solver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn lit(i: i32) -> Lit {
         // DIMACS-style: 1 → x0, -1 → ¬x0.
@@ -1450,6 +1582,117 @@ mod tests {
                 SatResult::Unsat => assert!(!want_sat, "round {round}: incremental UNSAT, fresh SAT"),
             }
         }
+    }
+
+    /// The state a compaction must leave behind: every watch names a live
+    /// clause or the tombstone, and each live clause is watched exactly
+    /// on its two first literals; every reason is live with its implied
+    /// literal at slot 0; every learnt is live; and the arena holds the
+    /// tombstone and the live clauses' words, nothing else.
+    fn assert_compacted(s: &Solver) {
+        let mut lists: BTreeMap<ClauseRef, Vec<usize>> = BTreeMap::new();
+        for (li, ws) in s.watches.iter().enumerate() {
+            for w in ws.iter().filter(|w| w.clause != TOMBSTONE) {
+                assert!(!s.arena.is_deleted(w.clause), "watch names deleted clause {}", w.clause);
+                lists.entry(w.clause).or_default().push(li);
+            }
+        }
+        for (&cr, got) in &mut lists {
+            let mut want = vec![(!s.arena.lit(cr, 0)).index(), (!s.arena.lit(cr, 1)).index()];
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(*got, want, "clause {cr} is not watched on its slots 0 and 1");
+        }
+        for (v, r) in s.reason.iter().enumerate() {
+            if let Some(cr) = *r {
+                assert!(lists.contains_key(&cr), "reason {cr} of x{v} is not a live clause");
+                let implied = s.arena.lit(cr, 0);
+                assert_eq!(implied.var() as usize, v, "reason {cr} does not imply x{v} at slot 0");
+                assert_eq!(s.value_lit(implied), L_TRUE);
+            }
+        }
+        for &cr in &s.learnts {
+            assert!(lists.contains_key(&cr) && s.arena.is_learnt(cr), "learnt {cr} is not live");
+        }
+        let problem = lists.keys().filter(|&&cr| !s.arena.is_learnt(cr)).count();
+        assert_eq!(problem, s.num_problem);
+        assert_eq!(lists.len(), s.num_problem + s.learnts.len());
+        let live_words: usize = lists.keys().map(|&cr| HEADER_WORDS + s.arena.len(cr)).sum();
+        assert_eq!(s.arena.words.len(), HEADER_WORDS + live_words, "deleted words survived");
+        assert_eq!(s.arena.wasted, 0);
+    }
+
+    /// Brute-force satisfiability of a CNF over at most 24 variables.
+    fn brute_force_sat(nvars: usize, clauses: &[Vec<i32>]) -> bool {
+        let masks: Vec<(u32, u32)> = clauses
+            .iter()
+            .map(|c| {
+                c.iter().fold((0, 0), |(pos, neg), &i| {
+                    let bit = 1u32 << (i.unsigned_abs() - 1);
+                    if i < 0 {
+                        (pos, neg | bit)
+                    } else {
+                        (pos | bit, neg)
+                    }
+                })
+            })
+            .collect();
+        (0u32..1 << nvars).any(|a| masks.iter().all(|&(pos, neg)| a & pos != 0 || !a & neg != 0))
+    }
+
+    #[test]
+    fn compaction_keeps_every_reference_live_and_frees_deleted_words() {
+        // A pigeonhole instance and random 3-SAT near the threshold, over
+        // 20-22 variables, solved in slices of two conflicts. Between
+        // slices (trail still live) the learnt DB is reduced and the arena
+        // compacted by force; the search must then resume on the
+        // compacted arena and agree with brute force.
+        let php = |pigeons: i32, holes: i32| {
+            let v = |p: i32, h: i32| holes * (p - 1) + h;
+            let mut cs: Vec<Vec<i32>> =
+                (1..=pigeons).map(|p| (1..=holes).map(|h| v(p, h)).collect()).collect();
+            for h in 1..=holes {
+                for p1 in 1..=pigeons {
+                    for p2 in (p1 + 1)..=pigeons {
+                        cs.push(vec![-v(p1, h), -v(p2, h)]);
+                    }
+                }
+            }
+            cs
+        };
+        let mut next = rng(0xC0FFEE123456789);
+        let mut instances = vec![php(5, 4)];
+        instances.extend((0..12).map(|_| random_3sat(&mut next, 22, 95)));
+        let (mut compactions, mut reclaimed, mut tombstoned) = (0u64, 0usize, 0usize);
+        for (n, cs) in instances.iter().enumerate() {
+            let refs: Vec<&[i32]> = cs.iter().map(|c| c.as_slice()).collect();
+            let nvars = if n == 0 { 20 } else { 22 };
+            let mut s = solver_with(nvars, &refs);
+            s.restart_base = 10;
+            let out = loop {
+                if let Some(r) = s.solve_limited(2) {
+                    break r;
+                }
+                s.reduce_db();
+                let before = s.arena.words.len();
+                s.compact();
+                compactions += 1;
+                reclaimed += before - s.arena.words.len();
+                tombstoned += s.watches.iter().flatten().filter(|w| w.clause == TOMBSTONE).count();
+                assert_compacted(&s);
+            };
+            let want = brute_force_sat(nvars, cs);
+            match out {
+                SatResult::Sat(m) => {
+                    assert!(want, "instance {n}: solver SAT but brute force UNSAT");
+                    assert!(satisfies(&m, &refs), "instance {n}: bogus model");
+                }
+                SatResult::Unsat => assert!(!want, "instance {n}: solver UNSAT but brute force SAT"),
+            }
+        }
+        assert!(compactions >= 20, "only {compactions} compactions ran");
+        assert!(reclaimed > 0, "no compaction reclaimed a deleted clause");
+        assert!(tombstoned > 0, "no watch was forwarded to the tombstone");
     }
 
     #[test]

@@ -759,8 +759,11 @@ fn overflow() -> SeqError {
 ///
 /// All arithmetic is checked: any overflow is reported as a [`SeqError`]
 /// so the caller can fall back to the interpreter; results are otherwise
-/// bit-for-bit identical to [`SeqRunner`](crate::SeqRunner) (modulo the two
-/// documented deviations in the [module docs](self)).
+/// bit-for-bit identical to [`SeqRunner`](crate::SeqRunner), except for two
+/// deliberate deviations: `x / 0` and `x % 0` evaluate to `0`, and a
+/// binding introduced on one side of an `If` stays bound afterwards. Both
+/// come from evaluating the untaken arm of a guard, and neither occurs in
+/// generated programs.
 #[derive(Debug)]
 pub struct SeqVm<'p> {
     prog: &'p SeqCompiled,

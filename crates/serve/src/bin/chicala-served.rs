@@ -66,21 +66,7 @@ fn main() {
 }
 
 fn run_stdin(server: &Server) {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let resp = server.handle_line(&line);
-        let mut out = stdout.lock();
-        let _ = writeln!(out, "{resp}");
-        let _ = out.flush();
-        if server.shutdown_requested() {
-            break;
-        }
-    }
+    server.serve_lines(std::io::stdin().lock(), std::io::stdout().lock());
 }
 
 fn run_socket(server: Arc<Server>, path: &str) {
@@ -116,20 +102,7 @@ fn run_socket(server: Arc<Server>, path: &str) {
 
 fn serve_connection(server: &Server, stream: UnixStream) {
     let Ok(read) = stream.try_clone() else { return };
-    let mut write = stream;
-    for line in BufReader::new(read).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let resp = server.handle_line(&line);
-        if writeln!(write, "{resp}").is_err() || write.flush().is_err() {
-            break;
-        }
-        if server.shutdown_requested() {
-            break;
-        }
-    }
+    server.serve_lines(BufReader::new(read), stream);
 }
 
 fn run_client(path: &str, sends: &[String]) {

@@ -24,14 +24,17 @@
 //! tests, examples, CLIs. The daemon (`chicala-served`) adds the
 //! line-delimited JSON protocol over a Unix socket or stdin for
 //! long-running multi-client service; see [`Server::handle_line`] for the
-//! envelope.
+//! envelope and [`Server::serve_lines`] for the transport loop, which
+//! caps a request line at [`MAX_LINE_BYTES`].
 
 #![warn(missing_docs)]
 
 pub mod handle;
+mod line;
 pub mod server;
 pub mod store;
 
 pub use handle::CacheHandle;
+pub use line::MAX_LINE_BYTES;
 pub use server::{Server, PROTOCOL_VERSION};
 pub use store::{Store, StoreStats, STORE_SCHEMA};

@@ -1,12 +1,13 @@
 //! The verification server: protocol dispatch, request batching, and
 //! keyed job submission.
 //!
-//! One request is one line of JSON; one response is one line of JSON.
-//! The response envelope separates the **byte-comparable** `result` (the
-//! same obligation must serialize to the same bytes whether it was
-//! freshly proved, deduplicated onto a concurrent twin, or served from
-//! the persistent store) from `meta`, which carries timing and cache
-//! provenance and is allowed to differ between runs.
+//! One request is one line of JSON, of at most [`MAX_LINE_BYTES`]; one
+//! response is one line of JSON. The response envelope separates the
+//! **byte-comparable** `result` (the same obligation must serialize to the
+//! same bytes whether it was freshly proved, deduplicated onto a
+//! concurrent twin, or served from the persistent store) from `meta`,
+//! which carries timing and cache provenance and is allowed to differ
+//! between runs.
 //!
 //! ```text
 //! → {"op":"prove","design":"rmul","width":8}
@@ -23,6 +24,7 @@
 //! coalesce onto one execution even across connections.
 
 use crate::handle::{CacheHandle, KIND_PROVE, KIND_REPORT};
+use crate::line::{read_request_line, ReadLine, MAX_LINE_BYTES};
 use chicala_conformance::{
     formal_gate_obligation, formal_gate_obligation_shared, run_design, Config, Design,
     FormalObligation, Layer, SimBackend,
@@ -33,6 +35,7 @@ use chicala_telemetry as telemetry;
 use chicala_telemetry::{fnv128, JsonValue};
 use chicala_trace::json;
 use std::collections::HashMap;
+use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -156,13 +159,54 @@ impl Server {
                     .set("result", result)
                     .set("meta", meta);
             }
-            Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter("serve.errors", 1);
-                envelope = envelope.set("ok", JsonValue::Bool(false)).set("error", JsonValue::str(e));
-            }
+            Err(e) => envelope = self.error_envelope(envelope, e),
         }
         envelope.to_string()
+    }
+
+    /// Serves a line-delimited stream: reads requests from `input` and
+    /// writes one response line per request to `output`, flushing each,
+    /// until end of input, an I/O error, or a `shutdown` request. Blank
+    /// lines are skipped. A line longer than [`MAX_LINE_BYTES`] is dropped
+    /// as it is read, never buffered whole; it and a line that is not
+    /// UTF-8 are answered with an error envelope, counted in `errors`,
+    /// and the stream keeps serving.
+    pub fn serve_lines(&self, mut input: impl BufRead, mut output: impl Write) {
+        let mut line = Vec::new();
+        loop {
+            let resp = match read_request_line(&mut input, &mut line) {
+                Ok(ReadLine::Eof) | Err(_) => return,
+                Ok(ReadLine::TooLong) => {
+                    self.reject(format!("request line longer than {MAX_LINE_BYTES} bytes"))
+                }
+                Ok(ReadLine::Line) => match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => continue,
+                    Ok(text) => self.handle_line(text),
+                    Err(_) => self.reject("request line is not UTF-8".to_string()),
+                },
+            };
+            if writeln!(output, "{resp}").is_err() || output.flush().is_err() {
+                return;
+            }
+            if self.shutdown_requested() {
+                return;
+            }
+        }
+    }
+
+    /// The response to a line that could not be read as a request,
+    /// counted like any failed request.
+    fn reject(&self, error: String) -> String {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.error_envelope(JsonValue::obj(), error).to_string()
+    }
+
+    /// `envelope` completed as a failure carrying `error`, counted in
+    /// `errors`.
+    fn error_envelope(&self, envelope: JsonValue, error: String) -> JsonValue {
+        self.errors.fetch_add(1, Ordering::Relaxed);
+        telemetry::counter("serve.errors", 1);
+        envelope.set("ok", JsonValue::Bool(false)).set("error", JsonValue::str(error))
     }
 
     fn dispatch(&self, op: &str, req: &JsonValue) -> OpOutcome {
@@ -713,6 +757,29 @@ mod tests {
         let stats = ok_result(&s, r#"{"op":"stats"}"#);
         let errors = json::get(json::get(&stats, "server").unwrap(), "errors").unwrap();
         assert_eq!(json::as_u64(errors), Some(8));
+    }
+
+    #[test]
+    fn oversize_and_non_utf8_lines_are_rejected_and_the_stream_keeps_serving() {
+        let s = uncached();
+        let mut input = vec![b'x'; MAX_LINE_BYTES + 1];
+        input.extend_from_slice(b"\n\xff\xfe\n\n{\"op\":\"ping\"}\n");
+        let mut output = Vec::new();
+        s.serve_lines(std::io::Cursor::new(input), &mut output);
+        let text = String::from_utf8(output).expect("responses are UTF-8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "one response per non-blank line: {text}");
+        for (line, want) in lines[..2].iter().zip(["longer than", "not UTF-8"]) {
+            let v = json::parse(line).expect("error response parses");
+            assert_eq!(json::get(&v, "ok"), Some(&JsonValue::Bool(false)), "{line}");
+            let error = json::get(&v, "error").and_then(json::as_str).expect("error string");
+            assert!(error.contains(want), "{line}");
+        }
+        let pong = json::parse(lines[2]).expect("ping response parses");
+        assert_eq!(json::get(&pong, "ok"), Some(&JsonValue::Bool(true)), "{}", lines[2]);
+        let stats = ok_result(&s, r#"{"op":"stats"}"#);
+        let server = json::get(&stats, "server").unwrap();
+        assert_eq!(json::get(server, "errors").and_then(json::as_u64), Some(2));
     }
 
     #[test]
