@@ -14,8 +14,8 @@
 //! the design and golden cones side by side.
 
 use crate::engine::{
-    elab, formal_gate_obligation, sim_plan, svalue_scalar, transform_arc, word_value, Case,
-    Config, Failure, FormalObligation, Layer,
+    elab, formal_gate_obligation, sim_plan, transform_arc, word_value, Case, Config, Failure,
+    FormalObligation, Layer,
 };
 use crate::registry::Design;
 use chicala_bigint::BigInt;
@@ -24,8 +24,8 @@ use chicala_lowlevel::{prove_net, Backend, ProveResult};
 use chicala_seq::{SValue, SeqRunner};
 use chicala_telemetry as telemetry;
 use chicala_trace::{
-    capture_enabled, first_divergence, git_rev, mark_pair, replay, Divergence, ReplayBundle,
-    SignalKind, Trace, SCHEMA_VERSION,
+    capture_enabled, git_rev, mark_earliest, replay, Divergence, ReplayBundle, SignalKind, Trace,
+    SCHEMA_VERSION,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -176,12 +176,12 @@ pub fn seq_trace(d: &Design, case: &Case) -> Result<Trace, String> {
         let outs = sw
             .outputs
             .iter()
-            .filter_map(|(k, v)| svalue_scalar(v).map(|b| (k.clone(), b)))
+            .filter_map(|(k, v)| v.scalar().map(|b| (k.clone(), b)))
             .collect();
         let rs = sw
             .regs
             .iter()
-            .filter_map(|(k, v)| svalue_scalar(v).map(|b| (k.clone(), b)))
+            .filter_map(|(k, v)| v.scalar().map(|b| (k.clone(), b)))
             .collect();
         rows.push((outs, rs));
         regs = sw.regs;
@@ -298,20 +298,7 @@ pub fn capture_traces(
         .collect();
     // Mark the earliest-diverging pair (the reference interpreter records
     // first, so it is preferred as the `expected` side of the pair).
-    let mut best: Option<(usize, usize, Divergence)> = None;
-    for i in 0..traces.len() {
-        for j in (i + 1)..traces.len() {
-            if let Some(div) = first_divergence(&traces[i], &traces[j]) {
-                if best.as_ref().is_none_or(|(_, _, b)| div.cycle < b.cycle) {
-                    best = Some((i, j, div));
-                }
-            }
-        }
-    }
-    let divergence = best.map(|(i, j, _)| {
-        let (a, b) = traces.split_at_mut(j);
-        mark_pair(&mut a[i], &mut b[0]).expect("pair diverges")
-    });
+    let divergence = mark_earliest(&mut traces);
     (traces, divergence)
 }
 
@@ -378,6 +365,7 @@ pub fn capture_failure(d: &Design, failure: &Failure, cfg: &Config) -> Option<Pa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chicala_trace::first_divergence;
     use chicala_trace::vcd::{parse_vcd, write_vcd, MARKER};
 
     fn known_case() -> Case {

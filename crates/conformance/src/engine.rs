@@ -30,8 +30,8 @@ use chicala_chisel::{
 };
 use chicala_core::transform;
 use chicala_lowlevel::{
-    constant_word, fresh_inputs, prove_net, unroll, Backend, Eval, Net, Netlist, ProveResult,
-    UnrolledState, Word,
+    constant_word, fresh_inputs, interleaved_bits, prove_net, unroll, Backend, Eval, Net,
+    Netlist, ProveResult, UnrolledState, Word,
 };
 use chicala_par::ThreadPool;
 use chicala_seq::{compile_seq, SValue, SeqCompiled, SeqProgram, SeqRunner, SeqVm};
@@ -488,14 +488,6 @@ fn sim_plan_uncached(d: &Design, width: u64) -> Result<SimPlan, String> {
     Ok(SimPlan { em, prog, chisel, seq })
 }
 
-pub(crate) fn svalue_scalar(v: &SValue) -> Option<BigInt> {
-    match v {
-        SValue::Int(i) => Some(i.clone()),
-        SValue::Bool(b) => Some(BigInt::from(*b)),
-        SValue::List(_) => None,
-    }
-}
-
 /// Layer A: the Chisel cycle semantics vs the generated sequential
 /// program, cycle by cycle, over every output and every (scalar) register.
 fn check_cosim(d: &Design, case: &Case, backend: SimBackend) -> Result<u64, String> {
@@ -533,7 +525,7 @@ fn check_cosim_interp(d: &Design, case: &Case) -> Result<u64, String> {
             let sv = sw
                 .outputs
                 .get(name)
-                .and_then(svalue_scalar)
+                .and_then(SValue::scalar)
                 .ok_or_else(|| format!("cycle {cycle}: output `{name}` missing from program"))?;
             if *hv != sv {
                 return Err(format!(
@@ -542,7 +534,7 @@ fn check_cosim_interp(d: &Design, case: &Case) -> Result<u64, String> {
             }
         }
         for (name, svv) in &sw.regs {
-            let Some(sv) = svalue_scalar(svv) else { continue };
+            let Some(sv) = svv.scalar() else { continue };
             let hv = sim
                 .reg(name)
                 .ok_or_else(|| format!("cycle {cycle}: program register `{name}` unknown to interpreter"))?;
@@ -773,7 +765,7 @@ fn check_cosim_both(d: &Design, case: &Case) -> Result<u64, String> {
             let sv = sw
                 .outputs
                 .get(name)
-                .and_then(svalue_scalar)
+                .and_then(SValue::scalar)
                 .ok_or_else(|| format!("cycle {cycle}: output `{name}` missing from program"))?;
             if *hv != sv {
                 return Err(format!(
@@ -782,7 +774,7 @@ fn check_cosim_both(d: &Design, case: &Case) -> Result<u64, String> {
             }
         }
         for (name, svv) in &sw.regs {
-            let Some(sv) = svalue_scalar(svv) else { continue };
+            let Some(sv) = svv.scalar() else { continue };
             let hv = sim
                 .reg(name)
                 .ok_or_else(|| format!("cycle {cycle}: program register `{name}` unknown to interpreter"))?;
@@ -824,26 +816,13 @@ pub struct FormalObligation {
 /// the design over fresh inputs for its full latency and instantiates the
 /// registry's golden model. `Ok(None)` when the design has no golden model.
 pub fn formal_gate_obligation(d: &Design, width: u64) -> Result<Option<FormalObligation>, String> {
-    let Some(gate_spec) = d.gate_spec else { return Ok(None) };
-    let em = elab(d, width)?;
-    let mut nl = Netlist::new();
-    let inputs = fresh_inputs(&em, |_, _, kit: &mut Netlist| kit.input(), &mut nl);
-    let latency = (d.latency)(width);
-    let state = unroll(&em, &mut nl, &inputs, &BTreeMap::new(), latency as usize)
-        .map_err(|e| format!("{}: formal unroll at width {width}: {e}", d.name))?;
-    let env = GateEnv::new(width, &inputs, &state);
-    let property = gate_spec(&mut nl, &env);
-    let golden = env.golden.into_inner();
-    let max_w = inputs.values().map(|w| w.width()).max().unwrap_or(0);
-    let mut var_order = Vec::new();
-    for i in 0..max_w {
-        for w in inputs.values() {
-            if i < w.width() {
-                var_order.push(w.bits[i]);
-            }
-        }
-    }
-    Ok(Some(FormalObligation { netlist: nl, property, var_order, inputs, state, golden }))
+    let mut netlist = Netlist::new();
+    let Some(ob) = formal_gate_obligation_shared(d, width, &mut netlist, &mut BTreeMap::new())?
+    else {
+        return Ok(None);
+    };
+    let SharedObligation { property, var_order, inputs, state, golden } = ob;
+    Ok(Some(FormalObligation { netlist, property, var_order, inputs, state, golden }))
 }
 
 /// A formal obligation built into a caller-owned shared [`Netlist`] kit —
@@ -893,15 +872,7 @@ pub fn formal_gate_obligation_shared(
     let env = GateEnv::new(width, &inputs, &state);
     let property = gate_spec(nl, &env);
     let golden = env.golden.into_inner();
-    let max_w = inputs.values().map(|w| w.width()).max().unwrap_or(0);
-    let mut var_order = Vec::new();
-    for i in 0..max_w {
-        for w in inputs.values() {
-            if i < w.width() {
-                var_order.push(w.bits[i]);
-            }
-        }
-    }
+    let var_order = interleaved_bits(&inputs);
     Ok(Some(SharedObligation { property, var_order, inputs, state, golden }))
 }
 

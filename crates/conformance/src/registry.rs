@@ -81,6 +81,7 @@ pub type GateSpecFn = fn(&mut Netlist, &GateEnv) -> Net;
 /// A registered design: everything the engine needs to drive the Chisel
 /// interpreter, the generated sequential program, the gate-level baseline,
 /// and the mathematical spec in lockstep.
+#[derive(Clone, Copy)]
 pub struct Design {
     /// Registry key (CLI `--design` argument).
     pub name: &'static str,

@@ -16,8 +16,8 @@ use chicala_core::transform;
 use chicala_seq::{SValue, SeqRunner};
 use chicala_telemetry as telemetry;
 use chicala_trace::{
-    capture_enabled, first_divergence, git_rev, mark_pair, Divergence, ReplayBundle, SignalKind,
-    Trace, SCHEMA_VERSION,
+    capture_enabled, git_rev, mark_earliest, Divergence, ReplayBundle, SignalKind, Trace,
+    SCHEMA_VERSION,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -35,14 +35,6 @@ pub fn stage_of(message: &str) -> &'static str {
         "miter"
     } else {
         "check"
-    }
-}
-
-fn scalar(v: &SValue) -> Option<BigInt> {
-    match v {
-        SValue::Int(i) => Some(i.clone()),
-        SValue::Bool(b) => Some(BigInt::from(*b)),
-        _ => None,
     }
 }
 
@@ -182,12 +174,12 @@ pub fn record_width_traces(g: &GenModule, width: u64, seed: u64) -> Result<Vec<T
                     let outs: BTreeMap<String, BigInt> = sw
                         .outputs
                         .iter()
-                        .filter_map(|(k, v)| scalar(v).map(|b| (k.clone(), b)))
+                        .filter_map(|(k, v)| v.scalar().map(|b| (k.clone(), b)))
                         .collect();
                     let rmap: BTreeMap<String, BigInt> = sw
                         .regs
                         .iter()
-                        .filter_map(|(k, v)| scalar(v).map(|b| (k.clone(), b)))
+                        .filter_map(|(k, v)| v.scalar().map(|b| (k.clone(), b)))
                         .collect();
                     rec.push(&inputs, &outs, |n| rmap.get(n).cloned());
                     *regs = sw.regs;
@@ -211,25 +203,6 @@ pub fn record_width_traces(g: &GenModule, width: u64, seed: u64) -> Result<Vec<T
         traces.push(rec.trace);
     }
     Ok(traces)
-}
-
-/// Finds the earliest-diverging pair among `traces`, marks both sides, and
-/// returns the divergence.
-pub fn mark_earliest(traces: &mut [Trace]) -> Option<Divergence> {
-    let mut best: Option<(usize, usize, Divergence)> = None;
-    for i in 0..traces.len() {
-        for j in (i + 1)..traces.len() {
-            if let Some(div) = first_divergence(&traces[i], &traces[j]) {
-                if best.as_ref().is_none_or(|(_, _, b)| div.cycle < b.cycle) {
-                    best = Some((i, j, div));
-                }
-            }
-        }
-    }
-    best.map(|(i, j, _)| {
-        let (a, b) = traces.split_at_mut(j);
-        mark_pair(&mut a[i], &mut b[0]).expect("pair diverges")
-    })
 }
 
 /// Captures a shrunk soak divergence: walks the same sampled widths the

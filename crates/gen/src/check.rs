@@ -23,7 +23,8 @@ use chicala_chisel::{
 use chicala_conformance::SplitMix64;
 use chicala_core::{check_module, transform};
 use chicala_lowlevel::{
-    fresh_inputs, nets_equal, prove_net, unroll, Backend, BitKit, Net, Netlist, ProveResult,
+    fresh_inputs, interleaved_bits, nets_equal, prove_net, unroll, Backend, BitKit, Netlist,
+    ProveResult,
 };
 use chicala_seq::{SValue, SeqRunner};
 use std::collections::BTreeMap;
@@ -45,14 +46,6 @@ pub fn sample_widths(seed: u64, max_width: u64) -> Vec<u64> {
 
 fn bind(len: u64) -> Bindings {
     [("len".to_string(), len as i64)].into_iter().collect()
-}
-
-fn svalue_scalar(v: &SValue) -> Option<BigInt> {
-    match v {
-        SValue::Int(i) => Some(i.clone()),
-        SValue::Bool(b) => Some(BigInt::from(*b)),
-        _ => None,
-    }
 }
 
 /// Random inputs for one cycle, masked to each port's elaborated width.
@@ -160,7 +153,7 @@ fn check_cosim_width(
             let sv = sw
                 .outputs
                 .get(name)
-                .and_then(svalue_scalar)
+                .and_then(SValue::scalar)
                 .ok_or_else(|| format!("cycle {cycle}: output `{name}` missing from program"))?;
             if *hv != sv {
                 return Err(format!(
@@ -170,7 +163,7 @@ fn check_cosim_width(
             }
         }
         for (name, svv) in &sw.regs {
-            let Some(sv) = svalue_scalar(svv) else { continue };
+            let Some(sv) = svv.scalar() else { continue };
             let hv = sim
                 .reg(name)
                 .cloned()
@@ -216,15 +209,7 @@ pub fn self_miter(m: &Module, flat: &Module, width: u64) -> Result<(), String> {
         let eq = nets_equal(&mut nl, w, other);
         property = nl.and(property, eq);
     }
-    let max_w = inputs.values().map(|w| w.width()).max().unwrap_or(0);
-    let mut var_order: Vec<Net> = Vec::new();
-    for i in 0..max_w {
-        for w in inputs.values() {
-            if i < w.width() {
-                var_order.push(w.bits[i]);
-            }
-        }
-    }
+    let var_order = interleaved_bits(&inputs);
     match prove_net(&nl, property, Backend::Auto, width as usize, &var_order) {
         ProveResult::Proved { .. } => Ok(()),
         ProveResult::Counterexample { backend, inputs: cex } => {

@@ -106,6 +106,16 @@ pub fn fresh_inputs<K: BitKit>(
     out
 }
 
+/// The bits of `inputs` interleaved across ports: bit 0 of every port (in
+/// name order), then bit 1, and so on. As a BDD variable order it keeps
+/// arithmetic miters polynomial where concatenated operands explode.
+pub fn interleaved_bits<B: Copy>(inputs: &BTreeMap<String, Word<B>>) -> Vec<B> {
+    let max_w = inputs.values().map(|w| w.bits.len()).max().unwrap_or(0);
+    (0..max_w)
+        .flat_map(|i| inputs.values().filter_map(move |w| w.bits.get(i).copied()))
+        .collect()
+}
+
 /// Bitwise equivalence of two words in a BDD manager: returns the BDD of
 /// "words are equal" (zero-extending the shorter).
 pub fn words_equal(
@@ -206,55 +216,8 @@ pub fn prove_net(
     width: usize,
     var_order: &[Net],
 ) -> ProveResult {
-    // Content-addressed certificate cache (when installed): the key is the
-    // canonical obligation transcript, so a hit is the *same* obligation
-    // proved earlier — serve its result. Cached counterexamples are
-    // re-evaluated against the live netlist before being trusted.
-    let key = crate::cache::prove_cache_installed()
-        .then(|| crate::cache::prove_key(nl, root, backend, width, var_order));
-    if let Some(result) = key.as_ref().and_then(|k| crate::cache::cached_prove(k, nl, root)) {
-        return result;
-    }
-    let result = prove_net_uncached(nl, root, backend.resolve(width), var_order);
-    if let Some(key) = &key {
-        crate::cache::store_prove(key, &result);
-    }
-    result
-}
-
-/// Does nothing. It remains only because the repository benchmark
-/// (`perfbench/src/gates.rs`) still passes one to [`prove_net_with`] and
-/// [`prove_net_sweep_scheduled`](crate::prove_net_sweep_scheduled).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OptProfile;
-
-impl OptProfile {
-    /// The only profile. Reads no environment variable.
-    pub fn from_env() -> OptProfile {
-        OptProfile
-    }
-}
-
-/// [`prove_net`] with an ignored [`OptProfile`], kept for the benchmark's
-/// call site.
-pub fn prove_net_with(
-    nl: &Netlist,
-    root: Net,
-    backend: Backend,
-    width: usize,
-    var_order: &[Net],
-    _opt: OptProfile,
-) -> ProveResult {
-    prove_net(nl, root, backend, width, var_order)
-}
-
-fn prove_net_uncached(
-    nl: &Netlist,
-    root: Net,
-    resolved: Backend,
-    var_order: &[Net],
-) -> ProveResult {
     let _span = telemetry::span!("prove_net");
+    let resolved = backend.resolve(width);
     let (aig, roots, input_map) = from_netlist(nl, &[root]);
     telemetry::record("prove.aig_and_requests", aig.and_requests);
     telemetry::record("prove.aig_nodes", aig.and_count() as u64);
@@ -316,6 +279,32 @@ fn prove_net_uncached(
             }
         }
     }
+}
+
+/// Does nothing. It remains only because the repository benchmark
+/// (`perfbench/src/gates.rs`) still passes one to [`prove_net_with`] and
+/// [`prove_net_sweep_scheduled`](crate::prove_net_sweep_scheduled).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OptProfile;
+
+impl OptProfile {
+    /// The only profile. Reads no environment variable.
+    pub fn from_env() -> OptProfile {
+        OptProfile
+    }
+}
+
+/// [`prove_net`] with an ignored [`OptProfile`], kept for the benchmark's
+/// call site.
+pub fn prove_net_with(
+    nl: &Netlist,
+    root: Net,
+    backend: Backend,
+    width: usize,
+    var_order: &[Net],
+    _opt: OptProfile,
+) -> ProveResult {
+    prove_net(nl, root, backend, width, var_order)
 }
 
 /// BDD tautology check of an AIG edge: `None` when `root` is constant

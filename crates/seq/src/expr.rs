@@ -56,6 +56,16 @@ impl SValue {
             other => Err(SeqError::Type(format!("expected List, got {other:?}"))),
         }
     }
+
+    /// The value as one integer, a boolean read as 0 or 1; `None` for a
+    /// list. This is how traces and cross-layer comparisons see a scalar.
+    pub fn scalar(&self) -> Option<BigInt> {
+        match self {
+            SValue::Int(i) => Some(i.clone()),
+            SValue::Bool(b) => Some(BigInt::from(*b)),
+            SValue::List(_) => None,
+        }
+    }
 }
 
 impl From<BigInt> for SValue {

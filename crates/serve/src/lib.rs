@@ -1,31 +1,31 @@
 //! `chicala-serve`: the verification service.
 //!
 //! Re-verifying the same design at the same width is the common case —
-//! CI reruns, soak loops, interactive exploration — and the proof
-//! engines recompute everything from scratch each time. This crate turns
-//! the pipeline into a service with three layers of work avoidance:
+//! CI reruns, soak loops, interactive exploration — and the pipeline
+//! recomputes everything each time. This crate turns it into a service
+//! with two layers of work avoidance:
 //!
-//! 1. **Persistent content-addressed store** ([`Store`]): proof
-//!    certificates, VC discharge markers and conformance reports keyed by
-//!    a canonical digest of the obligation (netlist cone + backend +
-//!    width + schema version for a proof), written atomically under
+//! 1. **Obligation memo with in-flight build dedup** ([`Server`] over a
+//!    [`chicala_par::StealPool`]): a burst of `prove` requests for one
+//!    `(design, width)` shares a single symbolic unroll. A memo miss
+//!    submits the build to the pool keyed by `(design, width)`, so
+//!    concurrent twins attach to the one in-flight build; `vc` and
+//!    `conformance` jobs coalesce the same way on their own keys. Jobs
+//!    run at the request's priority.
+//! 2. **Persistent content-addressed store** ([`Store`]): VC discharge
+//!    markers and conformance reports keyed by a canonical transcript of
+//!    what determines them, written atomically under
 //!    `target/chicala-cache/` and verified byte-for-byte on read. A
 //!    corrupt or stale entry is evicted and the work transparently
-//!    re-proved — a cache bug can cost time, never soundness.
-//! 2. **Work-stealing pool with in-flight deduplication**
-//!    ([`chicala_par::StealPool`]): jobs carry priorities and a content
-//!    key; identical concurrent requests coalesce onto one proof.
-//! 3. **Request batching** ([`Server`]): a burst of `prove` requests for
-//!    one `(design, width)` shares a single symbolic unroll.
+//!    recomputed — a cache bug can cost time, never soundness.
 //!
-//! The cache needs no daemon: [`CacheHandle::install`] (or
-//! [`CacheHandle::install_from_env`], gated on `CHICALA_CACHE`) plugs
-//! the store into the `prove_net` / VC-discharge hooks of any process —
-//! tests, examples, CLIs. The daemon (`chicala-served`) adds the
-//! line-delimited JSON protocol over a Unix socket or stdin for
-//! long-running multi-client service; see [`Server::handle_line`] for the
-//! envelope and [`Server::serve_lines`] for the transport loop, which
-//! caps a request line at [`MAX_LINE_BYTES`].
+//! The VC markers need no daemon: [`CacheHandle::install`] plugs the
+//! store into the VC-discharge hook of any process. The daemon
+//! (`chicala-served`) adds the line-delimited JSON protocol over a Unix
+//! socket or stdin for long-running multi-client service; see
+//! [`Server::handle_line`] for the envelope and [`Server::serve_lines`]
+//! for the transport loop, which caps a request line at
+//! [`MAX_LINE_BYTES`].
 
 #![warn(missing_docs)]
 

@@ -3,11 +3,10 @@
 //!
 //! One request is one line of JSON, of at most [`MAX_LINE_BYTES`]; one
 //! response is one line of JSON. The response envelope separates the
-//! **byte-comparable** `result` (the same obligation must serialize to the
-//! same bytes whether it was freshly proved, deduplicated onto a
-//! concurrent twin, or served from the persistent store) from `meta`,
-//! which carries timing and cache provenance and is allowed to differ
-//! between runs.
+//! **byte-comparable** `result` (the same request must serialize to the
+//! same bytes whether its work was done fresh, shared with a concurrent
+//! twin, or served from the persistent store) from `meta`, which carries
+//! timing and cache provenance and is allowed to differ between runs.
 //!
 //! ```text
 //! → {"op":"prove","design":"rmul","width":8}
@@ -16,14 +15,14 @@
 //! ```
 //!
 //! Batching: a burst of `prove` requests for the same `(design, width)`
-//! shares one symbolic unroll — the first request builds the
-//! [`FormalObligation`] (the expensive lowering/strash pass) and every
-//! later request reuses it from the server memo. In-flight deduplication
-//! happens one level down: jobs are submitted to the [`StealPool`] keyed
-//! by the canonical obligation digest, so identical *concurrent* proofs
-//! coalesce onto one execution even across connections.
+//! shares one symbolic unroll. The [`FormalObligation`] is built once, by
+//! a [`StealPool`] job keyed by `(design, width)`, so *concurrent* twins,
+//! even across connections, attach to the one in-flight build; every later
+//! request reuses it from the server memo. The proof itself then runs on
+//! the request's own thread: a registry obligation is the constant-true
+//! net as built, so it costs nothing next to the unroll.
 
-use crate::handle::{CacheHandle, KIND_PROVE, KIND_REPORT};
+use crate::handle::{CacheHandle, KIND_REPORT};
 use crate::line::{read_request_line, ReadLine, MAX_LINE_BYTES};
 use chicala_conformance::{
     formal_gate_obligation, formal_gate_obligation_shared, run_design, Config, Design,
@@ -68,13 +67,17 @@ fn parse_backend(s: &str) -> Option<Backend> {
 /// to this op (cache provenance, batching).
 type OpOutcome = Result<(JsonValue, Vec<(&'static str, JsonValue)>), String>;
 
+/// `(design, width)` → shared obligation: the request-batching memo.
+type ObligationMemo = Mutex<HashMap<(&'static str, u64), Arc<FormalObligation>>>;
+
 /// A verification server instance. One per process; share it across
 /// connection threads behind an [`Arc`].
 pub struct Server {
     pool: StealPool,
     cache: Option<CacheHandle>,
-    /// `(design, width)` → shared obligation: the request-batching memo.
-    obligations: Mutex<HashMap<(String, u64), Arc<FormalObligation>>>,
+    /// The request-batching memo, filled by the pool job that builds each
+    /// entry.
+    obligations: Arc<ObligationMemo>,
     requests: AtomicU64,
     errors: AtomicU64,
     batch_builds: AtomicU64,
@@ -88,9 +91,10 @@ pub struct Server {
 impl Server {
     /// A server over `cache` (or uncached when `None`) with a work pool
     /// sized by `CHICALA_WORKERS` (see [`StealPool::with_default_workers`]).
-    /// When a cache handle is given it is installed into every
-    /// producer-crate hook, so proofs and VC discharges persist across
-    /// requests *and across restarts*.
+    /// When a cache handle is given, the server files conformance reports
+    /// in its store, and the handle is installed into the kernel's VC
+    /// cache hook, so reports and VC discharges persist across requests
+    /// *and across restarts*.
     pub fn new(cache: Option<CacheHandle>) -> Server {
         if let Some(c) = &cache {
             c.install();
@@ -98,7 +102,7 @@ impl Server {
         Server {
             pool: StealPool::with_default_workers(),
             cache,
-            obligations: Mutex::new(HashMap::new()),
+            obligations: Arc::new(Mutex::new(HashMap::new())),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             batch_builds: AtomicU64::new(0),
@@ -108,11 +112,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
         }
-    }
-
-    /// The cache handle, when caching is on.
-    pub fn cache(&self) -> Option<&CacheHandle> {
-        self.cache.as_ref()
     }
 
     /// True once a `shutdown` request has been handled; transport loops
@@ -254,25 +253,55 @@ impl Server {
 
     /// The `(design, width)` obligation memo: returns the shared
     /// obligation and whether this request reused a batch-mate's build.
-    fn obligation(&self, d: &Design, width: u64) -> Result<(Arc<FormalObligation>, bool), String> {
-        let memo_key = (d.name.to_string(), width);
-        if let Some(ob) = self.obligations.lock().unwrap().get(&memo_key) {
-            self.batch_reuses.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter("serve.batch.reuse", 1);
-            return Ok((Arc::clone(ob), true));
-        }
-        // Build outside the lock: a slow unroll must not serialize
-        // requests for *other* designs. A racing twin may build the same
-        // obligation; the insert below keeps whichever landed first.
-        let _span = telemetry::span!("serve:lower:{}:{width}", d.name);
-        let built = formal_gate_obligation(d, width)?
-            .ok_or_else(|| format!("design `{}` has no gate-level golden model", d.name))?;
-        let ob = Arc::new(built);
-        let mut memo = self.obligations.lock().unwrap();
-        let entry = memo.entry(memo_key).or_insert_with(|| Arc::clone(&ob));
-        self.batch_builds.fetch_add(1, Ordering::Relaxed);
-        telemetry::counter("serve.batch.build", 1);
-        Ok((Arc::clone(entry), false))
+    ///
+    /// On a miss the build is submitted to the pool at `priority`, keyed by
+    /// `(design, width)`, so a concurrent twin attaches to the in-flight
+    /// unroll instead of starting its own. The job fills the memo before
+    /// the pool retires its key, and this lookup and the submission happen
+    /// under the memo lock, so each obligation is built once.
+    fn obligation(
+        &self,
+        d: Design,
+        width: u64,
+        priority: i32,
+    ) -> Result<(Arc<FormalObligation>, bool), String> {
+        // Set by the build job when it runs; an attached twin's job never
+        // does. `join` takes the result slot's mutex, which orders the
+        // job's store before the load below.
+        let ran = Arc::new(AtomicBool::new(false));
+        let memo = self.obligations.lock().expect("obligation memo");
+        let ob = match memo.get(&(d.name, width)).cloned() {
+            Some(ob) => {
+                drop(memo);
+                ob
+            }
+            None => {
+                let (obligations, ran) = (Arc::clone(&self.obligations), Arc::clone(&ran));
+                let key = fnv128(format!("obligation:{}:{width}", d.name).as_bytes());
+                let job = self.pool.submit_keyed(priority, key, move || -> Result<_, String> {
+                    ran.store(true, Ordering::Relaxed);
+                    let _span = telemetry::span!("serve:lower:{}:{width}", d.name);
+                    let ob = formal_gate_obligation(&d, width)?.ok_or_else(|| {
+                        format!("design `{}` has no gate-level golden model", d.name)
+                    })?;
+                    let ob = Arc::new(ob);
+                    let mut memo = obligations.lock().expect("obligation memo");
+                    memo.insert((d.name, width), Arc::clone(&ob));
+                    Ok(ob)
+                });
+                drop(memo);
+                job.join()?
+            }
+        };
+        let built = ran.load(Ordering::Relaxed);
+        let (count, name) = if built {
+            (&self.batch_builds, "serve.batch.build")
+        } else {
+            (&self.batch_reuses, "serve.batch.reuse")
+        };
+        count.fetch_add(1, Ordering::Relaxed);
+        telemetry::counter(name, 1);
+        Ok((ob, !built))
     }
 
     fn op_prove(&self, req: &JsonValue) -> OpOutcome {
@@ -299,40 +328,17 @@ impl Server {
             Some(s) => parse_backend(s).ok_or_else(|| format!("unknown backend `{s}`"))?,
             None => Backend::Auto,
         };
-        let priority = request_priority(req);
-        let (ob, batched) = self.obligation(&d, width)?;
-        // Identical concurrent proofs coalesce on the obligation's digest.
-        // Two designs can share one (the transcript names no design), so
-        // the job returns the bare verdict and each request labels it.
-        let dedup = fnv128(&chicala_lowlevel::cache::prove_key(
-            &ob.netlist,
-            ob.property,
-            backend,
-            width as usize,
-            &ob.var_order,
-        ));
-        let job_ob = Arc::clone(&ob);
-        let handle = self.pool.submit_keyed(priority, dedup, move || {
-            prove_net(
-                &job_ob.netlist,
-                job_ob.property,
-                backend,
-                width as usize,
-                &job_ob.var_order,
-            )
-        });
-        let result = prove_result_json(d.name, width, &handle.join());
+        let (ob, batched) = self.obligation(d, width, request_priority(req))?;
+        let result = prove_net(&ob.netlist, ob.property, backend, width as usize, &ob.var_order);
+        let result = prove_result_json(d.name, width, &result);
         Ok((result, vec![("batched", JsonValue::Bool(batched))]))
     }
 
     /// The `sweep` op: proves a design's whole width family through one
     /// incremental SAT session ([`prove_net_sweep`]). Per-width result
-    /// rows are byte-identical to the `prove` op for the same width, and —
-    /// when caching is on — each row is stored in the prove cache under
-    /// the same key `prove` uses, so later `prove` requests hit without
-    /// re-proving. Session statistics are deterministic too, but they say
-    /// how the rows were reached, not what they are, so they live in
-    /// `meta`.
+    /// rows are byte-identical to the `prove` op for the same width.
+    /// Session statistics are deterministic too, but they say how the rows
+    /// were reached, not what they are, so they live in `meta`.
     fn op_sweep(&self, req: &JsonValue) -> OpOutcome {
         let design = json::get(req, "design")
             .and_then(json::as_str)
@@ -385,26 +391,9 @@ impl Server {
                 o.result.clone()
             } else {
                 all_proved = false;
-                let (ob, _) = self.obligation(&d, o.width)?;
+                let (ob, _) = self.obligation(d, o.width, request_priority(req))?;
                 prove_net(&ob.netlist, ob.property, backend, o.width as usize, &ob.var_order)
             };
-            if let Some(cache) = &self.cache {
-                // Prime the prove cache under the `prove` op's own key so
-                // later point requests hit byte-identically.
-                let (ob, _) = self.obligation(&d, o.width)?;
-                let key = chicala_lowlevel::cache::prove_key(
-                    &ob.netlist,
-                    ob.property,
-                    backend,
-                    o.width as usize,
-                    &ob.var_order,
-                );
-                cache.store().store(
-                    KIND_PROVE,
-                    &key,
-                    &chicala_lowlevel::cache::encode_result(&result),
-                );
-            }
             rows.push(prove_result_json(design, o.width, &result));
         }
         let s = &report.stats;
@@ -617,8 +606,8 @@ fn request_priority(req: &JsonValue) -> i32 {
         .unwrap_or(0)
 }
 
-/// The byte-comparable `prove` result: identical for fresh, deduplicated,
-/// and store-served proofs of the same obligation.
+/// The byte-comparable `prove` result: identical whether the request built
+/// its obligation or reused a batch-mate's.
 fn prove_result_json(design: &str, width: u64, r: &ProveResult) -> JsonValue {
     let base = JsonValue::obj()
         .set("design", JsonValue::str(design))
@@ -705,14 +694,6 @@ mod tests {
         Server::new(None)
     }
 
-    /// Serializes the tests that prove: `sweep_primes_the_prove_cache`
-    /// installs its store into the process-wide prove hook, and a proof in
-    /// a concurrent test would read and write that store too.
-    fn prove_hook_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     fn ok_result(server: &Server, line: &str) -> JsonValue {
         let resp = server.handle_line(line);
         let v = json::parse(&resp).expect("response parses");
@@ -763,28 +744,30 @@ mod tests {
     fn oversize_and_non_utf8_lines_are_rejected_and_the_stream_keeps_serving() {
         let s = uncached();
         let mut input = vec![b'x'; MAX_LINE_BYTES + 1];
-        input.extend_from_slice(b"\n\xff\xfe\n\n{\"op\":\"ping\"}\n");
+        input.extend_from_slice(b"\n\xff\xfe\n\n");
+        // Nested far past the parser's depth bound, yet well under the cap.
+        input.extend(std::iter::repeat_n(b'[', 100_000));
+        input.extend_from_slice(b"\n{\"op\":\"ping\"}\n");
         let mut output = Vec::new();
         s.serve_lines(std::io::Cursor::new(input), &mut output);
         let text = String::from_utf8(output).expect("responses are UTF-8");
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3, "one response per non-blank line: {text}");
-        for (line, want) in lines[..2].iter().zip(["longer than", "not UTF-8"]) {
+        assert_eq!(lines.len(), 4, "one response per non-blank line: {text}");
+        for (line, want) in lines[..3].iter().zip(["longer than", "not UTF-8", "nested deeper"]) {
             let v = json::parse(line).expect("error response parses");
             assert_eq!(json::get(&v, "ok"), Some(&JsonValue::Bool(false)), "{line}");
             let error = json::get(&v, "error").and_then(json::as_str).expect("error string");
             assert!(error.contains(want), "{line}");
         }
-        let pong = json::parse(lines[2]).expect("ping response parses");
-        assert_eq!(json::get(&pong, "ok"), Some(&JsonValue::Bool(true)), "{}", lines[2]);
+        let pong = json::parse(lines[3]).expect("ping response parses");
+        assert_eq!(json::get(&pong, "ok"), Some(&JsonValue::Bool(true)), "{}", lines[3]);
         let stats = ok_result(&s, r#"{"op":"stats"}"#);
         let server = json::get(&stats, "server").unwrap();
-        assert_eq!(json::get(server, "errors").and_then(json::as_u64), Some(2));
+        assert_eq!(json::get(server, "errors").and_then(json::as_u64), Some(3));
     }
 
     #[test]
     fn prove_batches_and_dedups() {
-        let _hooks = prove_hook_lock();
         let s = uncached();
         let r1 = ok_result(&s, r#"{"op":"prove","design":"rotate","width":5}"#);
         assert_eq!(json::get(&r1, "status"), Some(&JsonValue::str("proved")));
@@ -799,25 +782,9 @@ mod tests {
 
     #[test]
     fn deduped_twins_name_their_own_design() {
-        let _hooks = prove_hook_lock();
         let s = Arc::new(uncached());
-        // rdiv and xdiv at width 32 are the same obligation: both fold to
-        // the constant-true net over the same input nets. Their prove jobs
-        // therefore share one dedup key.
-        let key = |name: &str| {
-            let d = Design::by_name(name).expect("registered design");
-            let (ob, _) = s.obligation(&d, 32).expect("obligation builds");
-            chicala_lowlevel::cache::prove_key(
-                &ob.netlist,
-                ob.property,
-                Backend::Auto,
-                32,
-                &ob.var_order,
-            )
-        };
-        assert_eq!(key("rdiv"), key("xdiv"), "twin obligations must share a key");
-        // Park every worker, so each request below finds its twin's job
-        // still in flight and attaches to it.
+        // Park every worker, so each request below finds its batch-mate's
+        // build still in flight and attaches to it.
         let gate = Arc::new(std::sync::RwLock::new(()));
         let held = gate.write().unwrap();
         let parked = Arc::new(AtomicU64::new(0));
@@ -839,6 +806,8 @@ mod tests {
             }
         };
         wait_for("parked workers", &|| parked.load(Ordering::SeqCst) == workers as u64);
+        // rdiv and xdiv at width 32 build identical obligations, but each
+        // design has its own memo entry, so its own build.
         let designs = ["rdiv", "xdiv", "rdiv", "xdiv", "xdiv", "rdiv"];
         let clients: Vec<_> = designs
             .iter()
@@ -849,8 +818,7 @@ mod tests {
                 })
             })
             .collect();
-        let attached = designs.len() as u64 - 1;
-        wait_for("attached twins", &|| s.pool.stats().dedup_hits == attached);
+        wait_for("attached twins", &|| s.pool.stats().dedup_hits == 4);
         drop(held);
         for b in blockers {
             b.join();
@@ -860,11 +828,16 @@ mod tests {
             assert_eq!(json::get(&r, "design"), Some(&JsonValue::str(name)), "{r}");
             assert_eq!(json::get(&r, "status"), Some(&JsonValue::str("proved")), "{r}");
         }
+        let stats = ok_result(&s, r#"{"op":"stats"}"#);
+        let batch = json::get(&stats, "batch").unwrap();
+        assert_eq!(json::get(batch, "builds").and_then(json::as_u64), Some(2), "{stats}");
+        assert_eq!(json::get(batch, "reuses").and_then(json::as_u64), Some(4), "{stats}");
+        let pool = json::get(&stats, "pool").unwrap();
+        assert_eq!(json::get(pool, "inflight_dedup").and_then(json::as_u64), Some(4), "{stats}");
     }
 
     #[test]
     fn sweep_rows_match_prove_op_per_width() {
-        let _hooks = prove_hook_lock();
         let s = uncached();
         let sweep = ok_result(&s, r#"{"op":"sweep","design":"rotate","min_width":2,"max_width":9}"#);
         assert_eq!(json::get(&sweep, "all_proved"), Some(&JsonValue::Bool(true)));
@@ -887,34 +860,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_primes_the_prove_cache() {
-        let _hooks = prove_hook_lock();
-        let dir = std::env::temp_dir().join(format!(
-            "chicala-sweep-cache-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
-        let handle = CacheHandle::new(Arc::new(crate::store::Store::open(&dir)));
-        let s = Server::new(Some(handle));
-        ok_result(&s, r#"{"op":"sweep","design":"rotate","min_width":3,"max_width":8}"#);
-        let cache = s.cache().unwrap();
-        let before = cache.stats();
-        // Every width in the swept range is now a pure cache hit for the
-        // point `prove` op (prove_net consults the installed hook).
-        let r = ok_result(&s, r#"{"op":"prove","design":"rotate","width":8}"#);
-        assert_eq!(json::get(&r, "status"), Some(&JsonValue::str("proved")));
-        let after = cache.stats();
-        assert_eq!(after.hits, before.hits + 1, "prove after sweep must hit the cache");
-        CacheHandle::uninstall_all();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn sweep_verify_ab_reports_zero_divergences() {
-        let _hooks = prove_hook_lock();
         let s = uncached();
         let resp = s.handle_line(
             r#"{"op":"sweep","design":"rotate","min_width":2,"max_width":8,"verify_ab":true}"#,

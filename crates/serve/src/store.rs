@@ -1,10 +1,10 @@
 //! The on-disk content-addressed artifact store.
 //!
-//! Every expensive artifact the pipeline produces — gate-proof
-//! certificates, kernel VC verdicts, conformance reports — is addressed by
-//! the 128-bit FNV-1a digest of its *key transcript*: the canonical byte
-//! encoding of everything that determines the artifact (producer crates
-//! build these; see `chicala_lowlevel::cache::prove_key` and friends). The
+//! The artifacts worth keeping across runs — kernel VC verdicts and
+//! conformance reports — are addressed by the 128-bit FNV-1a digest of
+//! their *key transcript*: the canonical byte encoding of everything that
+//! determines the artifact (`chicala_verify::cache::vc_key` builds one,
+//! the server's conformance op the other). The
 //! store derives the address from the key itself, so a caller can never
 //! file an entry where a lookup for the same key would not find it.
 //! Entries live at
@@ -26,7 +26,7 @@
 //!   can therefore never serve the wrong artifact;
 //! * **checksummed payloads** — a 64-bit FNV checksum over the entire
 //!   entry body is verified on read; bit rot is detected, the entry is
-//!   **evicted** (unlinked), and the caller re-proves;
+//!   **evicted** (unlinked), and the caller recomputes;
 //! * **schema versioning** — [`STORE_SCHEMA`] is embedded in every entry;
 //!   entries written by an incompatible layout are evicted on read, never
 //!   misparsed.
@@ -158,7 +158,7 @@ impl Store {
                 Some(payload)
             }
             None => {
-                // Corrupt, stale-schema, or aliased: evict and re-prove.
+                // Corrupt, stale-schema, or aliased: evict and recompute.
                 let _ = fs::remove_file(&path);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
                 self.misses.fetch_add(1, Ordering::Relaxed);

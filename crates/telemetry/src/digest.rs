@@ -1,8 +1,8 @@
 //! Process-stable content digests for the cache layer.
 //!
-//! The verification service addresses every expensive artifact — proof
-//! certificates, compiled programs, conformance reports — by a digest of
-//! the content that produced it. Those digests live in file names and are
+//! The verification service addresses every expensive artifact — VC
+//! discharge markers, conformance reports — by a digest of the content
+//! that produced it. Those digests live in file names and are
 //! compared across processes and machine restarts, so they must be a pure
 //! function of the fed bytes: no `RandomState`, no pointer identity, no
 //! Rust-version-dependent `SipHash` seeds.
@@ -12,7 +12,7 @@
 //! *provided* the type's hashing walk is itself deterministic (no
 //! `HashMap`/`HashSet` iteration; `BTreeMap` and `Vec` are fine). The
 //! cross-process stability test (`CHICALA_CACHE_SELFTEST`, see
-//! `tests/serve.rs`) pins that property for every digested structure.
+//! `tests/serve.rs`) pins that property for conformance-report keys.
 
 use std::hash::Hasher;
 

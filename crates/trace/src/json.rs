@@ -4,11 +4,18 @@
 
 pub use chicala_telemetry::JsonValue;
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so a bound keeps a hostile line (a daemon
+/// request, a bundle on disk) from overflowing the stack; every document
+/// the workspace writes nests under 10 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document. Accepts exactly the values
 /// [`JsonValue`]'s serializer emits (objects, arrays, strings with the
-/// standard escapes, finite numbers, booleans, null).
+/// standard escapes, finite numbers, booleans, null), nested at most
+/// [`MAX_DEPTH`] deep.
 pub fn parse(src: &str) -> Result<JsonValue, String> {
-    let mut p = Parser { bytes: src.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: src.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -46,6 +53,8 @@ pub fn as_u64(v: &JsonValue) -> Option<u64> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -81,8 +90,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek().ok_or("unexpected end of input")? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nested deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(JsonValue::Str(self.string()?)),
             b't' => self.literal("true", JsonValue::Bool(true)),
             b'f' => self.literal("false", JsonValue::Bool(false)),
@@ -251,6 +267,18 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let nested = |depth: usize| format!("{}1{}", open.repeat(depth), close.repeat(depth));
+            assert!(parse(&nested(MAX_DEPTH)).is_ok(), "{open}: a document at the bound parses");
+            for depth in [MAX_DEPTH + 1, 100_000] {
+                let err = parse(&nested(depth)).expect_err("nesting past the bound is refused");
+                assert!(err.contains("nested deeper"), "{open} x {depth}: {err}");
+            }
+        }
     }
 
     #[test]

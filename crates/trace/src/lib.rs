@@ -208,6 +208,27 @@ pub fn mark_pair(a: &mut Trace, b: &mut Trace) -> Option<Divergence> {
     d
 }
 
+/// Finds the pair among `traces` that diverges at the earliest cycle
+/// (ties go to the pair found first, so an earlier trace is preferred as
+/// the `expected` side), marks both sides with [`mark_pair`], and returns
+/// the divergence.
+pub fn mark_earliest(traces: &mut [Trace]) -> Option<Divergence> {
+    let mut best: Option<(usize, usize, Divergence)> = None;
+    for i in 0..traces.len() {
+        for j in (i + 1)..traces.len() {
+            if let Some(div) = first_divergence(&traces[i], &traces[j]) {
+                if best.as_ref().is_none_or(|(_, _, b)| div.cycle < b.cycle) {
+                    best = Some((i, j, div));
+                }
+            }
+        }
+    }
+    best.map(|(i, j, _)| {
+        let (a, b) = traces.split_at_mut(j);
+        mark_pair(&mut a[i], &mut b[0]).expect("pair diverges")
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,6 +272,22 @@ mod tests {
         let d = first_divergence(&a, &b).expect("diverges");
         assert_eq!(d.signal, "<trace length>");
         assert_eq!(d.cycle, 1);
+    }
+
+    #[test]
+    fn mark_earliest_marks_only_the_pair_that_diverges_first() {
+        let mut traces = vec![
+            toy("a", &[[1, 2], [3, 4], [5, 6]]),
+            toy("b", &[[1, 2], [3, 4], [5, 7]]),
+            toy("c", &[[1, 2], [3, 9], [5, 6]]),
+        ];
+        let d = mark_earliest(&mut traces).expect("diverges");
+        assert_eq!((d.cycle, d.expected.as_str(), d.actual.as_str()), (1, "4", "9"));
+        assert_eq!(traces[0].divergence.as_ref(), Some(&d));
+        assert_eq!(traces[1].divergence, None);
+        assert_eq!(traces[2].divergence.as_ref(), Some(&d));
+        let mut agree = vec![toy("a", &[[1, 2]]), toy("b", &[[1, 2]])];
+        assert_eq!(mark_earliest(&mut agree), None);
     }
 
     #[test]

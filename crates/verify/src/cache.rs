@@ -7,8 +7,7 @@
 //! [`VcCache`] over its content-addressed store and installs it via
 //! [`set_vc_cache`]; with nothing installed, behaviour is unchanged.
 //!
-//! Soundness posture, stricter than the gate-proof cache because a kernel
-//! verdict cannot be cheaply re-checked:
+//! Soundness posture (a kernel verdict cannot be cheaply re-checked):
 //!
 //! * **only successes are cached.** A failure may be a timeout or a limit
 //!   artifact; re-running it is the only honest answer. A cache hit
@@ -31,9 +30,8 @@ use std::sync::{Arc, RwLock};
 /// Bumped when the key transcript shape changes.
 pub const VC_KEY_SCHEMA: u32 = 1;
 
-/// A content-addressed store for VC discharge results. Byte-level, the
-/// same shape as the gate-proof cache's `ProveCache`: the payload is a
-/// short "proved" marker, the key carries all the meaning.
+/// A content-addressed store for VC discharge results. Byte-level: the
+/// payload is a short "proved" marker, the key carries all the meaning.
 pub trait VcCache: Send + Sync {
     /// Returns the stored payload for an identical key, if any.
     fn lookup(&self, key: &[u8]) -> Option<Vec<u8>>;

@@ -18,28 +18,12 @@
 use chicala::conformance::{
     self, all_designs, Config, Design, Layer, SimBackend,
 };
-use chicala::serve::CacheHandle;
 use chicala::telemetry::JsonValue;
 use std::process::ExitCode;
 
-/// Renders the persistent-cache traffic of this run (`CHICALA_CACHE=1`),
-/// or `null` when no cache is installed.
-fn json_cache(cache: Option<&CacheHandle>) -> JsonValue {
-    match cache {
-        Some(handle) => {
-            let st = handle.stats();
-            JsonValue::obj()
-                .set("hits", JsonValue::int(st.hits))
-                .set("misses", JsonValue::int(st.misses))
-                .set("bytes", JsonValue::int(st.bytes_read + st.bytes_written))
-        }
-        None => JsonValue::Null,
-    }
-}
-
 /// Renders the soak report as a JSON document (the same data as the
 /// summary table, plus every divergence with its replay seed).
-fn json_report(report: &conformance::Report, cfg: &Config, cache: Option<&CacheHandle>) -> JsonValue {
+fn json_report(report: &conformance::Report, cfg: &Config) -> JsonValue {
     let stats: Vec<JsonValue> = report
         .stats
         .iter()
@@ -82,7 +66,6 @@ fn json_report(report: &conformance::Report, cfg: &Config, cache: Option<&CacheH
         .set("max_width", JsonValue::int(cfg.max_width))
         .set("stats", JsonValue::Arr(stats))
         .set("failures", JsonValue::Arr(failures))
-        .set("cache", json_cache(cache))
         .set("ok", JsonValue::Bool(report.ok()))
 }
 
@@ -175,10 +158,6 @@ fn main() -> ExitCode {
             .collect()
     };
 
-    // `CHICALA_CACHE=1` routes compiled programs (and any gate proofs)
-    // through the persistent store; traffic lands in the --json report.
-    let cache = CacheHandle::install_from_env();
-
     // Single-case replay mode.
     if let Some(case_seed) = replay {
         if selected.len() != 1 || designs.is_empty() {
@@ -220,7 +199,7 @@ fn main() -> ExitCode {
         report.failures.extend(r.failures);
     }
     if json {
-        println!("{}", json_report(&report, &cfg, cache.as_ref()).pretty());
+        println!("{}", json_report(&report, &cfg).pretty());
         return if report.ok() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
     println!("\n{}", report.summary_table());

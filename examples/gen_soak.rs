@@ -19,26 +19,10 @@
 //! reproducer.
 
 use chicala::gen::{self, SoakConfig, SoakReport};
-use chicala::serve::CacheHandle;
 use chicala::telemetry::JsonValue;
 use std::process::ExitCode;
 
-/// Persistent-cache traffic for this run (`CHICALA_CACHE=1`), or `null`
-/// when no cache is installed.
-fn json_cache(cache: Option<&CacheHandle>) -> JsonValue {
-    match cache {
-        Some(handle) => {
-            let st = handle.stats();
-            JsonValue::obj()
-                .set("hits", JsonValue::int(st.hits))
-                .set("misses", JsonValue::int(st.misses))
-                .set("bytes", JsonValue::int(st.bytes_read + st.bytes_written))
-        }
-        None => JsonValue::Null,
-    }
-}
-
-fn json_report(report: &SoakReport, cfg: &SoakConfig, cache: Option<&CacheHandle>) -> JsonValue {
+fn json_report(report: &SoakReport, cfg: &SoakConfig) -> JsonValue {
     let divergences: Vec<JsonValue> = report
         .divergences
         .iter()
@@ -72,7 +56,6 @@ fn json_report(report: &SoakReport, cfg: &SoakConfig, cache: Option<&CacheHandle
             report.modules_per_sec().map(JsonValue::Num).unwrap_or(JsonValue::Null),
         )
         .set("divergences", JsonValue::Arr(divergences))
-        .set("cache", json_cache(cache))
         .set("ok", JsonValue::Bool(report.ok()))
 }
 
@@ -167,10 +150,6 @@ fn main() -> ExitCode {
         };
     }
 
-    // `CHICALA_CACHE=1` routes compiled programs (and any gate proofs)
-    // through the persistent store; traffic lands in the --json report.
-    let cache = CacheHandle::install_from_env();
-
     if !json {
         println!(
             "gen soak: {} modules, widths up to {}, master seed 0x{:016X}",
@@ -179,7 +158,7 @@ fn main() -> ExitCode {
     }
     let report = gen::soak(&cfg);
     if json {
-        println!("{}", json_report(&report, &cfg, cache.as_ref()).pretty());
+        println!("{}", json_report(&report, &cfg).pretty());
         return if report.ok() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
     println!(

@@ -1,11 +1,12 @@
 //! Integration surface of the verification service (`crates/serve`): the
-//! persistent content-addressed store driven through the *real* prove,
-//! VC-discharge, and conformance paths, plus the cross-process digest
-//! stability the cache's soundness story leans on.
+//! persistent content-addressed store driven through the *real*
+//! VC-discharge and conformance-report paths, byte identity of `prove` and
+//! `conformance` answers across cold, warm and fresh servers, plus the
+//! cross-process digest stability the store's soundness story leans on.
 //!
-//! The cache hooks are process-wide globals (`CacheHandle::install`), so
-//! every test that installs one serializes on [`cache_lock`] and
-//! uninstalls before releasing it.
+//! The VC cache hook is a process-wide global (`CacheHandle::install`,
+//! which `Server::new` calls), so every test that installs one serializes
+//! on [`cache_lock`] and uninstalls before releasing it.
 
 use chicala::serve::{CacheHandle, Server, Store, STORE_SCHEMA};
 use chicala::telemetry::{fnv64, JsonValue};
@@ -14,7 +15,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Serializes the tests that install the global cache hooks.
+/// Serializes the tests that install the global VC cache hook.
 fn cache_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(Default::default)
@@ -68,12 +69,11 @@ const SELFTEST_ENV: &str = "CHICALA_CACHE_SELFTEST";
 const SELFTEST_PREFIX: &str = "SELFTEST-DIGEST ";
 
 /// Child half of the selftest: inert unless [`SELFTEST_ENV`] is set. Runs
-/// one prove and one conformance request through a server over a private
-/// store, then prints every stored entry's `kind/digest` filename. The
-/// filenames *are* the content digests, so byte-identical listings across
-/// fresh processes mean the whole key pipeline (netlist cone transcript,
-/// report transcript) is free of run-to-run nondeterminism — iteration
-/// order, layout, or address leakage.
+/// two conformance requests through a server over a private store, then
+/// prints every stored entry's `kind/digest` filename. The filenames *are*
+/// the content digests, so byte-identical listings across fresh processes
+/// mean the report key transcript is free of run-to-run nondeterminism —
+/// iteration order, layout, or address leakage.
 #[test]
 fn selftest_child_emit_digests() {
     if std::env::var(SELFTEST_ENV).is_err() {
@@ -82,16 +82,20 @@ fn selftest_child_emit_digests() {
     let root = tmp_root("selftest");
     {
         let server = Server::new(Some(CacheHandle::new(Arc::new(Store::open(&root)))));
-        result_of(&server, "selftest prove", r#"{"op":"prove","design":"rotate","width":4}"#);
         result_of(
             &server,
-            "selftest conformance",
+            "selftest conformance (rotate)",
+            r#"{"op":"conformance","design":"rotate","seed":1,"cases":2,"max_width":6,"layers":"cosim,spec"}"#,
+        );
+        result_of(
+            &server,
+            "selftest conformance (popcount)",
             r#"{"op":"conformance","design":"popcount","seed":1,"cases":2,"max_width":6,"layers":"cosim,spec"}"#,
         );
     }
     CacheHandle::uninstall_all();
     let mut names = Vec::new();
-    for kind in ["prove", "vc", "report"] {
+    for kind in ["vc", "report"] {
         for path in kind_entries(&root, kind) {
             let file = path.file_name().unwrap().to_string_lossy().into_owned();
             names.push(format!("{kind}/{file}"));
@@ -118,7 +122,6 @@ fn digests_are_stable_across_20_processes() {
             Command::new(&exe)
                 .args(["selftest_child_emit_digests", "--exact", "--nocapture", "--test-threads", "1"])
                 .env(SELFTEST_ENV, "1")
-                .env_remove("CHICALA_CACHE")
                 .env_remove("CHICALA_CACHE_DIR")
                 .stdout(Stdio::piped())
                 .stderr(Stdio::piped())
@@ -141,13 +144,11 @@ fn digests_are_stable_across_20_processes() {
             .lines()
             .filter_map(|l| l.split_once(SELFTEST_PREFIX).map(|(_, d)| d.to_string()))
             .collect();
-        assert!(!digests.is_empty(), "child {i} emitted no digests:\n{stdout}");
-        for kind in ["prove/", "report/"] {
-            assert!(
-                digests.iter().any(|d| d.starts_with(kind)),
-                "child {i} stored no `{kind}` entry: {digests:?}"
-            );
-        }
+        assert_eq!(
+            digests.iter().filter(|d| d.starts_with("report/")).count(),
+            2,
+            "child {i} did not store one `report/` entry per request: {digests:?}\n{stdout}"
+        );
         match &first {
             None => first = Some(digests),
             Some(f) => assert_eq!(&digests, f, "child {i} computed different digests"),
@@ -160,10 +161,10 @@ fn digests_are_stable_across_20_processes() {
 // ---------------------------------------------------------------------------
 
 /// Cold, warm (same store, fresh server), and control (empty store)
-/// responses must be byte-identical, and the cold pass must actually
-/// populate every artifact kind it exercises — a cache whose writes are
-/// silently refused would still pass every equality check here, so the
-/// population assertions are the regression guard for that failure mode.
+/// responses must be byte-identical, and the cold pass must actually file
+/// its conformance report — a cache whose writes are silently refused
+/// would still pass every equality check here, so the population
+/// assertion is the regression guard for that failure mode.
 #[test]
 fn warm_and_fresh_responses_are_byte_identical() {
     let _guard = cache_lock();
@@ -177,12 +178,10 @@ fn warm_and_fresh_responses_are_byte_identical() {
         labels_lines.iter().map(|(l, line)| result_of(&server, l, line)).collect()
     };
     assert!(store.stats().writes > 0, "cold pass wrote nothing to the store");
-    for kind in ["prove", "report"] {
-        assert!(
-            !kind_entries(&persist, kind).is_empty(),
-            "cold pass left `{kind}/` empty — writes are being refused"
-        );
-    }
+    assert!(
+        !kind_entries(&persist, "report").is_empty(),
+        "cold pass left `report/` empty — writes are being refused"
+    );
 
     // Warm: fresh server (empty batching memo, fresh pool) over the same
     // store — the persistence-only replay, as after a daemon restart.
@@ -193,6 +192,7 @@ fn warm_and_fresh_responses_are_byte_identical() {
         assert_eq!(&warm, cold, "{label}: warm result differs from cold");
     }
     assert!(store2.stats().hits > 0, "warm pass never hit the store");
+    assert!(store2.stats().writes == 0, "warm pass recomputed a stored report");
 
     // Control: a server over an empty store recomputes everything; the
     // results must still match, or the cache changed an answer.
@@ -208,7 +208,7 @@ fn warm_and_fresh_responses_are_byte_identical() {
 }
 
 // ---------------------------------------------------------------------------
-// Robustness: corrupt entries are evicted and transparently re-proved.
+// Robustness: corrupt entries are evicted and transparently recomputed.
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy)]
@@ -242,9 +242,9 @@ fn corrupt(path: &Path, mode: Corruption) {
 }
 
 /// Every corruption mode must be detected on read, evicted, and the
-/// request transparently re-proved through the real gate-level prove path
+/// request transparently recomputed through the real conformance path
 /// with a byte-identical result — a cache bug may cost time, never
-/// soundness. After each re-prove the entry must be healthy again (the
+/// soundness. After each recompute the entry must be healthy again (the
 /// following clean request hits).
 #[test]
 fn corrupted_store_entries_are_evicted_and_reproved() {
@@ -253,17 +253,17 @@ fn corrupted_store_entries_are_evicted_and_reproved() {
     let store = Arc::new(Store::open(&root));
     let server = Server::new(Some(CacheHandle::new(Arc::clone(&store))));
 
-    let cold = result_of(&server, "cold", PROVE_LINE);
-    let entries = kind_entries(&root, "prove");
-    assert!(!entries.is_empty(), "prove pass stored no certificate");
+    let cold = result_of(&server, "cold", CONF_LINE);
+    let entries = kind_entries(&root, "report");
+    assert!(!entries.is_empty(), "conformance pass stored no report");
 
     for mode in [Corruption::Truncate, Corruption::BitFlip, Corruption::WrongSchema] {
-        for path in &kind_entries(&root, "prove") {
+        for path in &kind_entries(&root, "report") {
             corrupt(path, mode);
         }
         let before = store.stats();
-        let reproved = result_of(&server, &format!("{mode:?} re-prove"), PROVE_LINE);
-        assert_eq!(reproved, cold, "{mode:?}: re-proved result differs");
+        let reproved = result_of(&server, &format!("{mode:?} recompute"), CONF_LINE);
+        assert_eq!(reproved, cold, "{mode:?}: recomputed result differs");
         let after = store.stats();
         assert!(
             after.evictions > before.evictions,
@@ -272,9 +272,9 @@ fn corrupted_store_entries_are_evicted_and_reproved() {
             before.evictions,
             after.evictions
         );
-        // The re-prove must also have healed the store.
+        // The recompute must also have healed the store.
         let hits_before = store.stats().hits;
-        let healed = result_of(&server, &format!("{mode:?} healed"), PROVE_LINE);
+        let healed = result_of(&server, &format!("{mode:?} healed"), CONF_LINE);
         assert_eq!(healed, cold, "{mode:?}: healed result differs");
         assert!(
             store.stats().hits > hits_before,
