@@ -64,7 +64,8 @@ pub enum SimBackend {
 }
 
 impl SimBackend {
-    /// Stable lower-case name (the `CHICALA_SIM_BACKEND` value).
+    /// Stable lower-case name: the CLI's `--backend` value, a serve
+    /// request's `backend` and a replay bundle's `sim_backend`.
     pub fn name(self) -> &'static str {
         match self {
             SimBackend::Interp => "interp",
@@ -78,15 +79,6 @@ impl SimBackend {
         [SimBackend::Interp, SimBackend::Compiled, SimBackend::Both]
             .into_iter()
             .find(|b| b.name() == s)
-    }
-
-    /// Reads `CHICALA_SIM_BACKEND` (`interp` / `compiled` / `both`),
-    /// defaulting to [`SimBackend::Compiled`].
-    pub fn from_env() -> SimBackend {
-        match std::env::var("CHICALA_SIM_BACKEND") {
-            Ok(v) => SimBackend::parse(v.trim()).unwrap_or(SimBackend::Compiled),
-            Err(_) => SimBackend::Compiled,
-        }
     }
 }
 
@@ -218,7 +210,7 @@ impl Default for Config {
             max_width: 24,
             layers: Layer::ALL.to_vec(),
             stop_at_first: true,
-            backend: SimBackend::from_env(),
+            backend: SimBackend::Compiled,
         }
     }
 }
@@ -230,10 +222,13 @@ pub struct Failure {
     pub design: String,
     /// Layer pair that diverged.
     pub layer: Layer,
+    /// Simulator the case was checked, shrunk and captured under; replay
+    /// must use it too.
+    pub backend: SimBackend,
     /// Master seed of the run.
     pub master_seed: u64,
-    /// Per-case seed: `replay_case(design, layer, case_seed, max_width)`
-    /// regenerates and re-checks exactly this case.
+    /// Per-case seed: `gen_case_for(design, layer, case_seed, max_width)`
+    /// regenerates exactly this case.
     pub case_seed: u64,
     /// Width cap the case was generated under (generation depends on it,
     /// so replay must use the same value).
@@ -250,6 +245,16 @@ pub struct Failure {
     pub bundle: Option<std::path::PathBuf>,
 }
 
+impl Failure {
+    /// The CLI line that re-checks this one case under its backend.
+    pub(crate) fn replay_cmd(&self) -> String {
+        format!(
+            "cargo run --release --example conformance -- --design {} --max-width {} --backend {} --replay 0x{:016X}",
+            self.design, self.max_width, self.backend, self.case_seed
+        )
+    }
+}
+
 impl fmt::Display for Failure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "conformance divergence: design `{}` layer `{}`", self.design, self.layer)?;
@@ -262,11 +267,7 @@ impl fmt::Display for Failure {
             "  replay : CHICALA_SEED=0x{:016X} cargo test -q --test conformance",
             self.master_seed
         )?;
-        write!(
-            f,
-            "           cargo run --release --example conformance -- --design {} --max-width {} --replay 0x{:016X}",
-            self.design, self.max_width, self.case_seed
-        )?;
+        write!(f, "           {}", self.replay_cmd())?;
         if let Some(bundle) = &self.bundle {
             write!(f, "\n  bundle : {}", bundle.display())?;
         }
@@ -574,7 +575,7 @@ fn pair_ports(
         let name = seq.reg_name(j);
         let i = chisel
             .reg_index(name)
-            .ok_or_else(|| format!("cycle 0: program register `{name}` unknown to interpreter"))?;
+            .ok_or_else(|| format!("cycle 0: program register `{name}` unknown to the Chisel VM"))?;
         regs.push((i, j));
     }
     Ok((outs, regs))
@@ -658,7 +659,7 @@ fn run_cosim_vms(
             if !hw_eq_raw(hw.output_u128(i), || hw.output_value(i), sw.output_raw(j)) {
                 let name = chisel.output_name(i);
                 return Ok(Err(format!(
-                    "cosim: cycle {cycle}: output `{name}`: interpreter={} program={}",
+                    "cosim: cycle {cycle}: output `{name}`: chisel_vm={} seq_vm={}",
                     hw.output_value(i),
                     BigInt::from(sw.output_raw(j)),
                 )));
@@ -668,7 +669,7 @@ fn run_cosim_vms(
             if !hw_eq_raw(hw.reg_u128(i), || hw.reg_value(i), sw.reg_raw(j)) {
                 let name = seq.reg_name(j);
                 return Ok(Err(format!(
-                    "cosim: cycle {cycle}: register `{name}`: interpreter={} program={}",
+                    "cosim: cycle {cycle}: register `{name}`: chisel_vm={} seq_vm={}",
                     hw.reg_value(i),
                     BigInt::from(sw.reg_raw(j)),
                 )));
@@ -982,9 +983,9 @@ fn check_gates(d: &Design, case: &Case, backend: SimBackend) -> Result<u64, Stri
     // Formal first: one design-vs-golden proof per width (memoised), via
     // the Auto backend — BDD below the crossover, AIG + SAT above it.
     check_gates_formal(d, case.width)?;
-    let reference = state_after(d, case, case.cycles, backend, Layer::Gates)?;
+    let (reference, by) = state_after(d, case, case.cycles, backend, Layer::Gates)?;
     let blasted = blast_regs(d, case)?;
-    compare_gate_regs(case.cycles, &blasted, &reference.regs)?;
+    compare_gate_regs(case.cycles, &blasted, &reference.regs, by)?;
     Ok(case.cycles)
 }
 
@@ -1009,21 +1010,23 @@ fn blast_regs(d: &Design, case: &Case) -> Result<BTreeMap<String, Word<bool>>, S
 }
 
 /// The gates layer's concrete comparison: every blasted register word
-/// against the reference simulator's register of the same name.
+/// against the register of the same name in `reference`, which the
+/// simulator named `by` produced.
 fn compare_gate_regs(
     cycles: u64,
     blasted: &BTreeMap<String, Word<bool>>,
     reference: &BTreeMap<String, BigInt>,
+    by: &str,
 ) -> Result<(), String> {
     for (name, word) in blasted {
         let got = bits_value(word.bits.iter().copied());
         let want = reference
             .get(name)
-            .ok_or_else(|| format!("gates: netlist register `{name}` unknown to interpreter"))?
+            .ok_or_else(|| format!("gates: netlist register `{name}` unknown to {by}"))?
             .to_unsigned(word.bits.len() as u64);
         if got != want {
             return Err(format!(
-                "gates: after {cycles} cycles: register `{name}`: interpreter={want} netlist={got}"
+                "gates: after {cycles} cycles: register `{name}`: {by}={want} netlist={got}"
             ));
         }
     }
@@ -1063,27 +1066,33 @@ fn run_compiled(d: &Design, case: &Case, cycles: u64) -> Result<Option<FinalStat
     Ok(Some(FinalState { regs, outputs }))
 }
 
+/// Names the interpreter in messages about values it produced.
+const BY_INTERP: &str = "interpreter";
+/// Names the compiled Chisel VM in messages about values it produced.
+const BY_CHISEL_VM: &str = "chisel_vm";
+
 /// The state after `cycles` cycles on the simulator `backend` selects —
-/// the reference of the gates and spec layers. `Compiled` falls back to
-/// the interpreter where the VM is unavailable; `Both` runs the two and
-/// reports any disagreement as a `layer` divergence.
+/// the reference of the gates and spec layers — and the name of the
+/// simulator that produced it. `Compiled` falls back to the interpreter
+/// where the VM is unavailable; `Both` runs the two, reports any
+/// disagreement as a `layer` divergence, and returns the interpreter's.
 fn state_after(
     d: &Design,
     case: &Case,
     cycles: u64,
     backend: SimBackend,
     layer: Layer,
-) -> Result<FinalState, String> {
+) -> Result<(FinalState, &'static str), String> {
     match backend {
-        SimBackend::Interp => run_interp(d, case, cycles),
+        SimBackend::Interp => Ok((run_interp(d, case, cycles)?, BY_INTERP)),
         SimBackend::Compiled => match run_compiled(d, case, cycles)? {
-            Some(fin) => Ok(fin),
+            Some(fin) => Ok((fin, BY_CHISEL_VM)),
             // The compiled VM is unavailable at this (design, width) — a
             // compile-driven fallback, counted after the interpreter ran.
             None => {
                 let r = run_interp(d, case, cycles);
                 count_case_fallback("compile", &r);
-                r
+                Ok((r?, BY_INTERP))
             }
         },
         SimBackend::Both => {
@@ -1097,7 +1106,7 @@ fn state_after(
                     ));
                 }
             }
-            Ok(want)
+            Ok((want, BY_INTERP))
         }
     }
 }
@@ -1111,17 +1120,16 @@ pub fn final_state(d: &Design, case: &Case) -> Result<FinalState, String> {
 /// Layer C: final state after the full latency vs the mathematical spec.
 fn check_spec(d: &Design, case: &Case, backend: SimBackend) -> Result<u64, String> {
     let latency = (d.latency)(case.width);
-    let fin = state_after(d, case, latency, backend, Layer::Spec)?;
+    let (fin, _) = state_after(d, case, latency, backend, Layer::Spec)?;
     (d.spec)(case.width, &case.input_map(d), &fin)
         .map_err(|e| format!("spec: after {latency} cycles: {e}"))?;
     Ok(latency)
 }
 
-/// Checks one case against one layer. Returns the number of cycles
-/// simulated, or the first divergence. Uses the environment-selected
-/// simulation backend ([`SimBackend::from_env`]).
+/// Checks one case against one layer under the compiled backend. Returns
+/// the number of cycles simulated, or the first divergence.
 pub fn check_case(d: &Design, layer: Layer, case: &Case) -> Result<u64, String> {
-    check_case_with(d, layer, case, SimBackend::from_env())
+    check_case_with(d, layer, case, SimBackend::Compiled)
 }
 
 /// [`check_case`] with an explicit simulation backend (the engine's
@@ -1154,9 +1162,10 @@ pub fn gen_case_for(d: &Design, layer: Layer, case_seed: u64, max_width: u64) ->
     case
 }
 
-/// Regenerates the case for `case_seed` and re-checks it — the one-line
-/// replay path printed in every failure. `max_width` must match the cap
-/// the case was generated under (a failure's `max_width` field).
+/// Regenerates the case for `case_seed` and re-checks it under the
+/// compiled backend. `max_width` must match the cap the case was generated
+/// under (a failure's `max_width` field). A failure found under another
+/// backend replays through [`gen_case_for`] and [`check_case_with`].
 pub fn replay_case(d: &Design, layer: Layer, case_seed: u64, max_width: u64) -> Result<u64, String> {
     let case = gen_case_for(d, layer, case_seed, max_width);
     check_case(d, layer, &case)
@@ -1246,10 +1255,11 @@ pub fn run_design(d: &Design, cfg: &Config) -> Report {
             match outcome {
                 Ok(cycles) => stats.record(&case, cycles, elapsed_ns),
                 Err(message) => {
-                    let shrunk = shrink(d, layer, &case);
+                    let shrunk = shrink(d, layer, &case, cfg.backend);
                     let mut failure = Failure {
                         design: d.name.to_string(),
                         layer,
+                        backend: cfg.backend,
                         master_seed: cfg.seed,
                         case_seed,
                         max_width: width_cap,
@@ -1258,7 +1268,7 @@ pub fn run_design(d: &Design, cfg: &Config) -> Report {
                         message,
                         bundle: None,
                     };
-                    failure.bundle = crate::capture::capture_failure(d, &failure, cfg);
+                    failure.bundle = crate::capture::capture_failure(d, &failure);
                     report.failures.push(failure);
                     if cfg.stop_at_first {
                         break;
@@ -1337,15 +1347,30 @@ mod tests {
             cycles: 5,
             inputs: vec![BigInt::from(11u64), BigInt::from(13u64)],
         };
-        let reference = state_after(&d, &case, case.cycles, SimBackend::Interp, Layer::Gates)
-            .expect("interpreter runs");
-        let mut blasted = blast_regs(&d, &case).expect("blasts");
-        compare_gate_regs(case.cycles, &blasted, &reference.regs).expect("agrees before the flip");
-        blasted.get_mut("acc").expect("acc register").bits[0] ^= true;
-        assert_eq!(
-            compare_gate_regs(case.cycles, &blasted, &reference.regs),
-            Err("gates: after 5 cycles: register `acc`: interpreter=143 netlist=142".to_string())
-        );
+        // Each backend's message names the simulator that produced the
+        // reference value.
+        for (backend, want) in [
+            (
+                SimBackend::Interp,
+                "gates: after 5 cycles: register `acc`: interpreter=143 netlist=142",
+            ),
+            (
+                SimBackend::Compiled,
+                "gates: after 5 cycles: register `acc`: chisel_vm=143 netlist=142",
+            ),
+        ] {
+            let (reference, by) = state_after(&d, &case, case.cycles, backend, Layer::Gates)
+                .expect("reference simulator runs");
+            let mut blasted = blast_regs(&d, &case).expect("blasts");
+            compare_gate_regs(case.cycles, &blasted, &reference.regs, by)
+                .expect("agrees before the flip");
+            blasted.get_mut("acc").expect("acc register").bits[0] ^= true;
+            assert_eq!(
+                compare_gate_regs(case.cycles, &blasted, &reference.regs, by),
+                Err(want.to_string()),
+                "{backend}"
+            );
+        }
     }
 
     #[test]

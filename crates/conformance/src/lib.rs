@@ -10,7 +10,9 @@
 //!
 //! Surfaces:
 //!
-//! * Library: [`run_all`] / [`run_design`] / [`check_case`].
+//! * Library: [`run_all`] / [`run_design`] / [`check_case_with`], under
+//!   the [`SimBackend`] a [`Config`] or caller names; [`check_case`] and
+//!   [`replay_case`] use the compiled backend.
 //! * Integration test: `tests/conformance.rs` at the workspace root runs
 //!   the full registry on every `cargo test`.
 //! * CLI: `cargo run --release --example conformance -- --design xmul
@@ -18,8 +20,9 @@
 //!
 //! Replay: every failure prints the master seed and a per-case seed; set
 //! `CHICALA_SEED` to the master seed to repeat a whole run, or pass the
-//! case seed to the CLI `--replay` flag (or [`replay_case`]) to re-check a
-//! single case. Failures worth keeping go into
+//! case seed to the CLI `--replay` flag to re-check a single case under
+//! the backend it failed under (the printed line carries `--backend`).
+//! Failures worth keeping go into
 //! `proptest-regressions/conformance.txt`, which [`regressions::replay_all`]
 //! re-runs before any random exploration.
 
@@ -36,6 +39,8 @@ pub use engine::{
     FormalObligation, Layer, LayerStats, Report, SharedObligation, SimBackend,
 };
 pub use registry::{all_designs, drill_designs, Design, FinalState, GateEnv, GateSpecFn, InputSpec};
-pub use capture::{capture_failure, capture_traces, miter_trace};
+pub use capture::{
+    capture_failure, capture_traces, miter_trace, record_layers, Inputs, LayerError,
+};
 pub use rng::{seed_from_env, SplitMix64};
 pub use shrink::shrink;

@@ -3,7 +3,7 @@
 //! input values — in that priority order) and keep any that still fails,
 //! until no smaller variant fails.
 
-use crate::engine::{check_case, Case, Layer};
+use crate::engine::{check_case_with, Case, Layer, SimBackend};
 use crate::registry::Design;
 use chicala_bigint::BigInt;
 use chicala_telemetry as telemetry;
@@ -49,10 +49,11 @@ fn candidates(d: &Design, c: &Case) -> Vec<Case> {
     out
 }
 
-/// Minimizes a failing case. The result still fails `check_case` for the
-/// same (design, layer) unless the failure was flaky — conformance checks
-/// are deterministic, so in practice it always does.
-pub fn shrink(d: &Design, layer: Layer, case: &Case) -> Case {
+/// Minimizes a case that fails under `backend`, the simulator the run
+/// checked it with. The result still fails `check_case_with` for the same
+/// (design, layer, backend) unless the failure was flaky — conformance
+/// checks are deterministic, so in practice it always does.
+pub fn shrink(d: &Design, layer: Layer, case: &Case, backend: SimBackend) -> Case {
     let _span = telemetry::span!("shrink:{}", d.name);
     let mut best = case.normalized(d);
     // The loop strictly decreases (width, cycles, inputs) lexicographically
@@ -63,7 +64,7 @@ pub fn shrink(d: &Design, layer: Layer, case: &Case) -> Case {
         let mut checks = 0u64;
         let next = candidates(d, &best).into_iter().find(|cand| {
             checks += 1;
-            check_case(d, layer, cand).is_err()
+            check_case_with(d, layer, cand, backend).is_err()
         });
         telemetry::counter("shrink.checks", checks);
         let Some(next) = next else { break };
@@ -75,6 +76,7 @@ pub fn shrink(d: &Design, layer: Layer, case: &Case) -> Case {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::check_case;
     use crate::registry::{Design, FinalState};
     use std::collections::BTreeMap;
 
@@ -106,7 +108,7 @@ mod tests {
         // The starting case fails only if io_a is even; make it so.
         let case = Case { inputs: vec![BigInt::from(0x8B6u64), case.inputs[1].clone()], ..case };
         assert!(check_case(&d, Layer::Spec, &case).is_err(), "premise: case fails");
-        let small = shrink(&d, Layer::Spec, &case);
+        let small = shrink(&d, Layer::Spec, &case, SimBackend::Compiled);
         assert!(check_case(&d, Layer::Spec, &small).is_err(), "shrunk case still fails");
         assert!(small.width <= 2, "width minimized, got {}", small.width);
         assert_eq!(small.inputs[0], BigInt::from(2u64), "io_a minimized to smallest even");

@@ -1,25 +1,18 @@
-//! Failure capture for the generative fuzzer: replays a shrunk reproducer
-//! through the four executable layers with the exact deterministic input
-//! schedule the soak used, records one typed [`Trace`] per layer, and
-//! writes the VCD pair plus a schema-versioned replay bundle (see
+//! Failure capture for the generative fuzzer: records a shrunk reproducer
+//! through the four executable layers over the cosim stage's own input
+//! schedule, with `check::record_cosim`, the function the check records
+//! with, and writes the VCDs plus a schema-versioned replay bundle (see
 //! [`chicala_trace::bundle`]) under `target/chicala-failures/`.
 
-use crate::check::{gen_inputs, sample_widths};
+use crate::check::{record_cosim, sample_widths};
 use crate::generate::GenModule;
 use crate::SoakDivergence;
-use chicala_bigint::BigInt;
-use chicala_chisel::{
-    compile, elaborate, flatten_whens, Bindings, CompiledSim, ElabKind, ElabModule, Simulator,
-};
-use chicala_conformance::SplitMix64;
+use chicala_chisel::flatten_whens;
 use chicala_core::transform;
-use chicala_seq::{SValue, SeqRunner};
 use chicala_telemetry as telemetry;
 use chicala_trace::{
-    capture_enabled, git_rev, mark_earliest, Divergence, ReplayBundle, SignalKind, Trace,
-    SCHEMA_VERSION,
+    capture_enabled, git_rev, mark_earliest, Divergence, ReplayBundle, Trace, SCHEMA_VERSION,
 };
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// Classifies a divergence message into the pipeline stage it came from
@@ -38,171 +31,19 @@ pub fn stage_of(message: &str) -> &'static str {
     }
 }
 
-/// An in-progress per-layer recording: declared signals plus a row plan
-/// telling each cycle which map every value comes from.
-struct Recorder {
-    trace: Trace,
-    plan: Vec<(String, SignalKind)>,
-}
-
-impl Recorder {
-    fn from_elab(scope: &str, em: &ElabModule) -> Recorder {
-        let mut trace = Trace::new(scope);
-        let mut plan = Vec::new();
-        // Kind-grouped declaration order: the VCD writer emits one
-        // sub-scope per kind, so this keeps a parse round trip exact.
-        for want in [SignalKind::Input, SignalKind::Output, SignalKind::Register] {
-            for sig in &em.signals {
-                let kind = match sig.kind {
-                    ElabKind::Input => SignalKind::Input,
-                    ElabKind::Output => SignalKind::Output,
-                    ElabKind::Reg { .. } => SignalKind::Register,
-                    ElabKind::Wire => continue,
-                };
-                if kind != want {
-                    continue;
-                }
-                trace.declare(&sig.name, sig.width, kind);
-                plan.push((sig.name.clone(), kind));
-            }
-        }
-        Recorder { trace, plan }
-    }
-
-    fn push(
-        &mut self,
-        inputs: &BTreeMap<String, BigInt>,
-        outputs: &BTreeMap<String, BigInt>,
-        reg: impl Fn(&str) -> Option<BigInt>,
-    ) {
-        let row = self
-            .plan
-            .iter()
-            .map(|(name, kind)| {
-                match kind {
-                    SignalKind::Input => inputs.get(name).cloned(),
-                    SignalKind::Output => outputs.get(name).cloned(),
-                    _ => reg(name),
-                }
-                .unwrap_or_else(BigInt::zero)
-            })
-            .collect();
-        self.trace.push_cycle(row);
-    }
-}
-
-/// Replays the cosim stage's exact deterministic schedule for `g` at one
-/// width (same RNG derivation, same cycle count, same per-cycle inputs as
-/// `check::check_cosim_width`), recording every layer that elaborates or
-/// compiles. Layer errors mid-recording truncate that layer's trace rather
-/// than aborting the capture.
+/// Records `g` at one width over the cosim stage's schedule, keeping every
+/// layer that builds and runs to the end (a failed layer is left out).
 pub fn record_width_traces(g: &GenModule, width: u64, seed: u64) -> Result<Vec<Trace>, String> {
-    let b: Bindings = [("len".to_string(), width as i64)].into_iter().collect();
-    let em = elaborate(&g.module, &b).map_err(|e| format!("elaborate at {width}: {e}"))?;
-    let no_overrides = BTreeMap::new();
-    let mut sim = Simulator::new(&em, &no_overrides).map_err(|e| format!("simulator: {e}"))?;
-    let mut rec_interp = Recorder::from_elab("chisel_interp", &em);
-
-    let flat_em = flatten_whens(&g.module).ok().and_then(|flat| elaborate(&flat, &b).ok());
-    let mut flat_side = flat_em.as_ref().and_then(|em_flat| {
-        let sim = Simulator::new(em_flat, &no_overrides).ok()?;
-        Some((sim, Recorder::from_elab("flat_interp", em_flat)))
-    });
-
-    let cm = compile(&em).ok();
-    let mut vm_side = cm.as_ref().map(|cm| {
-        let mut rec = Recorder { trace: Trace::new("compiled_vm"), plan: Vec::new() };
-        for i in 0..cm.inputs_len() {
-            rec.trace.declare(cm.input_name(i), cm.input_width(i), SignalKind::Input);
-            rec.plan.push((cm.input_name(i).to_string(), SignalKind::Input));
-        }
-        for i in 0..cm.outputs_len() {
-            rec.trace.declare(cm.output_name(i), cm.output_width(i), SignalKind::Output);
-            rec.plan.push((cm.output_name(i).to_string(), SignalKind::Output));
-        }
-        for i in 0..cm.regs_len() {
-            rec.trace.declare(cm.reg_name(i), cm.reg_width(i), SignalKind::Register);
-            rec.plan.push((cm.reg_name(i).to_string(), SignalKind::Register));
-        }
-        (CompiledSim::new(cm, &no_overrides), rec)
-    });
-
-    let params: BTreeMap<String, BigInt> =
-        [("len".to_string(), BigInt::from(width))].into_iter().collect();
-    let mut seq_side = transform(&g.module).ok().and_then(|out| {
-        let prog = out.program;
-        let runner = SeqRunner::new(&prog, params.clone());
-        let regs = runner.init_regs(&BTreeMap::new()).ok()?;
-        // The program's signals mirror the elaborated module's by name.
-        let rec = Recorder::from_elab("seq_program", &em);
-        Some((prog, regs, rec))
-    });
-
-    let mut rng = SplitMix64::new(seed ^ width.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let cycles = 4 + rng.below(4);
-    let mut kill_flat = false;
-    let mut kill_seq = false;
-    for _cycle in 0..cycles {
-        let inputs = gen_inputs(&mut rng, g, &em);
-
-        match sim.step(&inputs) {
-            Ok(out) => rec_interp.push(&inputs, &out, |n| sim.reg(n).cloned()),
-            Err(_) => break,
-        }
-        if let Some((sim_flat, rec)) = &mut flat_side {
-            match sim_flat.step(&inputs) {
-                Ok(out) => {
-                    let s = &*sim_flat;
-                    rec.push(&inputs, &out, |n| s.reg(n).cloned());
-                }
-                Err(_) => kill_flat = true,
-            }
-        }
-        if kill_flat {
-            flat_side = None;
-        }
-        if let Some((vm, rec)) = &mut vm_side {
-            let out = vm.step_map(&inputs);
-            rec.push(&inputs, &out, |n| vm.reg(n));
-        }
-        if let Some((prog, regs, rec)) = &mut seq_side {
-            let runner = SeqRunner::new(prog, params.clone());
-            let sw_in: BTreeMap<String, SValue> =
-                inputs.iter().map(|(k, v)| (k.clone(), SValue::Int(v.clone()))).collect();
-            match runner.trans(&sw_in, regs) {
-                Ok(sw) => {
-                    let outs: BTreeMap<String, BigInt> = sw
-                        .outputs
-                        .iter()
-                        .filter_map(|(k, v)| v.scalar().map(|b| (k.clone(), b)))
-                        .collect();
-                    let rmap: BTreeMap<String, BigInt> = sw
-                        .regs
-                        .iter()
-                        .filter_map(|(k, v)| v.scalar().map(|b| (k.clone(), b)))
-                        .collect();
-                    rec.push(&inputs, &outs, |n| rmap.get(n).cloned());
-                    *regs = sw.regs;
-                }
-                Err(_) => kill_seq = true,
-            }
-        }
-        if kill_seq {
-            seq_side = None;
-        }
-    }
-
-    let mut traces = vec![rec_interp.trace];
-    if let Some((_, rec)) = flat_side {
-        traces.push(rec.trace);
-    }
-    if let Some((_, rec)) = vm_side {
-        traces.push(rec.trace);
-    }
-    if let Some((_, _, rec)) = seq_side {
-        traces.push(rec.trace);
-    }
-    Ok(traces)
+    let flat = flatten_whens(&g.module).map_err(|e| format!("flatten_whens: {e}"));
+    let prog = transform(&g.module).map(|out| out.program).map_err(|e| format!("transform: {e}"));
+    let layers = record_cosim(
+        g,
+        flat.as_ref().map_err(Clone::clone),
+        prog.as_ref().map_err(Clone::clone),
+        width,
+        seed,
+    )?;
+    Ok(layers.into_iter().filter_map(Result::ok).collect())
 }
 
 /// Captures a shrunk soak divergence: walks the same sampled widths the
@@ -292,5 +133,26 @@ mod tests {
         assert_eq!(stage_of("width 4 cycle 2: sequential program diverges"), "seq");
         assert_eq!(stage_of("self-miter falsified at width 4"), "miter");
         assert_eq!(stage_of("transform: unsupported"), "check");
+        // The texts `check::check_cosim_width` reports, after `cosim: `.
+        for (message, stage) in [
+            ("width 4 cycle 1: when-flattened module diverges on `r`: interp=1 flattened=0", "flatten"),
+            ("width 4: when-flattened module declares registers {}, interpreter {\"r\"}", "flatten"),
+            ("width 4: flattened module fails to elaborate: unbound `len`", "flatten"),
+            ("width 4: flat_interp: combinational loop through `w`", "check"),
+            ("width 4: flat_interp cycle 3: combinational loop through `w`", "check"),
+            ("width 4 cycle 0: compiled VM diverges on `o`: interp=1 compiled=0", "compiled"),
+            ("width 4: compiled VM declares outputs {}, interpreter {\"o\"}", "compiled"),
+            ("width 4: compiled VM rejects module: unsupported", "compiled"),
+            ("width 4 cycle 2: sequential program diverges on `o`: interp=1 program=0", "seq"),
+            ("width 4: output `o` missing from program", "seq"),
+            ("width 4: program register `r` unknown to interpreter", "seq"),
+            ("width 4: seq_program: division by zero", "seq"),
+            ("width 4: seq_program cycle 3: division by zero", "seq"),
+            ("width 4: chisel_interp: combinational loop through `w`", "check"),
+            ("width 4: chisel_interp cycle 3: combinational loop through `w`", "check"),
+            ("elaborate at 4: unbound `len`", "check"),
+        ] {
+            assert_eq!(stage_of(&format!("cosim: {message}")), stage, "{message}");
+        }
     }
 }

@@ -4,11 +4,16 @@
 //! 1. **Structural invariants** — `check_module` accepts the module (the
 //!    generator stays inside the transformable subset by construction).
 //! 2. **Transform** — the Chisel-to-sequential transformation succeeds.
-//! 3. **Cosim** — at several sampled widths, with fresh random inputs
-//!    every cycle, four executions run in lockstep: the reference
-//!    interpreter, the interpreter on the `when`-flattened module, the
-//!    compiled slot-VM, and the generated sequential program. Any
-//!    disagreement on any output or register of any cycle is a divergence.
+//! 3. **Cosim** — at several sampled widths, four executions are recorded
+//!    over one input schedule with fresh random inputs every cycle
+//!    (`cosim_schedule`) by the conformance engine's recorder
+//!    ([`record_layers`]): the reference interpreter, the generated
+//!    sequential program, the compiled slot-VM, and the interpreter on the
+//!    `when`-flattened module. Each trace is then compared with the
+//!    interpreter's; a layer that fails to build or step, or any
+//!    disagreement on any output or register of any cycle, is a
+//!    divergence, and the earliest cycle across all layers is reported.
+//!    Failure capture records the same schedule through the same function.
 //! 4. **Gate-level self-miter** — the module is bit-blasted against its
 //!    pre-optimization self (the `when`-flattened form) over shared fresh
 //!    symbolic inputs and proved equivalent for *every* input assignment
@@ -17,17 +22,16 @@
 
 use crate::generate::{GenModule, MIN_LEN};
 use chicala_bigint::BigInt;
-use chicala_chisel::{
-    compile, elaborate, flatten_whens, Bindings, CompiledSim, ElabModule, Module, Simulator,
-};
-use chicala_conformance::SplitMix64;
+use chicala_chisel::{compile, elaborate, flatten_whens, Bindings, ElabModule, Module};
+use chicala_conformance::{record_layers, Inputs, LayerError, SplitMix64};
 use chicala_core::{check_module, transform};
 use chicala_lowlevel::{
     fresh_inputs, interleaved_bits, nets_equal, prove_net, unroll, Backend, BitKit, Netlist,
     ProveResult,
 };
-use chicala_seq::{SValue, SeqRunner};
-use std::collections::BTreeMap;
+use chicala_seq::SeqProgram;
+use chicala_trace::{first_divergence, SignalKind, Trace};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Widths the cosim stage samples for one module: both ends of the range
 /// plus two seed-derived interior points.
@@ -49,11 +53,7 @@ fn bind(len: u64) -> Bindings {
 }
 
 /// Random inputs for one cycle, masked to each port's elaborated width.
-pub(crate) fn gen_inputs(
-    rng: &mut SplitMix64,
-    g: &GenModule,
-    em: &ElabModule,
-) -> BTreeMap<String, BigInt> {
+fn gen_inputs(rng: &mut SplitMix64, g: &GenModule, em: &ElabModule) -> Inputs {
     g.inputs
         .iter()
         .map(|name| {
@@ -68,116 +68,134 @@ pub(crate) fn gen_inputs(
         .collect()
 }
 
-/// Cosim at one width: interpreter (reference) vs flattened-module
-/// interpreter vs compiled slot-VM vs sequential program, every output
-/// and register of every cycle.
+/// The cosim stage's input schedule for `g` at `width`: one input map per
+/// cycle, drawn from a stream seeded by `seed` and `width`. The check and
+/// failure capture both drive their layers with it.
+pub(crate) fn cosim_schedule(g: &GenModule, em: &ElabModule, width: u64, seed: u64) -> Vec<Inputs> {
+    let mut rng = SplitMix64::new(seed ^ width.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let cycles = 4 + rng.below(4);
+    (0..cycles).map(|_| gen_inputs(&mut rng, g, em)).collect()
+}
+
+/// Records `g`'s four layers at `width` over [`cosim_schedule`], in
+/// [`record_layers`] order: interpreter, sequential program (`prog`),
+/// compiled slot-VM, and the interpreter on the flattened module `flat`.
+/// `Err` when `g` itself does not elaborate.
+pub(crate) fn record_cosim(
+    g: &GenModule,
+    flat: Result<&Module, String>,
+    prog: Result<&SeqProgram, String>,
+    width: u64,
+    seed: u64,
+) -> Result<[Result<Trace, LayerError>; 4], String> {
+    let b = bind(width);
+    let em = elaborate(&g.module, &b).map_err(|e| format!("elaborate at {width}: {e}"))?;
+    let em_flat = flat.and_then(|flat| {
+        elaborate(flat, &b).map_err(|e| format!("flattened module fails to elaborate: {e}"))
+    });
+    let cm = compile(&em).map_err(|e| format!("compiled VM rejects module: {e}"));
+    let schedule = cosim_schedule(g, &em, width, seed);
+    Ok(record_layers(
+        &em,
+        prog,
+        cm.as_ref().map_err(Clone::clone),
+        em_flat.as_ref().map_err(Clone::clone),
+        width,
+        &schedule,
+    ))
+}
+
+/// The names `t` declares with role `kind`.
+fn names(t: &Trace, kind: SignalKind) -> BTreeSet<&str> {
+    t.signals.iter().filter(|s| s.kind == kind).map(|s| s.name.as_str()).collect()
+}
+
+/// The earliest way `layer` departs from the reference `interp`, keyed by
+/// cycle (`None`: before any cycle): a failure to build or initialize,
+/// signals other than the interpreter's, a value on a cycle both recorded,
+/// or a failure to step. `what` and `label` name the layer and its values
+/// in the message (`capture::stage_of` classifies it by them).
+fn departure(
+    interp: &Trace,
+    layer: &Result<Trace, LayerError>,
+    (what, label): (&str, &str),
+    width: u64,
+) -> Option<(Option<u64>, String)> {
+    let (trace, failure) = match layer {
+        Ok(t) => (t, None),
+        Err(e) => (&*e.partial, Some((e.cycle, format!("width {width}: {}", e.message)))),
+    };
+    if let Some((None, _)) = failure {
+        return failure;
+    }
+    // The program declares the outputs and registers its first cycle
+    // produced: every interpreter output, and only registers the
+    // interpreter knows. The other layers run the same module: exactly
+    // the interpreter's outputs and registers.
+    let (output, register) = (SignalKind::Output, SignalKind::Register);
+    let undeclared = if trace.is_empty() {
+        None
+    } else if label == "program" {
+        let missing = names(interp, output).difference(&names(trace, output)).next().copied();
+        let unknown = names(trace, register).difference(&names(interp, register)).next().copied();
+        missing
+            .map(|n| format!("output `{n}` missing from program"))
+            .or_else(|| unknown.map(|n| format!("program register `{n}` unknown to interpreter")))
+    } else {
+        [output, register].into_iter().find(|&k| names(interp, k) != names(trace, k)).map(|k| {
+            let (got, want) = (names(trace, k), names(interp, k));
+            format!("{what} declares {} {got:?}, interpreter {want:?}", k.name())
+        })
+    };
+    if let Some(msg) = undeclared {
+        return Some((None, format!("width {width}: {msg}")));
+    }
+    // Cycles only one side recorded are not compared: the failure that
+    // cut the other side short is reported instead.
+    let common = interp.len().min(trace.len()) as u64;
+    first_divergence(interp, trace)
+        .filter(|d| d.cycle < common)
+        .map(|d| {
+            let msg = format!(
+                "width {width} cycle {}: {what} diverges on `{}`: interp={} {label}={}",
+                d.cycle, d.signal, d.expected, d.actual
+            );
+            (Some(d.cycle), msg)
+        })
+        .or(failure)
+}
+
+/// Cosim at one width: the sequential program, the compiled slot-VM and
+/// the flattened module's interpreter (`flat`) against the reference
+/// interpreter, every output and register of every cycle. Reports the
+/// earliest departure across all layers; ties go to the interpreter's own
+/// failure, then to the layer recorded first.
 fn check_cosim_width(
     g: &GenModule,
     flat: &Module,
-    prog: &chicala_seq::SeqProgram,
+    prog: &SeqProgram,
     width: u64,
     seed: u64,
 ) -> Result<(), String> {
-    let b = bind(width);
-    let em = elaborate(&g.module, &b).map_err(|e| format!("elaborate at {width}: {e}"))?;
-    let em_flat =
-        elaborate(flat, &b).map_err(|e| format!("flattened module fails to elaborate at {width}: {e}"))?;
-    let cm = compile(&em).map_err(|e| format!("compiled VM rejects module at {width}: {e}"))?;
-
-    let no_overrides = BTreeMap::new();
-    let mut sim = Simulator::new(&em, &no_overrides).map_err(|e| format!("simulator: {e}"))?;
-    let mut sim_flat =
-        Simulator::new(&em_flat, &no_overrides).map_err(|e| format!("flat simulator: {e}"))?;
-    let mut vm = CompiledSim::new(&cm, &no_overrides);
-    let params: BTreeMap<String, BigInt> =
-        [("len".to_string(), BigInt::from(width))].into_iter().collect();
-    let runner = SeqRunner::new(prog, params);
-    let mut sw_regs = runner
-        .init_regs(&BTreeMap::new())
-        .map_err(|e| format!("sequential init at {width}: {e}"))?;
-
-    let mut rng = SplitMix64::new(seed ^ width.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let cycles = 4 + rng.below(4);
-    for cycle in 0..cycles {
-        let inputs = gen_inputs(&mut rng, g, &em);
-        let hw_out = sim.step(&inputs).map_err(|e| format!("interp cycle {cycle}: {e}"))?;
-
-        // Flattened module must be observationally identical.
-        let flat_out =
-            sim_flat.step(&inputs).map_err(|e| format!("flat interp cycle {cycle}: {e}"))?;
-        if flat_out != hw_out {
-            return Err(format!(
-                "width {width} cycle {cycle}: when-flattened module diverges on outputs: \
-                 original={hw_out:?} flattened={flat_out:?}"
-            ));
-        }
-        for (name, v) in sim.regs() {
-            let fv = sim_flat.reg(name).cloned().unwrap_or_else(BigInt::zero);
-            if *v != fv {
-                return Err(format!(
-                    "width {width} cycle {cycle}: when-flattened module diverges on register \
-                     `{name}`: original={v} flattened={fv}"
-                ));
+    let [interp, layers @ ..] = record_cosim(g, Ok(flat), Ok(prog), width, seed)?;
+    let (interp, mut earliest) = match interp {
+        Ok(t) => (t, None),
+        Err(e) if e.cycle.is_none() => return Err(format!("width {width}: {}", e.message)),
+        Err(e) => (*e.partial, Some((e.cycle, format!("width {width}: {}", e.message)))),
+    };
+    let stages = [
+        ("sequential program", "program"),
+        ("compiled VM", "compiled"),
+        ("when-flattened module", "flattened"),
+    ];
+    for (layer, stage) in layers.iter().zip(stages) {
+        if let Some(found) = departure(&interp, layer, stage, width) {
+            if earliest.as_ref().is_none_or(|(cycle, _)| found.0 < *cycle) {
+                earliest = Some(found);
             }
         }
-
-        // Compiled slot-VM.
-        let vm_out = vm.step_map(&inputs);
-        if vm_out != hw_out {
-            return Err(format!(
-                "width {width} cycle {cycle}: compiled VM diverges on outputs: \
-                 interp={hw_out:?} compiled={vm_out:?}"
-            ));
-        }
-        for i in 0..cm.regs_len() {
-            let name = cm.reg_name(i);
-            let want = sim.reg(name).cloned().unwrap_or_else(BigInt::zero);
-            let got = vm.reg_value(i);
-            if got != want {
-                return Err(format!(
-                    "width {width} cycle {cycle}: compiled VM diverges on register `{name}`: \
-                     interp={want} compiled={got}"
-                ));
-            }
-        }
-
-        // Sequential program.
-        let sw_in: BTreeMap<String, SValue> = inputs
-            .iter()
-            .map(|(k, v)| (k.clone(), SValue::Int(v.clone())))
-            .collect();
-        let sw = runner
-            .trans(&sw_in, &sw_regs)
-            .map_err(|e| format!("sequential cycle {cycle} at {width}: {e}"))?;
-        for (name, hv) in &hw_out {
-            let sv = sw
-                .outputs
-                .get(name)
-                .and_then(SValue::scalar)
-                .ok_or_else(|| format!("cycle {cycle}: output `{name}` missing from program"))?;
-            if *hv != sv {
-                return Err(format!(
-                    "width {width} cycle {cycle}: sequential program diverges on output \
-                     `{name}`: interp={hv} program={sv}"
-                ));
-            }
-        }
-        for (name, svv) in &sw.regs {
-            let Some(sv) = svv.scalar() else { continue };
-            let hv = sim
-                .reg(name)
-                .cloned()
-                .ok_or_else(|| format!("cycle {cycle}: program register `{name}` unknown"))?;
-            if hv != sv {
-                return Err(format!(
-                    "width {width} cycle {cycle}: sequential program diverges on register \
-                     `{name}`: interp={hv} program={sv}"
-                ));
-            }
-        }
-        sw_regs = sw.regs;
     }
-    Ok(())
+    earliest.map_or(Ok(()), |(_, msg)| Err(msg))
 }
 
 /// Width cap for the gate-level self-miter (SAT/BDD cost, not soundness).
@@ -265,6 +283,82 @@ mod tests {
             let g = gen_module(seed);
             check_generated(&g, seed, 12).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
+    }
+
+    /// On a real divergence — the broken `when`-lowering drill's — failure
+    /// capture marks the width, cycle and signal the check reports: both
+    /// record the same layers over the same schedule.
+    #[test]
+    fn check_and_capture_agree_on_a_real_divergence() {
+        use chicala_chisel::passes::flatten_whens_dropping_guards;
+        use chicala_trace::mark_earliest;
+
+        let max_width = 12;
+        for seed in 0..400u64 {
+            let g = gen_module(seed);
+            let Ok(bad) = flatten_whens_dropping_guards(&g.module) else { continue };
+            let prog = transform(&g.module).expect("generated modules transform").program;
+            for width in sample_widths(seed, max_width) {
+                let layers =
+                    record_cosim(&g, Ok(&bad), Ok(&prog), width, seed).expect("elaborates");
+                let mut traces: Vec<Trace> = layers.into_iter().filter_map(Result::ok).collect();
+                let marked = mark_earliest(&mut traces);
+                let Err(message) = check_cosim_width(&g, &bad, &prog, width, seed) else {
+                    assert_eq!(marked, None, "seed {seed} width {width}: the check passed");
+                    continue;
+                };
+                let d = marked
+                    .unwrap_or_else(|| panic!("seed {seed}: capture marks nothing for {message}"));
+                let at =
+                    format!("width {width} cycle {}: when-flattened module diverges on ", d.cycle);
+                assert!(
+                    message.starts_with(&at),
+                    "seed {seed}: capture marks {d}, check says {message}"
+                );
+                assert!(
+                    message.contains(&format!("`{}`", d.signal)),
+                    "seed {seed}: {d} vs {message}"
+                );
+                return;
+            }
+        }
+        panic!("no generated module within 400 seeds exposes the dropped guards");
+    }
+
+    /// A layer that stops early is still compared on the cycles it ran,
+    /// and its failure counts at the cycle it happened.
+    #[test]
+    fn a_layer_that_stops_early_departs_at_its_earliest_cycle() {
+        let trace = |rows: &[[u64; 2]]| {
+            let mut t = Trace::new("layer");
+            t.declare("io_in", 4, SignalKind::Input);
+            t.declare("io_out", 4, SignalKind::Output);
+            for row in rows {
+                t.push_cycle(row.iter().map(|&v| BigInt::from(v)).collect());
+            }
+            t
+        };
+        let stopped = |rows: &[[u64; 2]]| {
+            let cycle = rows.len() as u64;
+            let message = format!("flat_interp cycle {cycle}: boom");
+            Err(LayerError { cycle: Some(cycle), message, partial: Box::new(trace(rows)) })
+        };
+        let interp = trace(&[[1, 2], [3, 4], [5, 6]]);
+        let flat = ("when-flattened module", "flattened");
+        let diverged_first = stopped(&[[1, 2], [3, 9]]);
+        assert_eq!(
+            departure(&interp, &diverged_first, flat, 4),
+            Some((
+                Some(1),
+                "width 4 cycle 1: when-flattened module diverges on `io_out`: interp=4 flattened=9"
+                    .to_string()
+            ))
+        );
+        let agreed_first = stopped(&[[1, 2]]);
+        assert_eq!(
+            departure(&interp, &agreed_first, flat, 4),
+            Some((Some(1), "width 4: flat_interp cycle 1: boom".to_string()))
+        );
     }
 
     #[test]

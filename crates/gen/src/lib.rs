@@ -9,7 +9,9 @@
 //! through the whole stack: structural invariants, the
 //! Chisel-to-sequential transform, four-way differential cosim
 //! (interpreter vs `when`-flattened interpreter vs compiled slot-VM vs
-//! sequential program) at several widths, and a gate-level self-miter of
+//! sequential program, recorded over one input schedule per width by the
+//! conformance engine's layer recorder) at several widths, and a
+//! gate-level self-miter of
 //! the module against its pre-optimization (`when`-flattened) form that
 //! must fold to constant-true.
 //!
@@ -209,12 +211,13 @@ mod tests {
     /// to a reproducer of at most 10 IR nodes.
     #[test]
     fn injected_when_lowering_bug_is_found_and_shrinks_small() {
-        use chicala_bigint::BigInt;
-        use chicala_chisel::{elaborate, passes, Simulator};
-        use std::collections::BTreeMap;
+        use chicala_chisel::{elaborate, passes};
+        use chicala_conformance::{record_layers, Inputs};
+        use chicala_trace::first_divergence;
 
-        // The buggy-pass oracle: flatten with dropped guards and compare
-        // against the reference interpreter at len=4 over a few cycles.
+        // The buggy-pass oracle: record the module flattened with dropped
+        // guards against the reference interpreter at len=4 over a few
+        // cycles.
         let diverges = |m: &Module, inputs: &[String]| -> bool {
             let Ok(bad) = passes::flatten_whens_dropping_guards(m) else { return false };
             let bind: chicala_chisel::Bindings =
@@ -222,32 +225,25 @@ mod tests {
             let (Ok(em), Ok(em_bad)) = (elaborate(m, &bind), elaborate(&bad, &bind)) else {
                 return false;
             };
-            let none = BTreeMap::new();
-            let (Ok(mut sim), Ok(mut sim_bad)) =
-                (Simulator::new(&em, &none), Simulator::new(&em_bad, &none))
+            let mut rng = SplitMix64::new(0xB0B0);
+            let schedule: Vec<Inputs> = (0..6)
+                .map(|_| {
+                    inputs
+                        .iter()
+                        .map(|n| {
+                            let w = em.signals.iter().find(|s| &s.name == n).map_or(1, |s| s.width);
+                            (n.clone(), rng.bits(w))
+                        })
+                        .collect()
+                })
+                .collect();
+            let unused = "not recorded".to_string();
+            let [Ok(good), _, _, Ok(flat)] =
+                record_layers(&em, Err(unused.clone()), Err(unused), Ok(&em_bad), 4, &schedule)
             else {
                 return false;
             };
-            let mut rng = SplitMix64::new(0xB0B0);
-            for _ in 0..6 {
-                let ins: BTreeMap<String, BigInt> = inputs
-                    .iter()
-                    .map(|n| {
-                        let w = em
-                            .signals
-                            .iter()
-                            .find(|s| &s.name == n)
-                            .map(|s| s.width)
-                            .unwrap_or(1);
-                        (n.clone(), rng.bits(w))
-                    })
-                    .collect();
-                let (Ok(a), Ok(b)) = (sim.step(&ins), sim_bad.step(&ins)) else { return false };
-                if a != b || sim.regs() != sim_bad.regs() {
-                    return true;
-                }
-            }
-            false
+            first_divergence(&good, &flat).is_some()
         };
 
         // Scan seeds until the fuzzer catches the planted bug.

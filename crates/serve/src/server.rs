@@ -46,6 +46,14 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// report JSON layout changes so stale entries miss instead of lying.
 const REPORT_KEY_SCHEMA: u32 = 1;
 
+/// Most cases per layer one `conformance` request may ask for: the engine
+/// lays out every case of a layer before checking any.
+const MAX_CONFORMANCE_CASES: u64 = 10_000;
+
+/// Widest `max_width` one `conformance` request may ask for: the widest
+/// width the committed conformance corpus replays.
+const MAX_CONFORMANCE_WIDTH: u64 = 64;
+
 fn backend_name(b: Backend) -> &'static str {
     match b {
         Backend::Bdd => "bdd",
@@ -485,16 +493,30 @@ impl Server {
             ..Config::default()
         };
         if let Some(cases) = json::get(req, "cases").and_then(json::as_u64) {
+            if cases > MAX_CONFORMANCE_CASES {
+                return Err(format!(
+                    "conformance: `cases` {cases} is over the limit of {MAX_CONFORMANCE_CASES}"
+                ));
+            }
             cfg.cases = cases as usize;
         }
         if let Some(mw) = json::get(req, "max_width").and_then(json::as_u64) {
+            if mw > MAX_CONFORMANCE_WIDTH {
+                return Err(format!(
+                    "conformance: `max_width` {mw} is over the limit of {MAX_CONFORMANCE_WIDTH}"
+                ));
+            }
             cfg.max_width = mw;
         }
         if let Some(layers) = json::get(req, "layers").and_then(json::as_str) {
-            cfg.layers = layers
-                .split(',')
-                .map(|s| Layer::parse(s.trim()).ok_or_else(|| format!("unknown layer `{s}`")))
-                .collect::<Result<Vec<_>, _>>()?;
+            cfg.layers = Vec::new();
+            for s in layers.split(',') {
+                let layer = Layer::parse(s.trim()).ok_or_else(|| format!("unknown layer `{s}`"))?;
+                if cfg.layers.contains(&layer) {
+                    return Err(format!("conformance: layer `{layer}` named twice"));
+                }
+                cfg.layers.push(layer);
+            }
         }
         if let Some(b) = json::get(req, "backend").and_then(json::as_str) {
             cfg.backend =
@@ -754,6 +776,34 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4, "one response per non-blank line: {text}");
         for (line, want) in lines[..3].iter().zip(["longer than", "not UTF-8", "nested deeper"]) {
+            let v = json::parse(line).expect("error response parses");
+            assert_eq!(json::get(&v, "ok"), Some(&JsonValue::Bool(false)), "{line}");
+            let error = json::get(&v, "error").and_then(json::as_str).expect("error string");
+            assert!(error.contains(want), "{line}");
+        }
+        let pong = json::parse(lines[3]).expect("ping response parses");
+        assert_eq!(json::get(&pong, "ok"), Some(&JsonValue::Bool(true)), "{}", lines[3]);
+        let stats = ok_result(&s, r#"{"op":"stats"}"#);
+        let server = json::get(&stats, "server").unwrap();
+        assert_eq!(json::get(server, "errors").and_then(json::as_u64), Some(3));
+    }
+
+    #[test]
+    fn conformance_requests_over_a_limit_are_rejected_and_the_stream_keeps_serving() {
+        let s = uncached();
+        let input = [
+            r#"{"op":"conformance","design":"rmul","seed":1,"cases":1000000000000,"max_width":4,"layers":"cosim"}"#,
+            r#"{"op":"conformance","design":"rmul","seed":1,"cases":2,"max_width":1000000,"layers":"spec"}"#,
+            r#"{"op":"conformance","design":"rmul","seed":1,"cases":4,"max_width":4,"layers":"cosim,cosim"}"#,
+            r#"{"op":"ping"}"#,
+        ]
+        .join("\n");
+        let mut output = Vec::new();
+        s.serve_lines(std::io::Cursor::new(input), &mut output);
+        let text = String::from_utf8(output).expect("responses are UTF-8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4, "one response per request: {text}");
+        for (line, want) in lines[..3].iter().zip(["`cases`", "`max_width`", "named twice"]) {
             let v = json::parse(line).expect("error response parses");
             assert_eq!(json::get(&v, "ok"), Some(&JsonValue::Bool(false)), "{line}");
             let error = json::get(&v, "error").and_then(json::as_str).expect("error string");

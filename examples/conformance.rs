@@ -8,9 +8,9 @@
 //!     [--seed N | 0xHEX]     # master seed (default: CHICALA_SEED or fixed)
 //!     [--cases M]            # cases per design per layer (default 200)
 //!     [--max-width W]        # width ceiling (default 32)
-//!     [--backend B]          # interp | compiled | both (default: CHICALA_SIM_BACKEND or compiled)
+//!     [--backend B]          # interp | compiled | both (default compiled)
 //!     [--keep-going]         # report every divergence, not just the first
-//!     [--replay 0xHEX]       # re-check one case seed (needs --design)
+//!     [--replay 0xHEX]       # re-check one case seed under --backend (needs --design)
 //!     [--list]               # print the registry and exit
 //!     [--json]               # machine-readable report on stdout
 //! ```
@@ -164,13 +164,16 @@ fn main() -> ExitCode {
             fail("--replay needs exactly one --design");
         }
         let d = &selected[0];
-        println!("replaying {} case 0x{case_seed:016X} (--max-width {})", d.name, cfg.max_width);
+        println!(
+            "replaying {} case 0x{case_seed:016X} (--max-width {}, --backend {})",
+            d.name, cfg.max_width, cfg.backend
+        );
         let mut bad = false;
         for &layer in &cfg.layers {
             // Regenerate per layer: the gate layer bounds cycles, so the
             // replayed case must match what the runner actually ran.
             let case = conformance::gen_case_for(d, layer, case_seed, cfg.max_width);
-            match conformance::check_case(d, layer, &case) {
+            match conformance::check_case_with(d, layer, &case, cfg.backend) {
                 Ok(cycles) => println!("  {layer}: ok ({case}, {cycles} cycles)"),
                 Err(e) => {
                     println!("  {layer}: DIVERGED ({case}): {e}");

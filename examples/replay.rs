@@ -6,14 +6,15 @@
 //! cargo run --release --example replay -- --bundle target/chicala-failures/<stem>.json
 //! ```
 //!
-//! The bundle carries the case seed, width cap, design/layer, and the
-//! original divergence message; replaying regenerates exactly the same
-//! case from the seed and re-checks it. Exit code 0 means the failure
+//! The bundle carries the case seed, width cap, design/layer, simulation
+//! backend, and the original divergence message; replaying regenerates
+//! exactly the same case from the seed and re-checks it under the
+//! bundle's backend (`sim_backend`). Exit code 0 means the failure
 //! reproduced **byte-identically** (same divergence message); 1 means it
 //! did not (the case now passes, or diverges differently — either way the
 //! captured failure is stale); 2 is a usage or load error.
 
-use chicala::conformance::{replay_case, Design, Layer};
+use chicala::conformance::{check_case_with, gen_case_for, Design, Layer, SimBackend};
 use chicala::gen;
 use chicala::trace::ReplayBundle;
 use std::path::Path;
@@ -33,7 +34,10 @@ fn rerun(bundle: &ReplayBundle) -> Result<Option<String>, String> {
                 .ok_or_else(|| format!("unknown design `{}`", bundle.design))?;
             let layer = Layer::parse(&bundle.layer)
                 .ok_or_else(|| format!("unknown layer `{}`", bundle.layer))?;
-            Ok(replay_case(&d, layer, bundle.case_seed, bundle.max_width).err())
+            let backend = SimBackend::parse(&bundle.sim_backend)
+                .ok_or_else(|| format!("unknown sim backend `{}`", bundle.sim_backend))?;
+            let case = gen_case_for(&d, layer, bundle.case_seed, bundle.max_width);
+            Ok(check_case_with(&d, layer, &case, backend).err())
         }
         "gen" => Ok(gen::run_case(bundle.case_seed, bundle.max_width)
             .err()
@@ -67,9 +71,9 @@ fn main() -> ExitCode {
 
     println!("replaying bundle {path}");
     println!(
-        "  kind={} design={} layer={} case=0x{:016X} max_width={} (captured at {})",
-        bundle.kind, bundle.design, bundle.layer, bundle.case_seed, bundle.max_width,
-        bundle.git_rev
+        "  kind={} design={} layer={} sim_backend={} case=0x{:016X} max_width={} (captured at {})",
+        bundle.kind, bundle.design, bundle.layer, bundle.sim_backend, bundle.case_seed,
+        bundle.max_width, bundle.git_rev
     );
     if let Some(d) = &bundle.divergence {
         println!("  captured divergence: {d}");

@@ -5,7 +5,9 @@
 //! cycle/signal. Drives the engine through `rmul_drill` — the registry's
 //! deliberately wrong drill design (its spec demands `acc == a*b + 1`).
 
-use chicala::conformance::{self, replay_case, Config, Design, Layer};
+use chicala::conformance::{
+    self, check_case_with, gen_case_for, replay_case, Config, Design, Layer, SimBackend,
+};
 use chicala::trace::vcd::parse_vcd;
 use chicala::trace::{first_divergence, mark_pair, ReplayBundle, SCHEMA_VERSION};
 
@@ -21,21 +23,46 @@ fn drill_failure_captures_bundle_waveforms_and_replays_byte_identically() {
     std::env::set_var("CHICALA_FAILURES_DIR", &dir);
 
     let d = Design::by_name("rmul_drill").expect("drill design is registered");
-    let cfg = Config {
+    for backend in [SimBackend::Compiled, SimBackend::Both] {
+        drill_under(&d, backend, &dir);
+    }
+
+    // With capture gated off, the same divergence leaves no bundle behind.
+    std::env::set_var("CHICALA_TRACE_FAILURES", "0");
+    let report = conformance::run_design(&d, &drill_config(SimBackend::Compiled));
+    std::env::remove_var("CHICALA_TRACE_FAILURES");
+    assert!(!report.ok());
+    assert!(
+        report.failures[0].bundle.is_none(),
+        "CHICALA_TRACE_FAILURES=0 must suppress capture"
+    );
+
+    std::env::remove_var("CHICALA_FAILURES_DIR");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn drill_config(backend: SimBackend) -> Config {
+    Config {
         seed: 0xD111_0001,
         cases: 4,
         max_width: 8,
         layers: vec![Layer::Spec],
+        backend,
         ..Config::default()
-    };
-    let report = conformance::run_design(&d, &cfg);
+    }
+}
+
+/// Runs the drill under `backend`, checks its bundle and waveforms under
+/// `dir`, and replays the bundle under the backend it recorded.
+fn drill_under(d: &Design, backend: SimBackend, dir: &std::path::Path) {
+    let report = conformance::run_design(d, &drill_config(backend));
     assert!(!report.ok(), "the drill spec must diverge");
     let failure = &report.failures[0];
     let bundle_path = failure
         .bundle
         .clone()
         .expect("a diverging case must emit a replay bundle");
-    assert!(bundle_path.starts_with(&dir), "CHICALA_FAILURES_DIR is honoured");
+    assert!(bundle_path.starts_with(dir), "CHICALA_FAILURES_DIR is honoured");
 
     // The bundle loads and matches the failure it was captured from.
     let bundle = ReplayBundle::load(&bundle_path).expect("bundle loads");
@@ -48,6 +75,9 @@ fn drill_failure_captures_bundle_waveforms_and_replays_byte_identically() {
     assert_eq!(bundle.message, failure.message);
     assert!(!bundle.inputs.is_empty(), "shrunk inputs are carried");
     assert!(bundle.replay_cmd.contains("--replay"), "{}", bundle.replay_cmd);
+    assert_eq!(bundle.sim_backend, backend.name());
+    let flag = format!("--backend {backend}");
+    assert!(bundle.replay_cmd.contains(&flag), "{}", bundle.replay_cmd);
     assert!(bundle.replay_env.contains("CHICALA_SEED="), "{}", bundle.replay_env);
 
     // Every recorded layer waveform exists as a sibling and parses back.
@@ -59,25 +89,21 @@ fn drill_failure_captures_bundle_waveforms_and_replays_byte_identically() {
         assert!(!t.is_empty(), "{name}: no cycles");
     }
 
-    // Replaying the bundle's seed reproduces the divergence byte for byte
-    // (the contract `examples/replay.rs --bundle` checks via subprocess).
+    // Replaying the bundle's seed under its backend reproduces the
+    // divergence byte for byte (the contract `examples/replay.rs
+    // --bundle` checks via subprocess); `replay_case` replays under the
+    // compiled backend.
     let layer = Layer::parse(&bundle.layer).expect("layer parses");
-    let replayed = replay_case(&d, layer, bundle.case_seed, bundle.max_width)
+    let recorded = SimBackend::parse(&bundle.sim_backend).expect("backend parses");
+    let case = gen_case_for(d, layer, bundle.case_seed, bundle.max_width);
+    let replayed = check_case_with(d, layer, &case, recorded)
         .expect_err("the captured case still diverges");
     assert_eq!(replayed, bundle.message, "replay must reproduce byte-identically");
-
-    // With capture gated off, the same divergence leaves no bundle behind.
-    std::env::set_var("CHICALA_TRACE_FAILURES", "0");
-    let report = conformance::run_design(&d, &cfg);
-    std::env::remove_var("CHICALA_TRACE_FAILURES");
-    assert!(!report.ok());
-    assert!(
-        report.failures[0].bundle.is_none(),
-        "CHICALA_TRACE_FAILURES=0 must suppress capture"
-    );
-
-    std::env::remove_var("CHICALA_FAILURES_DIR");
-    std::fs::remove_dir_all(&dir).ok();
+    if backend == SimBackend::Compiled {
+        let replayed = replay_case(d, layer, bundle.case_seed, bundle.max_width)
+            .expect_err("the captured case still diverges");
+        assert_eq!(replayed, bundle.message, "replay_case must reproduce byte-identically");
+    }
 }
 
 /// Four healthy layers agree; corrupting one recorded value must flag
