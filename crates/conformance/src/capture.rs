@@ -34,7 +34,7 @@ use chicala_lowlevel::{prove_net, Backend, ProveResult};
 use chicala_seq::{SValue, SeqProgram, SeqRunner};
 use chicala_telemetry as telemetry;
 use chicala_trace::{
-    capture_enabled, git_rev, mark_earliest, replay, Divergence, ReplayBundle, SignalKind, Trace,
+    capture_enabled, git_rev, mark_earliest, Divergence, ReplayBundle, SignalKind, Trace,
     SCHEMA_VERSION,
 };
 use std::collections::BTreeMap;
@@ -399,8 +399,8 @@ pub fn capture_failure(d: &Design, failure: &Failure) -> Option<PathBuf> {
         design: failure.design.clone(),
         layer: failure.layer.name().to_string(),
         backend: "auto".to_string(),
-        sim_backend: failure.backend.name().to_string(),
-        master_seed: failure.master_seed,
+        sim_backend: failure.run.backend.name().to_string(),
+        master_seed: failure.run.seed,
         case_seed: failure.case_seed,
         max_width: failure.max_width,
         width: case.width,
@@ -415,11 +415,7 @@ pub fn capture_failure(d: &Design, failure: &Failure) -> Option<PathBuf> {
         divergence,
         module: String::new(),
         git_rev: git_rev(),
-        replay_env: replay::env_replay_line(
-            "CHICALA_SEED",
-            failure.master_seed,
-            "cargo test -q --test conformance",
-        ),
+        replay_env: failure.run_replay_line(),
         replay_cmd: failure.replay_cmd(),
         vcd_files: Vec::new(),
     };

@@ -222,11 +222,9 @@ pub struct Failure {
     pub design: String,
     /// Layer pair that diverged.
     pub layer: Layer,
-    /// Simulator the case was checked, shrunk and captured under; replay
-    /// must use it too.
-    pub backend: SimBackend,
-    /// Master seed of the run.
-    pub master_seed: u64,
+    /// The run's settings: its master seed, and the simulator the case was
+    /// checked, shrunk and captured under, which replay must use too.
+    pub run: Config,
     /// Per-case seed: `gen_case_for(design, layer, case_seed, max_width)`
     /// regenerates exactly this case.
     pub case_seed: u64,
@@ -250,8 +248,27 @@ impl Failure {
     pub(crate) fn replay_cmd(&self) -> String {
         format!(
             "cargo run --release --example conformance -- --design {} --max-width {} --backend {} --replay 0x{:016X}",
-            self.design, self.max_width, self.backend, self.case_seed
+            self.design, self.max_width, self.run.backend, self.case_seed
         )
+    }
+
+    /// The CLI line that re-runs this design's whole soak under the run's
+    /// own settings. Each layer takes `cases` seeds from the design's
+    /// stream in layer order, so the layers, case count, width cap and
+    /// backend must all match for the run to meet this failure again.
+    pub(crate) fn run_replay_line(&self) -> String {
+        let run = &self.run;
+        let layers: Vec<&str> = run.layers.iter().map(|l| l.name()).collect();
+        let cmd = format!(
+            "cargo run --release --example conformance -- --design {} --layers {} --cases {} --max-width {} --backend {}{}",
+            self.design,
+            layers.join(","),
+            run.cases,
+            run.max_width,
+            run.backend,
+            if run.stop_at_first { "" } else { " --keep-going" },
+        );
+        chicala_trace::replay::env_replay_line("CHICALA_SEED", run.seed, &cmd)
     }
 }
 
@@ -261,12 +278,8 @@ impl fmt::Display for Failure {
         writeln!(f, "  {}", self.message)?;
         writeln!(f, "  case   : {}", self.case)?;
         writeln!(f, "  shrunk : {}", self.shrunk)?;
-        writeln!(f, "  seeds  : master=0x{:016X} case=0x{:016X}", self.master_seed, self.case_seed)?;
-        writeln!(
-            f,
-            "  replay : CHICALA_SEED=0x{:016X} cargo test -q --test conformance",
-            self.master_seed
-        )?;
+        writeln!(f, "  seeds  : master=0x{:016X} case=0x{:016X}", self.run.seed, self.case_seed)?;
+        writeln!(f, "  replay : {}", self.run_replay_line())?;
         write!(f, "           {}", self.replay_cmd())?;
         if let Some(bundle) = &self.bundle {
             write!(f, "\n  bundle : {}", bundle.display())?;
@@ -1259,8 +1272,7 @@ pub fn run_design(d: &Design, cfg: &Config) -> Report {
                     let mut failure = Failure {
                         design: d.name.to_string(),
                         layer,
-                        backend: cfg.backend,
-                        master_seed: cfg.seed,
+                        run: cfg.clone(),
                         case_seed,
                         max_width: width_cap,
                         case,

@@ -18,10 +18,12 @@
 //! * CLI: `cargo run --release --example conformance -- --design xmul
 //!   --seed 7 --cases 5000 --max-width 48` for long soak runs.
 //!
-//! Replay: every failure prints the master seed and a per-case seed; set
-//! `CHICALA_SEED` to the master seed to repeat a whole run, or pass the
-//! case seed to the CLI `--replay` flag to re-check a single case under
-//! the backend it failed under (the printed line carries `--backend`).
+//! Replay: every failure prints the master seed and a per-case seed, each
+//! with a CLI line. The first re-runs the design's whole soak: it sets
+//! `CHICALA_SEED` to the master seed and carries the run's layers, case
+//! count, width cap and backend. The second passes the case seed to the
+//! CLI `--replay` flag to re-check a single case under the backend it
+//! failed under.
 //! Failures worth keeping go into
 //! `proptest-regressions/conformance.txt`, which [`regressions::replay_all`]
 //! re-runs before any random exploration.

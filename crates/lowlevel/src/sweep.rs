@@ -36,7 +36,6 @@ use crate::netlist::{Gate, Net, Netlist};
 use chicala_sat::{Lit, SatResult, Solver};
 use chicala_telemetry as telemetry;
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Per-width session telemetry (the warm-vs-cold story of one sweep).
@@ -422,18 +421,40 @@ fn prove_sweep_inner(
     SweepReport { outcomes, stats: session.stats }
 }
 
-/// An idle [`chicala_par::StealPool`], sized by `CHICALA_WORKERS` (or
-/// available parallelism). Nothing submits to it; it remains only because
-/// the repository benchmark (`perfbench/src/gates.rs`) reads its stats.
-pub fn sweep_pool() -> &'static chicala_par::StealPool {
-    static POOL: OnceLock<chicala_par::StealPool> = OnceLock::new();
-    POOL.get_or_init(chicala_par::StealPool::with_default_workers)
+/// An inert stand-in for the pool the width sweep used to run on: it runs
+/// nothing and its counters read zero. It remains only because the
+/// repository benchmark (`perfbench/src/gates.rs`) reads its stats and
+/// passes it to [`prove_net_sweep_scheduled`].
+#[derive(Debug)]
+pub struct IdlePool;
+
+/// [`IdlePool`]'s counters: the zeros of a pool that ran nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IdleCounts {
+    /// Jobs run.
+    pub executed: u64,
+    /// Jobs taken from another worker's queue.
+    pub steals: u64,
+    /// Submissions that attached to an identical job in flight.
+    pub dedup_hits: u64,
+}
+
+impl IdlePool {
+    /// All zero.
+    pub fn stats(&self) -> IdleCounts {
+        IdleCounts::default()
+    }
+}
+
+/// The one [`IdlePool`].
+pub fn sweep_pool() -> &'static IdlePool {
+    &IdlePool
 }
 
 /// [`prove_net_sweep`], ignoring `_pool` and `_opt`. It remains only
 /// because the repository benchmark (`perfbench/src/gates.rs`) calls it.
 pub fn prove_net_sweep_scheduled(
-    _pool: &chicala_par::StealPool,
+    _pool: &IdlePool,
     items: &[SweepItem<'_>],
     backend: Backend,
     _opt: OptProfile,

@@ -12,12 +12,12 @@
 //! balancing: a slow item does not stall the queue behind a fixed stride),
 //! and [`std::thread::scope`] lets closures borrow from the caller's stack
 //! — no `'static` bounds, no `Arc` plumbing.
+//!
+//! [`ThreadPool`] is the workspace's one scheduler. The verification daemon
+//! needs none of its own: it runs each request's work on the thread that
+//! handles the request, and coalesces identical work in flight.
 
 #![warn(missing_docs)]
-
-pub mod steal;
-
-pub use steal::{JobHandle, PoolStats, StealPool};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

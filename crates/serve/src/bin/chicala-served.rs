@@ -5,7 +5,9 @@
 //! * default — serve line-delimited JSON on stdin/stdout (exit on EOF or
 //!   a `shutdown` request);
 //! * `--socket PATH` — listen on a Unix socket, one thread per
-//!   connection, all sharing the server's pool, batching memo, and cache;
+//!   connection, all sharing the server's batching memo, coalescing
+//!   cells, and cache; each request's work runs on its connection's
+//!   thread;
 //! * `--client PATH --send LINE [--send LINE ...]` — connect to a running
 //!   daemon, send each line, print each response (the CI smoke driver).
 //!

@@ -5,13 +5,13 @@
 //! recomputes everything each time. This crate turns it into a service
 //! with two layers of work avoidance:
 //!
-//! 1. **Obligation memo with in-flight build dedup** ([`Server`] over a
-//!    [`chicala_par::StealPool`]): a burst of `prove` requests for one
-//!    `(design, width)` shares a single symbolic unroll. A memo miss
-//!    submits the build to the pool keyed by `(design, width)`, so
-//!    concurrent twins attach to the one in-flight build; `vc` and
-//!    `conformance` jobs coalesce the same way on their own keys. Jobs
-//!    run at the request's priority.
+//! 1. **Obligation memo with in-flight build dedup** ([`Server`]): a
+//!    burst of `prove` requests for one `(design, width)` shares a single
+//!    symbolic unroll. Each request's work runs on the thread that handles
+//!    it; the first request for a `(design, width)` builds the obligation
+//!    in that key's once-cell, concurrent twins wait on the cell, and
+//!    later requests read it. `vc` and `conformance` requests coalesce
+//!    through cells of the same shape on their own keys, in flight only.
 //! 2. **Persistent content-addressed store** ([`Store`]): VC discharge
 //!    markers and conformance reports keyed by a canonical transcript of
 //!    what determines them, written atomically under
@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+mod coalesce;
 pub mod handle;
 mod line;
 pub mod server;

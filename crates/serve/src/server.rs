@@ -1,5 +1,5 @@
 //! The verification server: protocol dispatch, request batching, and
-//! keyed job submission.
+//! coalescing of identical work.
 //!
 //! One request is one line of JSON, of at most [`MAX_LINE_BYTES`]; one
 //! response is one line of JSON. The response envelope separates the
@@ -14,14 +14,19 @@
 //!    "backend":"bdd"},"meta":{"elapsed_us":1234,"batched":false}}
 //! ```
 //!
-//! Batching: a burst of `prove` requests for the same `(design, width)`
-//! shares one symbolic unroll. The [`FormalObligation`] is built once, by
-//! a [`StealPool`] job keyed by `(design, width)`, so *concurrent* twins,
-//! even across connections, attach to the one in-flight build; every later
-//! request reuses it from the server memo. The proof itself then runs on
-//! the request's own thread: a registry obligation is the constant-true
-//! net as built, so it costs nothing next to the unroll.
+//! Every op's work runs on the thread that handles its request, so no
+//! request waits behind another's work. Identical work coalesces through
+//! per-key once-cells instead: the first request for a key runs it, and a
+//! twin that arrives meanwhile, even on another connection, waits for the
+//! same result. A burst of `prove` requests for one `(design, width)`
+//! thus shares one symbolic unroll, and the [`FormalObligation`] stays in
+//! its cell as the server memo, so every later request reuses it. The
+//! proof itself then runs on each request's own thread: a registry
+//! obligation is the constant-true net as built, so it costs nothing next
+//! to the unroll. `vc` and `conformance` requests coalesce in flight only:
+//! the running request removes its cell when it returns.
 
+use crate::coalesce::Coalesce;
 use crate::handle::{CacheHandle, KIND_REPORT};
 use crate::line::{read_request_line, ReadLine, MAX_LINE_BYTES};
 use chicala_conformance::{
@@ -29,14 +34,12 @@ use chicala_conformance::{
     FormalObligation, Layer, SimBackend,
 };
 use chicala_lowlevel::{prove_net, prove_net_sweep, Backend, Netlist, ProveResult, SweepItem};
-use chicala_par::StealPool;
 use chicala_telemetry as telemetry;
-use chicala_telemetry::{fnv128, JsonValue};
+use chicala_telemetry::JsonValue;
 use chicala_trace::json;
-use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Protocol version reported by `ping` and checked by clients that care.
@@ -62,30 +65,82 @@ fn backend_name(b: Backend) -> &'static str {
     }
 }
 
-fn parse_backend(s: &str) -> Option<Backend> {
-    match s.to_ascii_lowercase().as_str() {
-        "bdd" => Some(Backend::Bdd),
-        "sat" => Some(Backend::Sat),
-        "auto" => Some(Backend::Auto),
-        _ => None,
+/// The request's `backend` field as a gate-proof backend; `Auto` when
+/// absent.
+fn gate_backend(req: &JsonValue) -> Result<Backend, String> {
+    match field::<&str>(req, "backend")? {
+        None => Ok(Backend::Auto),
+        Some(s) => match s.to_ascii_lowercase().as_str() {
+            "bdd" => Ok(Backend::Bdd),
+            "sat" => Ok(Backend::Sat),
+            "auto" => Ok(Backend::Auto),
+            _ => Err(format!("unknown backend `{s}`")),
+        },
     }
+}
+
+/// A type a request field may hold.
+trait FieldType<'a>: Sized {
+    /// The type as an error message names it.
+    const NAME: &'static str;
+    fn read(v: &'a JsonValue) -> Option<Self>;
+}
+
+impl FieldType<'_> for u64 {
+    const NAME: &'static str = "a non-negative integer";
+    fn read(v: &JsonValue) -> Option<u64> {
+        json::as_u64(v)
+    }
+}
+
+impl<'a> FieldType<'a> for &'a str {
+    const NAME: &'static str = "a string";
+    fn read(v: &'a JsonValue) -> Option<&'a str> {
+        json::as_str(v)
+    }
+}
+
+impl FieldType<'_> for bool {
+    const NAME: &'static str = "a bool";
+    fn read(v: &JsonValue) -> Option<bool> {
+        match v {
+            JsonValue::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+/// The request field `name`: `None` when absent, an error naming the field
+/// when it holds a value of another type, so a mistyped field is never
+/// read as its default.
+fn field<'a, T: FieldType<'a>>(req: &'a JsonValue, name: &str) -> Result<Option<T>, String> {
+    match json::get(req, name) {
+        None => Ok(None),
+        Some(v) => T::read(v).map(Some).ok_or_else(|| format!("`{name}` must be {}", T::NAME)),
+    }
+}
+
+/// The field `name` that `op` cannot do without.
+fn required<'a, T: FieldType<'a>>(req: &'a JsonValue, op: &str, name: &str) -> Result<T, String> {
+    field(req, name)?.ok_or_else(|| format!("{op}: missing `{name}`"))
 }
 
 /// The op outcome: the byte-comparable result plus meta fields specific
 /// to this op (cache provenance, batching).
 type OpOutcome = Result<(JsonValue, Vec<(&'static str, JsonValue)>), String>;
 
-/// `(design, width)` → shared obligation: the request-batching memo.
-type ObligationMemo = Mutex<HashMap<(&'static str, u64), Arc<FormalObligation>>>;
-
 /// A verification server instance. One per process; share it across
 /// connection threads behind an [`Arc`].
 pub struct Server {
-    pool: StealPool,
     cache: Option<CacheHandle>,
-    /// The request-batching memo, filled by the pool job that builds each
-    /// entry.
-    obligations: Arc<ObligationMemo>,
+    /// The request-batching memo: one obligation per `(design, width)`,
+    /// built by the first request that needs it.
+    obligations: Coalesce<(&'static str, u64), Arc<FormalObligation>>,
+    /// `vc` runs in flight, by `(design, deadline_ms)`: the spec and module
+    /// are compiled in, so that pair determines the work.
+    vc_runs: Coalesce<(String, u64), JsonValue>,
+    /// `conformance` runs in flight, by report key.
+    soaks: Coalesce<Vec<u8>, JsonValue>,
     requests: AtomicU64,
     errors: AtomicU64,
     batch_builds: AtomicU64,
@@ -97,20 +152,21 @@ pub struct Server {
 }
 
 impl Server {
-    /// A server over `cache` (or uncached when `None`) with a work pool
-    /// sized by `CHICALA_WORKERS` (see [`StealPool::with_default_workers`]).
-    /// When a cache handle is given, the server files conformance reports
-    /// in its store, and the handle is installed into the kernel's VC
-    /// cache hook, so reports and VC discharges persist across requests
-    /// *and across restarts*.
+    /// A server over `cache` (or uncached when `None`). It keeps no
+    /// threads of its own: each request's work runs on the thread that
+    /// calls [`handle_line`](Server::handle_line). When a cache handle is
+    /// given, the server files conformance reports in its store, and the
+    /// handle is installed into the kernel's VC cache hook, so reports and
+    /// VC discharges persist across requests *and across restarts*.
     pub fn new(cache: Option<CacheHandle>) -> Server {
         if let Some(c) = &cache {
             c.install();
         }
         Server {
-            pool: StealPool::with_default_workers(),
             cache,
-            obligations: Arc::new(Mutex::new(HashMap::new())),
+            obligations: Coalesce::new(true),
+            vc_runs: Coalesce::new(false),
+            soaks: Coalesce::new(false),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             batch_builds: AtomicU64::new(0),
@@ -261,47 +317,16 @@ impl Server {
 
     /// The `(design, width)` obligation memo: returns the shared
     /// obligation and whether this request reused a batch-mate's build.
-    ///
-    /// On a miss the build is submitted to the pool at `priority`, keyed by
-    /// `(design, width)`, so a concurrent twin attaches to the in-flight
-    /// unroll instead of starting its own. The job fills the memo before
-    /// the pool retires its key, and this lookup and the submission happen
-    /// under the memo lock, so each obligation is built once.
-    fn obligation(
-        &self,
-        d: Design,
-        width: u64,
-        priority: i32,
-    ) -> Result<(Arc<FormalObligation>, bool), String> {
-        // Set by the build job when it runs; an attached twin's job never
-        // does. `join` takes the result slot's mutex, which orders the
-        // job's store before the load below.
-        let ran = Arc::new(AtomicBool::new(false));
-        let memo = self.obligations.lock().expect("obligation memo");
-        let ob = match memo.get(&(d.name, width)).cloned() {
-            Some(ob) => {
-                drop(memo);
-                ob
-            }
-            None => {
-                let (obligations, ran) = (Arc::clone(&self.obligations), Arc::clone(&ran));
-                let key = fnv128(format!("obligation:{}:{width}", d.name).as_bytes());
-                let job = self.pool.submit_keyed(priority, key, move || -> Result<_, String> {
-                    ran.store(true, Ordering::Relaxed);
-                    let _span = telemetry::span!("serve:lower:{}:{width}", d.name);
-                    let ob = formal_gate_obligation(&d, width)?.ok_or_else(|| {
-                        format!("design `{}` has no gate-level golden model", d.name)
-                    })?;
-                    let ob = Arc::new(ob);
-                    let mut memo = obligations.lock().expect("obligation memo");
-                    memo.insert((d.name, width), Arc::clone(&ob));
-                    Ok(ob)
-                });
-                drop(memo);
-                job.join()?
-            }
-        };
-        let built = ran.load(Ordering::Relaxed);
+    /// On a miss this request builds it; a twin that arrives meanwhile
+    /// waits for that build, so each obligation is built once.
+    fn obligation(&self, d: Design, width: u64) -> Result<(Arc<FormalObligation>, bool), String> {
+        let (ob, built) = self.obligations.run((d.name, width), || {
+            let _span = telemetry::span!("serve:lower:{}:{width}", d.name);
+            let ob = formal_gate_obligation(&d, width)?
+                .ok_or_else(|| format!("design `{}` has no gate-level golden model", d.name))?;
+            Ok(Arc::new(ob))
+        });
+        let ob = ob?;
         let (count, name) = if built {
             (&self.batch_builds, "serve.batch.build")
         } else {
@@ -313,12 +338,8 @@ impl Server {
     }
 
     fn op_prove(&self, req: &JsonValue) -> OpOutcome {
-        let design = json::get(req, "design")
-            .and_then(json::as_str)
-            .ok_or("prove: missing `design`")?;
-        let width = json::get(req, "width")
-            .and_then(json::as_u64)
-            .ok_or("prove: missing `width`")?;
+        let design: &str = required(req, "prove", "design")?;
+        let width: u64 = required(req, "prove", "width")?;
         let d = Design::by_name(design).ok_or_else(|| format!("unknown design `{design}`"))?;
         if width < d.min_width {
             return Err(format!(
@@ -332,11 +353,8 @@ impl Server {
                 d.gate_max_width
             ));
         }
-        let backend = match json::get(req, "backend").and_then(json::as_str) {
-            Some(s) => parse_backend(s).ok_or_else(|| format!("unknown backend `{s}`"))?,
-            None => Backend::Auto,
-        };
-        let (ob, batched) = self.obligation(d, width, request_priority(req))?;
+        let backend = gate_backend(req)?;
+        let (ob, batched) = self.obligation(d, width)?;
         let result = prove_net(&ob.netlist, ob.property, backend, width as usize, &ob.var_order);
         let result = prove_result_json(d.name, width, &result);
         Ok((result, vec![("batched", JsonValue::Bool(batched))]))
@@ -348,26 +366,21 @@ impl Server {
     /// Session statistics are deterministic too, but they say how the rows
     /// were reached, not what they are, so they live in `meta`.
     fn op_sweep(&self, req: &JsonValue) -> OpOutcome {
-        let design = json::get(req, "design")
-            .and_then(json::as_str)
-            .ok_or("sweep: missing `design`")?;
+        let design: &str = required(req, "sweep", "design")?;
         let d = Design::by_name(design).ok_or_else(|| format!("unknown design `{design}`"))?;
         if d.gate_spec.is_none() {
             return Err(format!("design `{design}` has no gate-level golden model"));
         }
-        let lo = json::get(req, "min_width").and_then(json::as_u64).unwrap_or(d.min_width);
-        let hi = json::get(req, "max_width").and_then(json::as_u64).unwrap_or(d.gate_max_width);
+        let lo = field(req, "min_width")?.unwrap_or(d.min_width);
+        let hi = field(req, "max_width")?.unwrap_or(d.gate_max_width);
         if lo < d.min_width || hi > d.gate_max_width || lo > hi {
             return Err(format!(
                 "sweep range {lo}..={hi} outside `{design}` family {}..={}",
                 d.min_width, d.gate_max_width
             ));
         }
-        let backend = match json::get(req, "backend").and_then(json::as_str) {
-            Some(s) => parse_backend(s).ok_or_else(|| format!("unknown backend `{s}`"))?,
-            None => Backend::Auto,
-        };
-        let verify_ab = json::get(req, "verify_ab") == Some(&JsonValue::Bool(true));
+        let backend = gate_backend(req)?;
+        let verify_ab = field(req, "verify_ab")?.unwrap_or(false);
         // One hash-consed kit for the whole family: the session reuses
         // every width-independent sub-structure.
         let mut kit = Netlist::new();
@@ -399,7 +412,7 @@ impl Server {
                 o.result.clone()
             } else {
                 all_proved = false;
-                let (ob, _) = self.obligation(d, o.width, request_priority(req))?;
+                let (ob, _) = self.obligation(d, o.width)?;
                 prove_net(&ob.netlist, ob.property, backend, o.width as usize, &ob.var_order)
             };
             rows.push(prove_result_json(design, o.width, &result));
@@ -423,10 +436,7 @@ impl Server {
     }
 
     fn op_vc(&self, req: &JsonValue) -> OpOutcome {
-        let design = json::get(req, "design")
-            .and_then(json::as_str)
-            .ok_or("vc: missing `design`")?
-            .to_string();
+        let design: &str = required(req, "vc", "design")?;
         let vd = chicala_designs::verified_designs()
             .into_iter()
             .find(|d| d.name == design)
@@ -436,14 +446,8 @@ impl Server {
         // VCs exhaust the automatic core's budget), so the service
         // discharges per-VC under a wall-clock deadline and reports every
         // outcome instead of failing the request at the first hard VC.
-        let deadline_ms =
-            json::get(req, "deadline_ms").and_then(json::as_u64).unwrap_or(10_000);
-        let priority = request_priority(req);
-        // Identical concurrent requests coalesce on (design, deadline):
-        // the spec and module are compiled in, so that pair determines
-        // the work.
-        let key = fnv128(format!("vc-job:{design}:{deadline_ms}").as_bytes());
-        let handle = self.pool.submit_keyed(priority, key, move || -> Result<JsonValue, String> {
+        let deadline_ms = field(req, "deadline_ms")?.unwrap_or(10_000);
+        let (result, _) = self.vc_runs.run((design.to_string(), deadline_ms), || {
             let module = (vd.module)();
             let out = chicala_core::transform(&module).map_err(|e| e.to_string())?;
             let mut env = chicala_verify::Env::new();
@@ -471,28 +475,21 @@ impl Server {
                 }
             }
             Ok(JsonValue::obj()
-                .set("design", JsonValue::str(design.clone()))
+                .set("design", JsonValue::str(design))
                 .set("total", JsonValue::int(vcs.len() as u64))
                 .set("proved", JsonValue::int(proved.len() as u64))
                 .set("scripted", JsonValue::int(scripted))
                 .set("proved_names", JsonValue::Arr(proved))
                 .set("unproved_names", JsonValue::Arr(unproved)))
         });
-        let result = handle.join()?;
-        Ok((result, vec![("deadline_ms", JsonValue::int(deadline_ms))]))
+        Ok((result?, vec![("deadline_ms", JsonValue::int(deadline_ms))]))
     }
 
     fn op_conformance(&self, req: &JsonValue) -> OpOutcome {
-        let design = json::get(req, "design")
-            .and_then(json::as_str)
-            .ok_or("conformance: missing `design`")?
-            .to_string();
-        let d = Design::by_name(&design).ok_or_else(|| format!("unknown design `{design}`"))?;
-        let mut cfg = Config {
-            seed: json::get(req, "seed").and_then(json::as_u64).unwrap_or(1),
-            ..Config::default()
-        };
-        if let Some(cases) = json::get(req, "cases").and_then(json::as_u64) {
+        let design: &str = required(req, "conformance", "design")?;
+        let d = Design::by_name(design).ok_or_else(|| format!("unknown design `{design}`"))?;
+        let mut cfg = Config { seed: field(req, "seed")?.unwrap_or(1), ..Config::default() };
+        if let Some(cases) = field::<u64>(req, "cases")? {
             if cases > MAX_CONFORMANCE_CASES {
                 return Err(format!(
                     "conformance: `cases` {cases} is over the limit of {MAX_CONFORMANCE_CASES}"
@@ -500,7 +497,7 @@ impl Server {
             }
             cfg.cases = cases as usize;
         }
-        if let Some(mw) = json::get(req, "max_width").and_then(json::as_u64) {
+        if let Some(mw) = field::<u64>(req, "max_width")? {
             if mw > MAX_CONFORMANCE_WIDTH {
                 return Err(format!(
                     "conformance: `max_width` {mw} is over the limit of {MAX_CONFORMANCE_WIDTH}"
@@ -508,7 +505,7 @@ impl Server {
             }
             cfg.max_width = mw;
         }
-        if let Some(layers) = json::get(req, "layers").and_then(json::as_str) {
+        if let Some(layers) = field::<&str>(req, "layers")? {
             cfg.layers = Vec::new();
             for s in layers.split(',') {
                 let layer = Layer::parse(s.trim()).ok_or_else(|| format!("unknown layer `{s}`"))?;
@@ -518,16 +515,15 @@ impl Server {
                 cfg.layers.push(layer);
             }
         }
-        if let Some(b) = json::get(req, "backend").and_then(json::as_str) {
+        if let Some(b) = field::<&str>(req, "backend")? {
             cfg.backend =
                 SimBackend::parse(b).ok_or_else(|| format!("unknown sim backend `{b}`"))?;
         }
-        let priority = request_priority(req);
 
         // Conformance runs are deterministic in their config, so whole
         // reports are content-addressable: key = canonical config
         // transcript, payload = the byte-comparable result JSON.
-        let key = report_key(&design, &cfg);
+        let key = report_key(design, &cfg);
         if let Some(cache) = &self.cache {
             if let Some(payload) = cache.store().lookup(KIND_REPORT, &key) {
                 if let Ok(text) = String::from_utf8(payload) {
@@ -544,28 +540,31 @@ impl Server {
         self.report_misses.fetch_add(1, Ordering::Relaxed);
         telemetry::counter("serve.report.miss", 1);
 
-        let handle = self.pool.submit_keyed(priority, fnv128(&key), move || {
-            let report = run_design(&d, &cfg);
-            report_json(&design, &report)
+        // A twin that arrives while this report runs takes it; only the
+        // request that ran it files it in the store.
+        let (result, _) = self.soaks.run(key.clone(), || {
+            let result = report_json(design, &run_design(&d, &cfg));
+            if let Some(cache) = &self.cache {
+                cache.store().store(KIND_REPORT, &key, result.to_string().as_bytes());
+            }
+            Ok(result)
         });
-        let result = handle.join();
-        if let Some(cache) = &self.cache {
-            cache.store().store(KIND_REPORT, &key, result.to_string().as_bytes());
-        }
-        Ok((result, vec![("cache", JsonValue::str("miss"))]))
+        Ok((result?, vec![("cache", JsonValue::str("miss"))]))
     }
 
-    /// The live `stats` payload: scheduler, store, batching, and
+    /// The live `stats` payload: coalescing, store, batching, and
     /// telemetry counters in one object. Not byte-comparable (it reports
     /// wall-clock state) — clients treat it as diagnostics.
+    ///
+    /// `pool` counts the obligation builds, `vc` runs and conformance runs
+    /// that ran (`executed`) and the twins that waited for one
+    /// (`inflight_dedup`). It keeps the name of the work pool it replaced
+    /// because the repository benchmark reads these two counters there.
     pub fn stats_json(&self) -> JsonValue {
-        let p = self.pool.stats();
+        let (o, v, c) = (&self.obligations, &self.vc_runs, &self.soaks);
         let pool = JsonValue::obj()
-            .set("workers", JsonValue::int(p.workers))
-            .set("submitted", JsonValue::int(p.submitted))
-            .set("executed", JsonValue::int(p.executed))
-            .set("inflight_dedup", JsonValue::int(p.dedup_hits))
-            .set("steals", JsonValue::int(p.steals));
+            .set("executed", JsonValue::int(o.ran() + v.ran() + c.ran()))
+            .set("inflight_dedup", JsonValue::int(o.attached() + v.attached() + c.attached()));
         let server = JsonValue::obj()
             .set("requests", JsonValue::int(self.requests.load(Ordering::Relaxed)))
             .set("errors", JsonValue::int(self.errors.load(Ordering::Relaxed)))
@@ -573,7 +572,7 @@ impl Server {
         let batch = JsonValue::obj()
             .set("builds", JsonValue::int(self.batch_builds.load(Ordering::Relaxed)))
             .set("reuses", JsonValue::int(self.batch_reuses.load(Ordering::Relaxed)))
-            .set("entries", JsonValue::int(self.obligations.lock().unwrap().len() as u64));
+            .set("entries", JsonValue::int(self.obligations.len() as u64));
         let reports = JsonValue::obj()
             .set("hits", JsonValue::int(self.report_hits.load(Ordering::Relaxed)))
             .set("misses", JsonValue::int(self.report_misses.load(Ordering::Relaxed)));
@@ -619,13 +618,6 @@ impl Server {
             .set("cache", cache)
             .set("telemetry", JsonValue::obj().set("counters", counters).set("hists", hists))
     }
-}
-
-fn request_priority(req: &JsonValue) -> i32 {
-    json::get(req, "priority")
-        .and_then(json::as_u64)
-        .map(|p| p.min(i32::MAX as u64) as i32)
-        .unwrap_or(0)
 }
 
 /// The byte-comparable `prove` result: identical whether the request built
@@ -791,29 +783,52 @@ mod tests {
     #[test]
     fn conformance_requests_over_a_limit_are_rejected_and_the_stream_keeps_serving() {
         let s = uncached();
-        let input = [
-            r#"{"op":"conformance","design":"rmul","seed":1,"cases":1000000000000,"max_width":4,"layers":"cosim"}"#,
-            r#"{"op":"conformance","design":"rmul","seed":1,"cases":2,"max_width":1000000,"layers":"spec"}"#,
-            r#"{"op":"conformance","design":"rmul","seed":1,"cases":4,"max_width":4,"layers":"cosim,cosim"}"#,
-            r#"{"op":"ping"}"#,
-        ]
-        .join("\n");
+        let rejected = [
+            (r#"{"op":"conformance","design":"rmul","seed":1,"cases":1000000000000,"max_width":4,"layers":"cosim"}"#, "`cases`"),
+            (r#"{"op":"conformance","design":"rmul","seed":1,"cases":2,"max_width":1000000,"layers":"spec"}"#, "`max_width`"),
+            (r#"{"op":"conformance","design":"rmul","seed":1,"cases":4,"max_width":4,"layers":"cosim,cosim"}"#, "named twice"),
+            // A field of the wrong type is an error, never its default.
+            (r#"{"op":"conformance","design":"rmul","seed":1,"cases":-1,"max_width":4,"layers":"cosim"}"#, "`cases` must be a non-negative integer"),
+            (r#"{"op":"sweep","design":"rotate","min_width":"3","max_width":4}"#, "`min_width` must be a non-negative integer"),
+            (r#"{"op":"sweep","design":"rotate","min_width":2,"max_width":4,"verify_ab":"yes"}"#, "`verify_ab` must be a bool"),
+        ];
+        let input: Vec<&str> = rejected.iter().map(|r| r.0).chain([r#"{"op":"ping"}"#]).collect();
         let mut output = Vec::new();
-        s.serve_lines(std::io::Cursor::new(input), &mut output);
+        s.serve_lines(std::io::Cursor::new(input.join("\n")), &mut output);
         let text = String::from_utf8(output).expect("responses are UTF-8");
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4, "one response per request: {text}");
-        for (line, want) in lines[..3].iter().zip(["`cases`", "`max_width`", "named twice"]) {
+        assert_eq!(lines.len(), input.len(), "one response per request: {text}");
+        for (line, (_, want)) in lines.iter().zip(rejected) {
             let v = json::parse(line).expect("error response parses");
             assert_eq!(json::get(&v, "ok"), Some(&JsonValue::Bool(false)), "{line}");
             let error = json::get(&v, "error").and_then(json::as_str).expect("error string");
             assert!(error.contains(want), "{line}");
         }
-        let pong = json::parse(lines[3]).expect("ping response parses");
-        assert_eq!(json::get(&pong, "ok"), Some(&JsonValue::Bool(true)), "{}", lines[3]);
+        let pong = json::parse(lines[rejected.len()]).expect("ping response parses");
+        assert_eq!(json::get(&pong, "ok"), Some(&JsonValue::Bool(true)), "{text}");
         let stats = ok_result(&s, r#"{"op":"stats"}"#);
         let server = json::get(&stats, "server").unwrap();
-        assert_eq!(json::get(server, "errors").and_then(json::as_u64), Some(3));
+        assert_eq!(json::get(server, "errors").and_then(json::as_u64), Some(6));
+    }
+
+    #[test]
+    fn every_mistyped_field_is_named_in_the_error() {
+        let s = uncached();
+        for (line, name) in [
+            (r#"{"op":"prove","design":7,"width":5}"#, "design"),
+            (r#"{"op":"prove","design":"rotate","width":"5"}"#, "width"),
+            (r#"{"op":"prove","design":"rotate","width":5,"backend":1}"#, "backend"),
+            (r#"{"op":"sweep","design":"rotate","max_width":-1}"#, "max_width"),
+            (r#"{"op":"vc","design":"rotate","deadline_ms":1.5}"#, "deadline_ms"),
+            (r#"{"op":"conformance","design":"rotate","seed":"1"}"#, "seed"),
+            (r#"{"op":"conformance","design":"rotate","layers":["cosim"]}"#, "layers"),
+            (r#"{"op":"conformance","design":"rotate","backend":true}"#, "backend"),
+        ] {
+            let v = json::parse(&s.handle_line(line)).expect("error response parses");
+            assert_eq!(json::get(&v, "ok"), Some(&JsonValue::Bool(false)), "{line}");
+            let error = json::get(&v, "error").and_then(json::as_str).expect("error string");
+            assert!(error.starts_with(&format!("`{name}` must be")), "{line}: {error}");
+        }
     }
 
     #[test]
@@ -830,34 +845,144 @@ mod tests {
         assert_eq!(json::get(batch, "reuses").and_then(json::as_u64), Some(1));
     }
 
+    /// The `pool` counter `name` of the server's stats.
+    fn pool_stat(s: &Server, name: &str) -> u64 {
+        let stats = s.stats_json();
+        json::get(&stats, "pool").and_then(|p| json::get(p, name)).and_then(json::as_u64).unwrap()
+    }
+
+    fn wait_for(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + std::time::Duration::from_secs(60);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    /// Holds an obligation build open: a design whose `build` passes this
+    /// gate elaborates only once the test opens it.
+    struct Gate {
+        entered: AtomicBool,
+        open: AtomicBool,
+    }
+
+    impl Gate {
+        const fn new() -> Gate {
+            Gate { entered: AtomicBool::new(false), open: AtomicBool::new(false) }
+        }
+
+        fn pass(&self) {
+            self.entered.store(true, Ordering::SeqCst);
+            wait_for("the gate to open", || self.open.load(Ordering::SeqCst));
+        }
+    }
+
+    /// `rmul` with `build` in place of its module builder. Elaboration is
+    /// memoised process-wide by (name, width), so each test that uses this
+    /// takes a width of rmul that no other test in this binary builds.
+    fn rmul_built_by(build: fn() -> chicala_chisel::Module) -> Design {
+        Design { build, ..Design::by_name("rmul").expect("rmul is registered") }
+    }
+
+    #[test]
+    fn twins_attach_to_a_held_build_and_share_its_answer() {
+        static GATE: Gate = Gate::new();
+        fn held_rmul() -> chicala_chisel::Module {
+            GATE.pass();
+            chicala_designs::rmul::module()
+        }
+        let s = Arc::new(uncached());
+        let leader = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || s.obligation(rmul_built_by(held_rmul), 13).map(|r| r.1))
+        };
+        wait_for("the held build", || GATE.entered.load(Ordering::SeqCst));
+        let prove = r#"{"op":"prove","design":"rmul","width":13}"#;
+        let twins: Vec<_> = (0..2)
+            .map(|_| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || ok_result(&s, prove).to_string())
+            })
+            .collect();
+        wait_for("two attached twins", || pool_stat(&s, "inflight_dedup") == 2);
+        GATE.open.store(true, Ordering::SeqCst);
+        assert_eq!(leader.join().expect("leader thread"), Ok(false), "the leader built it");
+        let answers: Vec<String> = twins.into_iter().map(|t| t.join().expect("twin")).collect();
+        assert_eq!(answers[0], answers[1]);
+        assert_eq!(ok_result(&s, prove).to_string(), answers[0], "a later read agrees");
+        let stats = ok_result(&s, r#"{"op":"stats"}"#);
+        let batch = json::get(&stats, "batch").unwrap();
+        assert_eq!(json::get(batch, "builds").and_then(json::as_u64), Some(1), "{stats}");
+        assert_eq!(json::get(batch, "reuses").and_then(json::as_u64), Some(3), "{stats}");
+        assert_eq!(pool_stat(&s, "executed"), 1, "{stats}");
+        assert_eq!(pool_stat(&s, "inflight_dedup"), 2, "{stats}");
+    }
+
+    #[test]
+    fn conformance_coalesces_in_flight_only() {
+        let s = uncached();
+        let line = r#"{"op":"conformance","design":"popcount","seed":2,"cases":3,"max_width":6,"layers":"cosim"}"#;
+        let first = ok_result(&s, line);
+        assert_eq!(ok_result(&s, line).to_string(), first.to_string());
+        assert_eq!(pool_stat(&s, "executed"), 2, "the second request runs its own soak");
+        assert_eq!(pool_stat(&s, "inflight_dedup"), 0);
+    }
+
+    #[test]
+    fn a_panicking_build_strands_no_twin_and_blocks_no_later_request() {
+        static GATE: Gate = Gate::new();
+        fn exploding_rmul() -> chicala_chisel::Module {
+            GATE.pass();
+            panic!("elaboration exploded")
+        }
+        // A hang fails the test after 60 s instead of blocking the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let checks = std::thread::spawn(move || {
+            let s = Arc::new(uncached());
+            let leader = {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || s.obligation(rmul_built_by(exploding_rmul), 11).err())
+            };
+            wait_for("the held build", || GATE.entered.load(Ordering::SeqCst));
+            let prove = r#"{"op":"prove","design":"rmul","width":11}"#;
+            let twins: Vec<_> = (0..2)
+                .map(|_| {
+                    let s = Arc::clone(&s);
+                    std::thread::spawn(move || s.handle_line(prove))
+                })
+                .collect();
+            wait_for("two attached twins", || pool_stat(&s, "inflight_dedup") == 2);
+            GATE.open.store(true, Ordering::SeqCst);
+            let error = leader.join().expect("leader thread").expect("the build failed");
+            assert!(error.contains("elaboration exploded"), "{error}");
+            for twin in twins {
+                let resp = twin.join().expect("twin thread");
+                let v = json::parse(&resp).expect("response parses");
+                assert_eq!(json::get(&v, "ok"), Some(&JsonValue::Bool(false)), "{resp}");
+                assert!(resp.contains("elaboration exploded"), "{resp}");
+            }
+            // The failed cell is gone: the next request builds afresh.
+            let r = ok_result(&s, prove);
+            assert_eq!(json::get(&r, "status"), Some(&JsonValue::str("proved")), "{r}");
+            assert_eq!(pool_stat(&s, "executed"), 2);
+            let _ = tx.send(());
+        });
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+            rx.recv_timeout(std::time::Duration::from_secs(60))
+        {
+            panic!("a request hung behind the panicked build");
+        }
+        if let Err(panic) = checks.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
     #[test]
     fn deduped_twins_name_their_own_design() {
         let s = Arc::new(uncached());
-        // Park every worker, so each request below finds its batch-mate's
-        // build still in flight and attaches to it.
-        let gate = Arc::new(std::sync::RwLock::new(()));
-        let held = gate.write().unwrap();
-        let parked = Arc::new(AtomicU64::new(0));
-        let workers = s.pool.workers();
-        let blockers: Vec<_> = (0..workers)
-            .map(|_| {
-                let (gate, parked) = (Arc::clone(&gate), Arc::clone(&parked));
-                s.pool.submit(i32::MAX, move || {
-                    parked.fetch_add(1, Ordering::SeqCst);
-                    drop(gate.read());
-                })
-            })
-            .collect();
-        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
-            let deadline = Instant::now() + std::time::Duration::from_secs(60);
-            while !done() {
-                assert!(Instant::now() < deadline, "timed out waiting for {what}");
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-        };
-        wait_for("parked workers", &|| parked.load(Ordering::SeqCst) == workers as u64);
         // rdiv and xdiv at width 32 build identical obligations, but each
-        // design has its own memo entry, so its own build.
+        // design has its own memo cell, so its own build; the other four
+        // requests wait for a build or read it, as their timing falls.
         let designs = ["rdiv", "xdiv", "rdiv", "xdiv", "xdiv", "rdiv"];
         let clients: Vec<_> = designs
             .iter()
@@ -868,11 +993,6 @@ mod tests {
                 })
             })
             .collect();
-        wait_for("attached twins", &|| s.pool.stats().dedup_hits == 4);
-        drop(held);
-        for b in blockers {
-            b.join();
-        }
         for (&name, client) in designs.iter().zip(clients) {
             let r = client.join().expect("client thread");
             assert_eq!(json::get(&r, "design"), Some(&JsonValue::str(name)), "{r}");
@@ -882,8 +1002,6 @@ mod tests {
         let batch = json::get(&stats, "batch").unwrap();
         assert_eq!(json::get(batch, "builds").and_then(json::as_u64), Some(2), "{stats}");
         assert_eq!(json::get(batch, "reuses").and_then(json::as_u64), Some(4), "{stats}");
-        let pool = json::get(&stats, "pool").unwrap();
-        assert_eq!(json::get(pool, "inflight_dedup").and_then(json::as_u64), Some(4), "{stats}");
     }
 
     #[test]

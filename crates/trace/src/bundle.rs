@@ -30,7 +30,7 @@
 //!   },
 //!   "module": "…",                    // gen only: shrunk module debug form
 //!   "git_rev": "abc123…",
-//!   "replay_env": "CHICALA_SEED=0x… cargo test -q --test conformance",
+//!   "replay_env": "CHICALA_SEED=0x… cargo run --release --example conformance -- --design … --layers … --cases … --max-width … --backend …",
 //!   "replay_cmd": "cargo run --release --example conformance -- …",
 //!   "vcd_files": [ "….chisel_interp.vcd", "….seq_interp.vcd" ]
 //! }
@@ -350,7 +350,9 @@ mod tests {
             }),
             module: String::new(),
             git_rev: "deadbeef".to_string(),
-            replay_env: "CHICALA_SEED=0x00000000C1CA1A00 cargo test -q --test conformance"
+            replay_env: "CHICALA_SEED=0x00000000C1CA1A00 cargo run --release --example \
+                         conformance -- --design rmul --layers cosim --cases 32 \
+                         --max-width 24 --backend compiled"
                 .to_string(),
             replay_cmd: "cargo run --release --example conformance -- --design rmul \
                          --max-width 24 --replay 0xFEDCBA9876543210"

@@ -51,7 +51,7 @@ fn json_report(report: &conformance::Report, cfg: &Config) -> JsonValue {
             JsonValue::obj()
                 .set("design", JsonValue::str(&f.design))
                 .set("layer", JsonValue::str(f.layer.name()))
-                .set("master_seed", JsonValue::str(format!("0x{:016X}", f.master_seed)))
+                .set("master_seed", JsonValue::str(format!("0x{:016X}", f.run.seed)))
                 .set("case_seed", JsonValue::str(format!("0x{:016X}", f.case_seed)))
                 .set("max_width", JsonValue::int(f.max_width))
                 .set("case", JsonValue::str(f.case.to_string()))

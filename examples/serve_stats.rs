@@ -84,12 +84,9 @@ fn print_stats(stats: &JsonValue) {
         u(server, "uptime_ms")
     );
     println!(
-        "pool      workers  {:>8}   submitted {:>6}   executed {:>6}   inflight_dedup {:>4}   steals {:>4}",
-        u(pool, "workers"),
-        u(pool, "submitted"),
+        "pool      executed {:>8}   inflight_dedup {:>4}",
         u(pool, "executed"),
-        u(pool, "inflight_dedup"),
-        u(pool, "steals")
+        u(pool, "inflight_dedup")
     );
     println!(
         "batching  builds   {:>8}   reuses {:>6}   live entries {:>4}",

@@ -78,7 +78,21 @@ fn drill_under(d: &Design, backend: SimBackend, dir: &std::path::Path) {
     assert_eq!(bundle.sim_backend, backend.name());
     let flag = format!("--backend {backend}");
     assert!(bundle.replay_cmd.contains(&flag), "{}", bundle.replay_cmd);
-    assert!(bundle.replay_env.contains("CHICALA_SEED="), "{}", bundle.replay_env);
+    // The whole-run line re-runs the drill's soak under its own settings.
+    let run = drill_config(backend);
+    assert!(
+        bundle.replay_env.starts_with(&format!("CHICALA_SEED=0x{:016X} ", run.seed)),
+        "{}",
+        bundle.replay_env
+    );
+    for setting in [
+        "--design rmul_drill --layers spec".to_string(),
+        format!("--cases {}", run.cases),
+        format!("--max-width {}", run.max_width),
+        flag,
+    ] {
+        assert!(bundle.replay_env.contains(&setting), "{setting}: {}", bundle.replay_env);
+    }
 
     // Every recorded layer waveform exists as a sibling and parses back.
     assert!(!bundle.vcd_files.is_empty(), "waveforms were written");

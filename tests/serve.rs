@@ -183,8 +183,9 @@ fn warm_and_fresh_responses_are_byte_identical() {
         "cold pass left `report/` empty — writes are being refused"
     );
 
-    // Warm: fresh server (empty batching memo, fresh pool) over the same
-    // store — the persistence-only replay, as after a daemon restart.
+    // Warm: fresh server (empty batching memo and coalescing cells) over
+    // the same store — the persistence-only replay, as after a daemon
+    // restart.
     let store2 = Arc::new(Store::open(&persist));
     let server2 = Server::new(Some(CacheHandle::new(Arc::clone(&store2))));
     for ((label, line), cold) in labels_lines.iter().zip(&cold) {
