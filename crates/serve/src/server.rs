@@ -6,7 +6,11 @@
 //! **byte-comparable** `result` (the same request must serialize to the
 //! same bytes whether its work was done fresh, shared with a concurrent
 //! twin, or served from the persistent store) from `meta`, which carries
-//! timing and cache provenance and is allowed to differ between runs.
+//! timing and cache provenance and is allowed to differ between runs. So
+//! does anything that depends on timing: which VCs a `vc` request proved
+//! depends on its wall-clock `deadline_ms` and on the machine's load, so
+//! its `result` holds only the design and its VC counts, and the verdicts
+//! (`proved`, `proved_names`, `unproved_names`) are in `meta`.
 //!
 //! ```text
 //! → {"op":"prove","design":"rmul","width":8}
@@ -125,9 +129,12 @@ fn required<'a, T: FieldType<'a>>(req: &'a JsonValue, op: &str, name: &str) -> R
     field(req, name)?.ok_or_else(|| format!("{op}: missing `{name}`"))
 }
 
-/// The op outcome: the byte-comparable result plus meta fields specific
-/// to this op (cache provenance, batching).
-type OpOutcome = Result<(JsonValue, Vec<(&'static str, JsonValue)>), String>;
+/// The byte-comparable result of an op plus meta fields specific to this
+/// op (cache provenance, batching, verdicts that depend on timing).
+type OpReply = (JsonValue, Vec<(&'static str, JsonValue)>);
+
+/// The op outcome: its reply, or the error to answer with.
+type OpOutcome = Result<OpReply, String>;
 
 /// A verification server instance. One per process; share it across
 /// connection threads behind an [`Arc`].
@@ -138,7 +145,7 @@ pub struct Server {
     obligations: Coalesce<(&'static str, u64), Arc<FormalObligation>>,
     /// `vc` runs in flight, by `(design, deadline_ms)`: the spec and module
     /// are compiled in, so that pair determines the work.
-    vc_runs: Coalesce<(String, u64), JsonValue>,
+    vc_runs: Coalesce<(String, u64), OpReply>,
     /// `conformance` runs in flight, by report key.
     soaks: Coalesce<Vec<u8>, JsonValue>,
     requests: AtomicU64,
@@ -446,8 +453,11 @@ impl Server {
         // VCs exhaust the automatic core's budget), so the service
         // discharges per-VC under a wall-clock deadline and reports every
         // outcome instead of failing the request at the first hard VC.
+        // Which VCs beat the deadline depends on the machine and its load,
+        // so the verdicts go in `meta`; `result` holds what the request
+        // determines.
         let deadline_ms = field(req, "deadline_ms")?.unwrap_or(10_000);
-        let (result, _) = self.vc_runs.run((design.to_string(), deadline_ms), || {
+        let (outcome, _) = self.vc_runs.run((design.to_string(), deadline_ms), || {
             let module = (vd.module)();
             let out = chicala_core::transform(&module).map_err(|e| e.to_string())?;
             let mut env = chicala_verify::Env::new();
@@ -474,15 +484,21 @@ impl Server {
                     Err(_) => unproved.push(JsonValue::str(vc.name.clone())),
                 }
             }
-            Ok(JsonValue::obj()
+            let result = JsonValue::obj()
                 .set("design", JsonValue::str(design))
                 .set("total", JsonValue::int(vcs.len() as u64))
-                .set("proved", JsonValue::int(proved.len() as u64))
-                .set("scripted", JsonValue::int(scripted))
-                .set("proved_names", JsonValue::Arr(proved))
-                .set("unproved_names", JsonValue::Arr(unproved)))
+                .set("scripted", JsonValue::int(scripted));
+            Ok((
+                result,
+                vec![
+                    ("deadline_ms", JsonValue::int(deadline_ms)),
+                    ("proved", JsonValue::int(proved.len() as u64)),
+                    ("proved_names", JsonValue::Arr(proved)),
+                    ("unproved_names", JsonValue::Arr(unproved)),
+                ],
+            ))
         });
-        Ok((result?, vec![("deadline_ms", JsonValue::int(deadline_ms))]))
+        outcome
     }
 
     fn op_conformance(&self, req: &JsonValue) -> OpOutcome {
@@ -1042,6 +1058,62 @@ mod tests {
             Some(0),
             "A/B tripwire must be quiet on a sound session"
         );
+    }
+
+    #[test]
+    fn vc_verdicts_live_in_meta() {
+        let s = uncached();
+        let resp = s.handle_line(r#"{"op":"vc","design":"rotate","deadline_ms":20}"#);
+        let v = json::parse(&resp).unwrap();
+        assert_eq!(
+            json::get(&v, "ok"),
+            Some(&JsonValue::Bool(true)),
+            "resp: {resp}"
+        );
+        let JsonValue::Obj(result) = json::get(&v, "result").unwrap() else {
+            panic!("result is an object: {resp}")
+        };
+        let keys: Vec<&str> = result.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["design", "total", "scripted"], "resp: {resp}");
+
+        let d = chicala_designs::verified_designs()
+            .into_iter()
+            .find(|d| d.name == "rotate")
+            .unwrap();
+        let spec = (d.spec.unwrap())();
+        let out = chicala_core::transform(&(d.module)()).unwrap();
+        let mut all: Vec<String> =
+            chicala_verify::generate_vcs(&out.program, &spec, &out.obligations)
+                .unwrap()
+                .into_iter()
+                .map(|vc| vc.name)
+                .collect();
+        let total = json::get(&v, "result").and_then(|r| json::get(r, "total"));
+        assert_eq!(total.and_then(json::as_u64), Some(all.len() as u64));
+
+        let meta = json::get(&v, "meta").unwrap();
+        let names = |key: &str| -> Vec<String> {
+            let Some(JsonValue::Arr(a)) = json::get(meta, key) else {
+                panic!("meta.{key} is an array: {resp}")
+            };
+            a.iter()
+                .map(|n| json::as_str(n).unwrap().to_string())
+                .collect()
+        };
+        let proved = names("proved_names");
+        assert_eq!(
+            json::get(meta, "proved").and_then(json::as_u64),
+            Some(proved.len() as u64)
+        );
+        assert_eq!(
+            json::get(meta, "deadline_ms").and_then(json::as_u64),
+            Some(20)
+        );
+        let mut parts = proved;
+        parts.extend(names("unproved_names"));
+        parts.sort();
+        all.sort();
+        assert_eq!(parts, all, "proved and unproved names partition the VCs");
     }
 
     #[test]

@@ -11,6 +11,15 @@
 //!   `Pow2` atoms;
 //! * Fourier–Motzkin linear arithmetic with integer tightening.
 //!
+//! Splitting the hypotheses' disjunctions leaves a goal with independent
+//! literal cases, up to [`Limits::case_cap`] of them. When there are at
+//! least `FAN_OUT_MIN_CASES`, they are proved across the default
+//! [`ThreadPool`]'s workers with [`ThreadPool::try_each`], which returns
+//! what the sequential loop returns: success, or the lowest failing case's
+//! error. Cases stay inline wherever a failure does not fail the proof
+//! (the attempts at an `Or` goal), so a proved VC does the same work at
+//! every worker count.
+//!
 //! Nonlinear steps are taken explicitly — lemma instantiation
 //! ([`Proof::Use`]), equation chains ([`Proof::Calc`], the paper's
 //! Listing 4 DSL), case analysis, induction, and function unfolding —
@@ -22,9 +31,16 @@ use crate::poly::{assume_ite, find_ite, Monomial, Poly};
 use crate::store::{self, TermId};
 use crate::term::{Formula, Sym, Term};
 use chicala_bigint::BigInt;
+use chicala_par::ThreadPool;
 use chicala_telemetry as telemetry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+
+/// Fewest hypothesis cases a goal needs before the automatic core proves
+/// them across the pool's workers. Below it, spawning a worker costs more
+/// than it saves. In the benchmark's known-proved VCs a case loop has
+/// either one case (every VC near the median discharge time) or 8 to 160.
+const FAN_OUT_MIN_CASES: usize = 8;
 
 /// A defined (possibly recursive) function: `name(params) = body`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -603,34 +619,39 @@ impl Env {
             }
             return Ok(());
         }
-        self.auto_flat(&hyps, &goal)
+        self.auto_flat(&hyps, &goal, true)
     }
 
-    /// Ite-free automatic proving.
-    fn auto_flat(&self, hyps: &[Formula], goal: &Formula) -> Result<(), ProofError> {
+    /// Ite-free automatic proving. With `fan_out`, a goal with at least
+    /// [`FAN_OUT_MIN_CASES`] hypothesis cases proves them across the
+    /// default pool's workers; the verdict and error are the sequential
+    /// loop's either way.
+    fn auto_flat(&self, hyps: &[Formula], goal: &Formula, fan_out: bool) -> Result<(), ProofError> {
         // Goal decomposition.
         match goal {
             Formula::True => return Ok(()),
             Formula::And(fs) => {
                 for f in fs {
-                    self.auto_flat(hyps, f)?;
+                    self.auto_flat(hyps, f, fan_out)?;
                 }
                 return Ok(());
             }
             Formula::Implies(a, b) => {
                 let mut h2 = hyps.to_vec();
                 h2.push((**a).clone());
-                return self.auto_flat(&h2, b);
+                return self.auto_flat(&h2, b, fan_out);
             }
             Formula::Or(fs) => {
                 // Either the hypotheses are already contradictory, or some
-                // disjunct is provable.
-                if self.auto_flat(hyps, &Formula::False).is_ok() {
+                // disjunct is provable. A failed attempt here does not fail
+                // the proof, so each runs inline: a fan-out would spend
+                // speculative work on cases past the failure.
+                if self.auto_flat(hyps, &Formula::False, false).is_ok() {
                     return Ok(());
                 }
                 let mut last = None;
                 for f in fs {
-                    match self.auto_flat(hyps, f) {
+                    match self.auto_flat(hyps, f, false) {
                         Ok(()) => return Ok(()),
                         Err(e) => last = Some(e),
                     }
@@ -645,10 +666,13 @@ impl Env {
             expand_hyp(h, &mut cases, self.limits.case_cap)
                 .map_err(|m| err(m, goal))?;
         }
-        for case in &cases {
-            self.prove_case(case, goal)?;
-        }
-        Ok(())
+        // A one-worker pool runs the cases inline, in order.
+        let pool = if fan_out && cases.len() >= FAN_OUT_MIN_CASES {
+            ThreadPool::default()
+        } else {
+            ThreadPool::new(1)
+        };
+        pool.try_each(cases.len(), |i| self.prove_case(&cases[i], goal))
     }
 
     /// Proves the goal under one literal case via linear arithmetic.

@@ -32,6 +32,12 @@
 //! A thread-local store ([`with_store`]) keeps ids meaningful across the
 //! whole discharge of a VC while staying `Send`-free: parallel VC discharge
 //! gives every worker its own arena, so results cannot depend on scheduling.
+//! The same holds within one VC. When the kernel proves a goal's hypothesis
+//! cases across the pool's workers, each worker interns the cases it takes
+//! into its own arena. The calling thread is one of the workers and keeps
+//! its warm arena; a spawned worker's arena is dropped with the worker when
+//! the fan-out returns. Ids never cross threads: cases go out as [`Term`]s
+//! and come back as verdicts.
 
 use crate::poly::{ItePresent, Poly};
 use crate::term::{Formula, Term};

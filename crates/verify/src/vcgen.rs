@@ -590,25 +590,14 @@ pub fn verify_design(
     prepare_env(env, spec)?;
     let vcs = generate_vcs(prog, spec, obligations)?;
 
-    // Discharge every VC (set CHICALA_VC_DEBUG=1 for per-VC timing).
-    let debug = std::env::var_os("CHICALA_VC_DEBUG").is_some();
+    // Discharge every VC; each is timed as its `vc:{name}` span.
     let mut scripted = Vec::new();
     for vc in &vcs {
         let proof = spec.proofs.get(&vc.name).cloned().unwrap_or(Proof::Auto);
         if spec.proofs.contains_key(&vc.name) {
             scripted.push(vc.name.clone());
         }
-        let start = std::time::Instant::now();
-        let result = discharge_vc(env, vc, &proof);
-        if debug {
-            eprintln!(
-                "[vc] {} {} in {:.2?}",
-                vc.name,
-                if result.is_ok() { "proved" } else { "FAILED" },
-                start.elapsed()
-            );
-        }
-        result?;
+        discharge_vc(env, vc, &proof)?;
     }
     Ok(VcReport { vcs, scripted })
 }
