@@ -346,7 +346,7 @@ pub fn capture_traces(
             if let ProveResult::Counterexample { inputs: cex, .. } =
                 prove_net(&ob.netlist, ob.property, Backend::Auto, case.width as usize, &ob.var_order)
             {
-                let vals = ob.netlist.eval(&|net| cex.get(&net).copied().unwrap_or(false));
+                let vals = ob.netlist.eval_all(&|input| cex.get(&input).copied().unwrap_or(false));
                 let t = miter_trace(&ob, &vals);
                 let div = t.divergence.clone();
                 return (vec![t], div);
@@ -484,7 +484,7 @@ mod tests {
         assert!(ob.golden.contains_key("acc"), "spec noted its golden cone");
         // All-false inputs: a*b = 0 and the design's zero-initialised
         // accumulator agrees, so no divergence is marked.
-        let vals = ob.netlist.eval(&|_| false);
+        let vals = ob.netlist.eval_all(&|_| false);
         let t = miter_trace(&ob, &vals);
         assert_eq!(t.len(), 1, "one-cycle trace");
         assert!(t.signal_index("acc").is_some());

@@ -12,10 +12,10 @@
 //!   two ways: each sampled case blasted over its concrete input bits
 //!   ([`chicala_lowlevel::Eval`]) against the reference simulator the
 //!   [`SimBackend`] selects, plus one *formal* design-vs-golden-model
-//!   equivalence proof per width over a symbolic netlist
+//!   equivalence proof per width over a symbolic AIG
 //!   ([`formal_gate_obligation`], discharged by
-//!   [`chicala_lowlevel::Backend::Auto`]: BDDs at small widths, AIG + CDCL
-//!   SAT above the crossover).
+//!   [`chicala_lowlevel::Backend::Auto`]: BDDs at small widths, CDCL SAT
+//!   above the crossover).
 //! * [`Layer::Spec`] — the final state after the design's full latency
 //!   against a pure mathematical specification (`a*b`, `n/d`, rotation,
 //!   popcount) from the registry.
@@ -807,11 +807,12 @@ fn check_cosim_both(d: &Design, case: &Case) -> Result<u64, String> {
 /// hand to any [`prove_net`] backend (the conformance gates layer, the
 /// backend-agreement tests, and the serve `prove` op all start from here).
 pub struct FormalObligation {
-    /// The netlist holding the unrolled design, the golden model, and the
-    /// property cone.
+    /// The AIG kit holding the unrolled design, the golden model, and the
+    /// property cone. It folds as it is built, so every registry property
+    /// is the constant-true edge here.
     pub netlist: Netlist,
-    /// Single-bit property net; constant-true ⇔ design matches golden for
-    /// every input assignment at this width.
+    /// Single-bit property edge; constant-true ⇔ design matches golden
+    /// for every input assignment at this width.
     pub property: Net,
     /// Interleaved input bits (operand bit 0 of each port, then bit 1, …)
     /// — the BDD variable order that keeps arithmetic miters polynomial
@@ -842,8 +843,8 @@ pub fn formal_gate_obligation(d: &Design, width: u64) -> Result<Option<FormalObl
 /// A formal obligation built into a caller-owned shared [`Netlist`] kit —
 /// the width-sweep variant of [`FormalObligation`]. All widths of one
 /// design share the kit (and, via `shared_inputs`, the per-(port, bit)
-/// input nets), so structure common across widths hash-conses to the same
-/// nets and a sweep session can skip re-lowering it.
+/// input edges), so structure common across widths hash-conses to the
+/// same nodes and a sweep session encodes it once.
 pub struct SharedObligation {
     /// Single-bit property net in the shared kit.
     pub property: Net,
@@ -858,7 +859,7 @@ pub struct SharedObligation {
 }
 
 /// Builds the formal obligation for `d` at `width` into a caller-owned
-/// netlist kit, reusing input nets per (port, bit) across calls. Repeated
+/// AIG kit, reusing input edges per (port, bit) across calls. Repeated
 /// calls at ascending widths make the kit a hash-consed union of the whole
 /// width family: every sub-expression whose structure is width-independent
 /// (low-order adder chains, partial-product rows, …) resolves to the same
@@ -901,9 +902,10 @@ fn bits_value(bits: impl IntoIterator<Item = bool>) -> BigInt {
     v
 }
 
-/// The value of a netlist word under an evaluation of the whole netlist.
+/// The value of a kit word, given every node's value from
+/// [`Aig::eval_all`](chicala_lowlevel::Aig::eval_all).
 pub(crate) fn word_value(word: &Word<Net>, vals: &[bool]) -> BigInt {
-    bits_value(word.bits.iter().map(|bit| vals[bit.0 as usize]))
+    bits_value(word.bits.iter().map(|bit| bit.value(vals)))
 }
 
 /// One formal design-vs-golden equivalence proof per (design, width),
@@ -933,17 +935,17 @@ fn check_gates_formal_uncached(d: &Design, width: u64) -> Result<(), String> {
     match prove_net(&ob.netlist, ob.property, Backend::Auto, width as usize, &ob.var_order) {
         ProveResult::Proved { .. } => Ok(()),
         ProveResult::Counterexample { backend, inputs: cex } => {
-            let vals = ob.netlist.eval(&|net| cex.get(&net).copied().unwrap_or(false));
+            let vals = ob.netlist.eval_all(&|input| cex.get(&input).copied().unwrap_or(false));
             let decoded: BTreeMap<String, BigInt> = ob
                 .inputs
                 .iter()
                 .map(|(name, word)| (name.clone(), word_value(word, &vals)))
                 .collect();
             // Self-check 1: the model must actually falsify the miter
-            // under concrete netlist evaluation — anything else is a bug
-            // in the proof pipeline, not in the design.
+            // under concrete evaluation of the graph — anything else is a
+            // bug in the proof pipeline, not in the design.
             assert!(
-                !vals[ob.property.0 as usize],
+                !ob.property.value(&vals),
                 "{}: {backend:?} backend returned a counterexample that does not falsify \
                  the miter at width {width}: inputs {decoded:?}",
                 d.name,

@@ -67,15 +67,15 @@ impl<'a> GateEnv<'a> {
     }
 }
 
-/// Builds the formal gate-level obligation for one design: a single net
+/// Builds the formal gate-level obligation for one design: a single edge
 /// that must be constant-true over all input assignments at this width.
 ///
 /// Golden models mirror the design's register recurrence *structurally*
 /// (same adder/comparator/mux shapes, built from the public blaster
-/// helpers), so the [`Netlist`] kit's unit rules and structural hashing
+/// helpers), so the AIG kit's unit rules, rewriting and structural hashing
 /// collapse the miter as it is built: every registry property is the
-/// constant-true net before any lowering, and no engine runs on it even at
-/// widths where a monolithic BDD blows up.
+/// constant-true edge, and no engine runs on it even at widths where a
+/// monolithic BDD blows up.
 pub type GateSpecFn = fn(&mut Netlist, &GateEnv) -> Net;
 
 /// A registered design: everything the engine needs to drive the Chisel
@@ -93,8 +93,8 @@ pub struct Design {
     pub min_width: u64,
     /// Width cap for the gate-level layer. It bounds the one formal
     /// equivalence proof per width (when [`Design::gate_spec`] is set, via
-    /// [`chicala_lowlevel::Backend::Auto`]). That property folds to the
-    /// constant-true net while the netlist is built, so the proof costs the
+    /// [`chicala_lowlevel::Backend::Auto`]). That property is the
+    /// constant-true edge as the AIG kit builds it, so the proof costs the
     /// symbolic unroll, which grows with width; the concrete cases, blasted
     /// over plain bits, are cheap at any width but share the cap so each
     /// checked width also has its proof.
@@ -545,7 +545,7 @@ pub fn all_designs() -> Vec<Design> {
             ],
             min_width: 1,
             // 24 before the AIG optimizer; the miter now closes
-            // structurally as the netlist is built, so the ceiling is set
+            // structurally as the AIG kit builds it, so the ceiling is set
             // by the unroll's cost, not by a solver.
             gate_max_width: 32,
             latency: |w| w + 1,

@@ -7,8 +7,8 @@
 //! byte-for-byte with the one-shot `prove_net` path. Falsified
 //! variants (the property strengthened by a raw input bit) check the
 //! counterexample side: the sweep must report the one-shot model bytes
-//! and that model must actually falsify the cone under concrete netlist
-//! evaluation.
+//! and that model must actually falsify the cone under concrete
+//! evaluation of the graph.
 //!
 //! The injected-bug drill then retains a width-dependent clause across
 //! retirement on purpose (`prove_net_sweep_drill`): a falsifiable later
@@ -120,9 +120,9 @@ fn sweep_counterexamples_agree_with_oneshot_and_falsify_the_cone() {
         for (o, (nl, broken)) in report.outcomes.iter().zip(&cones) {
             match &o.result {
                 ProveResult::Counterexample { inputs, .. } => {
-                    let vals = nl.eval(&|net| inputs.get(&net).copied().unwrap_or(false));
+                    let vals = nl.eval_all(&|input| inputs.get(&input).copied().unwrap_or(false));
                     assert!(
-                        !vals[broken.0 as usize],
+                        !broken.value(&vals),
                         "seed {seed} width {}: reported model must falsify the cone",
                         o.width
                     );

@@ -1,9 +1,11 @@
-//! And-inverter graphs: the intermediate form of the SAT equivalence
-//! backend.
+//! And-inverter graphs: the bit-blaster's gate kit and the form the BDD
+//! and SAT engines read.
 //!
-//! A [`Netlist`] cone is lowered to 2-input AND gates with complement
-//! edges. Three simplifications run *during construction*, so structurally
-//! similar design/golden pairs collapse before any CNF is emitted:
+//! Every gate is a 2-input AND with complement edges; `or`, `xor` and
+//! `not` are built from it (see `impl BitKit for Aig` in
+//! [`crate::bitblast`]). Three simplifications run *as each gate is
+//! built*, so structurally similar design/golden pairs collapse before any
+//! engine sees them:
 //!
 //! * **constant propagation** — the unit rules (constant operand,
 //!   idempotence, complement);
@@ -14,25 +16,21 @@
 //!   (idempotence, contradiction, subsumption, substitution) catch the
 //!   redundancies hashing alone cannot see.
 //!
-//! The [`Netlist`] kit applies the same unit rules as each gate is built,
-//! so an unrolled design's constant counter registers, and the muxes and
-//! indexed shifts they select, are plain wiring before lowering starts:
-//! every registry miter arrives here as a constant net. The 2-level rules
-//! stay here, for general cones (fuzzer self-miters, sweep families).
-//!
-//! The result feeds [`crate::cnf`] for Tseitin encoding.
+//! An unrolled design's constant counter registers, and the muxes and
+//! indexed shifts they select, are therefore plain wiring: every registry
+//! miter is the constant-true edge as built. Fuzzer self-miters and sweep
+//! families are general cones; [`crate::cnf`] encodes them for the SAT
+//! engine.
 
-use crate::netlist::{Gate, Net, Netlist};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A multiply-xor hasher for the strash tables of the AIG and the
-/// [`Netlist`] kit. Their keys are a few dense 32-bit ids (plus a gate
-/// tag), so a single 64-bit multiply per word mixes them better per cycle
-/// than the DoS-resistant default hasher — and the strash lookup is the
-/// inner loop of every unroll and every lowering.
+/// A multiply-xor hasher for the AIG's strash table. Its keys are two
+/// dense 32-bit edges, so a single 64-bit multiply per word mixes them
+/// better per cycle than the DoS-resistant default hasher — and the strash
+/// lookup is the inner loop of every unroll.
 #[derive(Default)]
-pub(crate) struct MixHasher(u64);
+struct MixHasher(u64);
 
 impl Hasher for MixHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -50,17 +48,12 @@ impl Hasher for MixHasher {
         self.0 ^= self.0 >> 29;
     }
 
-    // Derived `Hash` writes enum tags through here.
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
     fn finish(&self) -> u64 {
         self.0
     }
 }
 
-pub(crate) type MixBuild = BuildHasherDefault<MixHasher>;
+type MixBuild = BuildHasherDefault<MixHasher>;
 
 /// An AIG edge: node index with a complement bit in the LSB.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -90,7 +83,19 @@ impl AigRef {
     pub(crate) fn from_node(n: u32) -> AigRef {
         AigRef::make(n, false)
     }
+
+    /// This edge's value, given every node's value from [`Aig::eval_all`].
+    pub fn value(self, node_values: &[bool]) -> bool {
+        node_values[self.node() as usize] ^ self.is_compl()
+    }
 }
+
+/// The bit-blaster's gate kit under the name its callers know: the same
+/// graph as [`Aig`].
+pub type Netlist = Aig;
+
+/// A bit of the [`Netlist`] kit: an [`AigRef`] edge.
+pub type Net = AigRef;
 
 impl std::ops::Not for AigRef {
     type Output = AigRef;
@@ -116,9 +121,6 @@ pub enum AigNode {
 pub struct Aig {
     nodes: Vec<AigNode>,
     strash: HashMap<(AigRef, AigRef), u32, MixBuild>,
-    /// AND requests received (before hashing/rewriting) — the "pre" side
-    /// of the structural-hashing telemetry.
-    pub and_requests: u64,
 }
 
 impl Default for Aig {
@@ -130,7 +132,7 @@ impl Default for Aig {
 impl Aig {
     /// An empty graph (just the constant node).
     pub fn new() -> Aig {
-        Aig { nodes: vec![AigNode::Const], strash: HashMap::default(), and_requests: 0 }
+        Aig { nodes: vec![AigNode::Const], strash: HashMap::default() }
     }
 
     /// Creates a fresh primary input.
@@ -165,6 +167,23 @@ impl Aig {
         self.nodes.iter().filter(|n| matches!(n, AigNode::Input)).count()
     }
 
+    /// The cone of influence of `root`: a mark per node id, set for every
+    /// node `root` reads.
+    pub(crate) fn cone(&self, root: AigRef) -> Vec<bool> {
+        let mut in_cone = vec![false; self.nodes.len()];
+        let mut stack = vec![root.node()];
+        while let Some(n) = stack.pop() {
+            if std::mem::replace(&mut in_cone[n as usize], true) {
+                continue;
+            }
+            if let AigNode::And(x, y) = self.nodes[n as usize] {
+                stack.push(x.node());
+                stack.push(y.node());
+            }
+        }
+        in_cone
+    }
+
     /// If `r` is an (uncomplemented) AND edge, its children.
     fn and_children(&self, r: AigRef) -> Option<(AigRef, AigRef)> {
         if r.is_compl() {
@@ -179,7 +198,6 @@ impl Aig {
     /// Conjunction with constant propagation, one/two-level rewriting, and
     /// structural hashing.
     pub fn and(&mut self, a: AigRef, b: AigRef) -> AigRef {
-        self.and_requests += 1;
         // Constant and unit rules.
         if a == AIG_FALSE || b == AIG_FALSE || a == !b {
             return AIG_FALSE;
@@ -265,89 +283,26 @@ impl Aig {
         self.and(o, !ab)
     }
 
-    /// Evaluates an edge under an input assignment (indexed by node id).
-    pub fn eval(&self, r: AigRef, inputs: &dyn Fn(u32) -> bool) -> bool {
+    /// Every node's value under an input assignment, indexed by node id:
+    /// `inputs` gives each primary input's value by its edge. Read an
+    /// edge's value with [`AigRef::value`].
+    pub fn eval_all(&self, inputs: &dyn Fn(AigRef) -> bool) -> Vec<bool> {
         let mut values: Vec<bool> = Vec::with_capacity(self.nodes.len());
         for (i, n) in self.nodes.iter().enumerate() {
             let v = match n {
                 AigNode::Const => false,
-                AigNode::Input => inputs(i as u32),
-                AigNode::And(x, y) => {
-                    let vx = values[x.node() as usize] ^ x.is_compl();
-                    let vy = values[y.node() as usize] ^ y.is_compl();
-                    vx && vy
-                }
+                AigNode::Input => inputs(AigRef::from_node(i as u32)),
+                AigNode::And(x, y) => x.value(&values) && y.value(&values),
             };
             values.push(v);
         }
-        values[r.node() as usize] ^ r.is_compl()
+        values
     }
-}
 
-/// Lowers the cone of `roots` in a [`Netlist`] to an AIG.
-///
-/// Returns the graph, the AIG edges of the requested roots, and the mapping
-/// from netlist `Input` nets (those inside the cone) to their AIG input
-/// nodes — the key for decoding SAT counterexample models back into design
-/// input values.
-pub fn from_netlist(nl: &Netlist, roots: &[Net]) -> (Aig, Vec<AigRef>, HashMap<Net, AigRef>) {
-    let mut aig = Aig::new();
-    // Netlist ids are dense, so the net → edge map is a flat vector (the
-    // lowering visits every cone net once; hashing here would dominate).
-    let mut map: Vec<AigRef> = vec![AIG_FALSE; nl.len()];
-    let mut inputs: HashMap<Net, AigRef> = HashMap::new();
-    // Mark the cone of influence so untouched netlist regions cost nothing.
-    let mut in_cone = vec![false; nl.len()];
-    let mut stack: Vec<Net> = roots.to_vec();
-    while let Some(n) = stack.pop() {
-        if std::mem::replace(&mut in_cone[n.0 as usize], true) {
-            continue;
-        }
-        match nl.gate(n) {
-            Gate::And(a, b) | Gate::Or(a, b) | Gate::Xor(a, b) => {
-                stack.push(a);
-                stack.push(b);
-            }
-            Gate::Not(a) => stack.push(a),
-            Gate::Const(_) | Gate::Input => {}
-        }
+    /// Evaluates an edge under an input assignment (indexed by node id).
+    pub fn eval(&self, r: AigRef, inputs: &dyn Fn(u32) -> bool) -> bool {
+        r.value(&self.eval_all(&|input| inputs(input.node())))
     }
-    for i in 0..nl.len() {
-        if !in_cone[i] {
-            continue;
-        }
-        let net = Net(i as u32);
-        let r = match nl.gate(net) {
-            Gate::Const(b) => {
-                if b {
-                    AIG_TRUE
-                } else {
-                    AIG_FALSE
-                }
-            }
-            Gate::Input => {
-                let r = aig.input();
-                inputs.insert(net, r);
-                r
-            }
-            Gate::And(a, b) => {
-                let (x, y) = (map[a.0 as usize], map[b.0 as usize]);
-                aig.and(x, y)
-            }
-            Gate::Or(a, b) => {
-                let (x, y) = (map[a.0 as usize], map[b.0 as usize]);
-                aig.or(x, y)
-            }
-            Gate::Xor(a, b) => {
-                let (x, y) = (map[a.0 as usize], map[b.0 as usize]);
-                aig.xor(x, y)
-            }
-            Gate::Not(a) => !map[a.0 as usize],
-        };
-        map[i] = r;
-    }
-    let root_refs = roots.iter().map(|r| map[r.0 as usize]).collect();
-    (aig, root_refs, inputs)
 }
 
 #[cfg(test)]
@@ -373,7 +328,6 @@ mod tests {
         let y = g.input();
         assert_eq!(g.and(x, y), g.and(y, x));
         assert_eq!(g.and_count(), 1);
-        assert!(g.and_requests >= 2);
     }
 
     #[test]
@@ -416,53 +370,16 @@ mod tests {
     }
 
     #[test]
-    fn netlist_lowering_preserves_semantics() {
-        // A full adder netlist lowered to AIG agrees gate-for-gate.
-        let mut nl = Netlist::new();
-        let a = nl.input();
-        let b = nl.input();
-        let c = nl.input();
-        let (s, co) = nl.full_add(a, b, c);
-        let (aig, roots, inputs) = from_netlist(&nl, &[s, co]);
-        for bits in 0..8u32 {
-            let assign = |net: Net| -> bool {
-                if net == a {
-                    bits & 1 == 1
-                } else if net == b {
-                    bits & 2 == 2
-                } else {
-                    bits & 4 == 4
-                }
-            };
-            let vals = nl.eval(&assign);
-            for (k, root) in roots.iter().enumerate() {
-                let got = aig.eval(*root, &|node| {
-                    let net = inputs
-                        .iter()
-                        .find(|(_, r)| r.node() == node)
-                        .map(|(n, _)| *n)
-                        .expect("input node maps back");
-                    assign(net)
-                });
-                let want = vals[[s, co][k].0 as usize];
-                assert_eq!(got, want, "root {k} at input {bits:03b}");
-            }
-        }
-    }
-
-    #[test]
     fn constant_propagation_collapses_constant_cones() {
-        // Feeding constants through a netlist cone must fold to a constant
-        // edge — the property that makes unrolled counters free.
-        let mut nl = Netlist::new();
-        let t = nl.constant(true);
-        let f = nl.constant(false);
-        let x = nl.input();
-        let a = nl.or(t, x); // true
-        let b = nl.and(f, x); // false
-        let r = nl.xor(a, b); // true
-        let (aig, roots, _) = from_netlist(&nl, &[r]);
-        assert_eq!(roots[0], AIG_TRUE);
-        assert_eq!(aig.and_count(), 0);
+        // Feeding constants through a cone of kit gates must fold to a
+        // constant edge — the property that makes unrolled counters free.
+        let mut g = Aig::new();
+        let t = g.constant(true);
+        let f = g.constant(false);
+        let x = g.input();
+        let a = g.or(t, x); // true
+        let b = g.and(f, x); // false
+        assert_eq!(g.xor(a, b), AIG_TRUE);
+        assert_eq!(g.and_count(), 0);
     }
 }

@@ -2,13 +2,15 @@
 //! single-bit operations over an abstract bit kit.
 //!
 //! The same blaster serves three kits: the [`crate::bdd`] manager (the
-//! per-width formal-verification baseline), the structurally hashed gate
-//! netlist (gate counts, and the symbolic cones the AIG front end lowers
-//! for BDD/SAT proofs), and [`Eval`], which computes each gate's value on
-//! plain bits (gate-level simulation of one concrete case). This is
-//! exactly the "flatten everything" low-level path the paper contrasts
+//! per-width formal-verification baseline), the folding, structurally
+//! hashed [`Aig`] (the symbolic cones the BDD and SAT engines prove, built
+//! once in the graph they read), and [`Eval`], which computes each gate's
+//! value on plain bits (gate-level simulation of one concrete case). This
+//! is exactly the "flatten everything" low-level path the paper contrasts
 //! with its parametric verification.
 
+use crate::aig::{Aig, AigRef, AIG_FALSE, AIG_TRUE};
+use crate::bdd::{Bdd, Ref};
 use chicala_bigint::BigInt;
 use chicala_chisel::{BinaryOp, ElabModule, Expr, PExpr, SignalRef, UnaryOp};
 use std::collections::BTreeMap;
@@ -58,8 +60,8 @@ pub trait BitKit {
 
 /// The concrete kit: every operation returns the value its gate would
 /// evaluate to, so blasting over constant leaves simulates the circuit
-/// without building it. Bit for bit the same as evaluating the
-/// [`crate::Netlist`] the blaster would build from the same leaves.
+/// without building it. Bit for bit the same as evaluating the [`Aig`]
+/// the blaster would build from the same leaves.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Eval;
 
@@ -92,6 +94,70 @@ impl BitKit for Eval {
         } else {
             f
         }
+    }
+}
+
+/// The AIG as the gate kit: `and`, `or` and `xor` are the graph's own
+/// folding, hashed operations, `not` flips the complement bit, and the
+/// constants are the two edges of node 0.
+impl BitKit for Aig {
+    type Bit = AigRef;
+
+    fn constant(&mut self, v: bool) -> AigRef {
+        if v {
+            AIG_TRUE
+        } else {
+            AIG_FALSE
+        }
+    }
+
+    fn and(&mut self, a: AigRef, b: AigRef) -> AigRef {
+        Aig::and(self, a, b)
+    }
+
+    fn or(&mut self, a: AigRef, b: AigRef) -> AigRef {
+        Aig::or(self, a, b)
+    }
+
+    fn xor(&mut self, a: AigRef, b: AigRef) -> AigRef {
+        Aig::xor(self, a, b)
+    }
+
+    fn not(&mut self, a: AigRef) -> AigRef {
+        !a
+    }
+
+    fn size_hint(&self) -> Option<usize> {
+        Some(self.and_count())
+    }
+}
+
+/// The BDD manager as a bit kit (for per-width formal checking).
+impl BitKit for Bdd {
+    type Bit = Ref;
+
+    fn constant(&mut self, v: bool) -> Ref {
+        Bdd::constant(self, v)
+    }
+
+    fn and(&mut self, a: Ref, b: Ref) -> Ref {
+        Bdd::and(self, a, b)
+    }
+
+    fn or(&mut self, a: Ref, b: Ref) -> Ref {
+        Bdd::or(self, a, b)
+    }
+
+    fn xor(&mut self, a: Ref, b: Ref) -> Ref {
+        Bdd::xor(self, a, b)
+    }
+
+    fn not(&mut self, a: Ref) -> Ref {
+        Bdd::not(self, a)
+    }
+
+    fn size_hint(&self) -> Option<usize> {
+        Some(self.node_count())
     }
 }
 
@@ -621,8 +687,8 @@ pub fn sub_words<K: BitKit>(kit: &mut K, a: &Word<K::Bit>, b: &Word<K::Bit>) -> 
 
 /// One-bit-condition multiplexer over whole words, mirroring the shape the
 /// blaster builds for `Expr::Mux`. The blaster reduces the condition word
-/// to one bit with [`reduce_or`], whose leading `0 ∨ c` the
-/// [`crate::Netlist`] kit folds as it is built, so a one-bit condition
+/// to one bit with [`reduce_or`], whose leading `0 ∨ c` the [`Aig`] kit
+/// folds as it is built, so a one-bit condition
 /// gives the same gates either way (and a constant one gives plain wiring).
 pub fn mux_word<K: BitKit>(
     kit: &mut K,
@@ -754,4 +820,171 @@ pub fn clamp<K: BitKit>(kit: &mut K, w: &Word<K::Bit>, width: usize, signed: boo
         bits.push(fill.clone());
     }
     Word { bits, signed }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unit_rules_build_no_gate() {
+        let mut n = Aig::new();
+        let x = n.input();
+        let nx = n.not(x);
+        let t = n.constant(true);
+        let f = n.constant(false);
+        let size = n.len();
+        // Constant operands, on either side.
+        for (a, b) in [(x, f), (f, x)] {
+            assert_eq!(n.and(a, b), f, "x∧0");
+            assert_eq!(n.or(a, b), x, "x∨0");
+            assert_eq!(n.xor(a, b), x, "x⊕0");
+        }
+        for (a, b) in [(x, t), (t, x)] {
+            assert_eq!(n.and(a, b), x, "x∧1");
+            assert_eq!(n.or(a, b), t, "x∨1");
+            assert_eq!(n.xor(a, b), nx, "x⊕1");
+        }
+        // Idempotence.
+        assert_eq!(n.and(x, x), x, "x∧x");
+        assert_eq!(n.or(x, x), x, "x∨x");
+        assert_eq!(n.xor(x, x), f, "x⊕x");
+        // Complements, on either side.
+        for (a, b) in [(x, nx), (nx, x)] {
+            assert_eq!(n.and(a, b), f, "x∧¬x");
+            assert_eq!(n.or(a, b), t, "x∨¬x");
+            assert_eq!(n.xor(a, b), t, "x⊕¬x");
+        }
+        // Double negation and negated constants.
+        assert_eq!(n.not(nx), x, "¬¬x");
+        assert_eq!(n.not(t), f, "¬1");
+        assert_eq!(n.not(f), t, "¬0");
+        assert_eq!(n.len(), size, "unit rules build no gate");
+        // A mux on a constant select is plain wiring.
+        let y = n.input();
+        let size = n.len();
+        assert_eq!(n.mux(t, x, y), x);
+        assert_eq!(n.mux(f, x, y), y);
+        assert_eq!(n.len(), size, "a constant-select mux builds no gate");
+    }
+
+    /// One step of a random gate DAG: operands index earlier steps.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Input,
+        Const(bool),
+        And(usize, usize),
+        Or(usize, usize),
+        Xor(usize, usize),
+        Not(usize),
+        Mux(usize, usize, usize),
+    }
+
+    /// Replays `steps` over any kit, `input` supplying the input bits in
+    /// order.
+    fn replay<K: BitKit>(
+        kit: &mut K,
+        steps: &[Step],
+        mut input: impl FnMut(&mut K) -> K::Bit,
+    ) -> Vec<K::Bit> {
+        let mut bits: Vec<K::Bit> = Vec::with_capacity(steps.len());
+        for &step in steps {
+            let bit = match step {
+                Step::Input => input(kit),
+                Step::Const(v) => kit.constant(v),
+                Step::And(a, b) => kit.and(bits[a].clone(), bits[b].clone()),
+                Step::Or(a, b) => kit.or(bits[a].clone(), bits[b].clone()),
+                Step::Xor(a, b) => kit.xor(bits[a].clone(), bits[b].clone()),
+                Step::Not(a) => kit.not(bits[a].clone()),
+                Step::Mux(c, t, f) => kit.mux(bits[c].clone(), bits[t].clone(), bits[f].clone()),
+            };
+            bits.push(bit);
+        }
+        bits
+    }
+
+    #[test]
+    fn folding_agrees_with_the_eval_kit_on_random_dags() {
+        const INPUTS: usize = 6;
+        let mut state = 0x5EED_F01Du64;
+        let mut next = move |bound: usize| {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        let mut folded = 0;
+        for _ in 0..40 {
+            let mut steps = vec![Step::Input; INPUTS];
+            steps.push(Step::Const(false));
+            steps.push(Step::Const(true));
+            while steps.len() < 120 {
+                // Operands drawn from the last few steps, so equal and
+                // complementary pairs (and constants) meet often.
+                let len = steps.len();
+                let kind = next(7);
+                let mut pick = || len - 1 - next(len.min(12));
+                let step = match kind {
+                    0 => Step::And(pick(), pick()),
+                    1 => Step::Or(pick(), pick()),
+                    2 => Step::Xor(pick(), pick()),
+                    3 => Step::Not(pick()),
+                    4 => Step::Mux(pick(), pick(), pick()),
+                    k => Step::Const(k == 6),
+                };
+                steps.push(step);
+            }
+            let mut g = Aig::new();
+            let edges = replay(&mut g, &steps, |kit| kit.input());
+            let inputs: Vec<AigRef> = edges[..INPUTS].to_vec();
+            // Binary steps answered by a constant or by an operand (or its
+            // complement): a rule folded them, building no gate.
+            folded += steps
+                .iter()
+                .zip(&edges)
+                .filter(|&(step, edge)| match *step {
+                    Step::And(a, b) | Step::Or(a, b) | Step::Xor(a, b) => {
+                        [0, edges[a].node(), edges[b].node()].contains(&edge.node())
+                    }
+                    _ => false,
+                })
+                .count();
+            for assignment in 0u32..1 << INPUTS {
+                let bit = |i: usize| (assignment >> i) & 1 == 1;
+                let vals = g.eval_all(&|edge| bit(inputs.iter().position(|&n| n == edge).unwrap()));
+                let mut next_input = 0;
+                let want = replay(&mut Eval, &steps, |_| {
+                    next_input += 1;
+                    bit(next_input - 1)
+                });
+                for (k, (edge, want)) in edges.iter().zip(want).enumerate() {
+                    let step = steps[k];
+                    assert_eq!(edge.value(&vals), want, "step {k} ({step:?}) at {assignment:06b}");
+                }
+            }
+        }
+        assert!(folded > 0, "the random DAGs never hit a unit rule");
+    }
+
+    #[test]
+    fn eval_full_adder() {
+        let mut n = Aig::new();
+        let a = n.input();
+        let b = n.input();
+        let c = n.input();
+        let (s, co) = n.full_add(a, b, c);
+        for bits in 0..8u32 {
+            let vals = n.eval_all(&|input| match input {
+                x if x == a => bits & 1 == 1,
+                x if x == b => bits & 2 == 2,
+                x if x == c => bits & 4 == 4,
+                _ => false,
+            });
+            let total = (bits & 1) + ((bits >> 1) & 1) + ((bits >> 2) & 1);
+            assert_eq!(s.value(&vals) as u32, total & 1);
+            assert_eq!(co.value(&vals) as u32, total >> 1);
+        }
+    }
 }

@@ -1,12 +1,12 @@
 //! Per-bit-width formal checking: symbolic unrolling of an elaborated
-//! sequential design over a [`BitKit`] (BDDs for proof, netlists for
-//! inspection) — the low-level baseline whose cost grows with the bit
-//! width, motivating the paper's width-parametric approach.
+//! sequential design over a [`BitKit`] (the AIG for proof cones, BDDs for
+//! direct proofs, plain bits for simulation) — the low-level baseline
+//! whose cost grows with the bit width, motivating the paper's
+//! width-parametric approach.
 
-use crate::aig::{from_netlist, Aig, AigNode, AigRef, AIG_FALSE, AIG_TRUE};
+use crate::aig::{Aig, AigNode, AigRef, AIG_FALSE, AIG_TRUE};
 use crate::bitblast::{clamp, BitKit, BlastError, Blaster, Word};
 use crate::cnf::tseitin_pg;
-use crate::netlist::{Net, Netlist};
 use chicala_chisel::{ElabKind, ElabModule};
 use chicala_sat::{SatResult, Solver};
 use chicala_telemetry as telemetry;
@@ -178,13 +178,13 @@ pub enum ProveResult {
         /// The engine that closed the proof.
         backend: Backend,
     },
-    /// A violating assignment over the netlist's `Input` nets (nets absent
+    /// A violating assignment over the graph's input edges (inputs absent
     /// from the map are don't-cares; callers default them to false).
     Counterexample {
         /// The engine that found the assignment.
         backend: Backend,
-        /// Input net values of the violating assignment.
-        inputs: BTreeMap<Net, bool>,
+        /// Input edge values of the violating assignment.
+        inputs: BTreeMap<AigRef, bool>,
     },
 }
 
@@ -195,88 +195,66 @@ impl ProveResult {
     }
 }
 
-/// Proves that the single-bit property net `root` is constant-true over
-/// all assignments to the netlist's primary inputs, or produces a
+/// Proves that the single-bit property edge `root` is constant-true over
+/// all assignments to the graph's primary inputs, or produces a
 /// counterexample assignment.
 ///
 /// `width` drives the [`Backend::Auto`] crossover; `var_order` fixes the
-/// BDD variable order for input nets (interleaving the operands of an
+/// BDD variable order for input edges (interleaving the operands of an
 /// arithmetic miter keeps BDDs polynomial where a bad order explodes) —
-/// input nets missing from it are ordered after the listed ones.
+/// inputs missing from it are ordered after the listed ones.
 ///
-/// Every gate proof takes one path: the cone is lowered to the
-/// structurally hashed AIG ([`from_netlist`]), a constant root is the
-/// verdict, and otherwise the resolved engine (BDD or CDCL SAT) runs on
-/// that AIG. Registry miters are already the constant-true net when built
-/// (the [`Netlist`] kit folds as it goes), so they never reach an engine.
+/// A constant root is the verdict: the graph folds as it is built, so
+/// every registry miter is the constant-true edge and never reaches an
+/// engine. Otherwise the resolved engine runs on the root's cone: the BDD,
+/// or CDCL SAT on its Plaisted–Greenbaum encoding.
 pub fn prove_net(
-    nl: &Netlist,
-    root: Net,
+    aig: &Aig,
+    root: AigRef,
     backend: Backend,
     width: usize,
-    var_order: &[Net],
+    var_order: &[AigRef],
 ) -> ProveResult {
     let _span = telemetry::span!("prove_net");
     let resolved = backend.resolve(width);
-    let (aig, roots, input_map) = from_netlist(nl, &[root]);
-    telemetry::record("prove.aig_and_requests", aig.and_requests);
-    telemetry::record("prove.aig_nodes", aig.and_count() as u64);
-    let aroot = roots[0];
-    if aroot == AIG_TRUE {
-        // Structural hashing closed the miter: both sides are one node.
+    if root == AIG_TRUE {
         return ProveResult::Proved { backend: resolved };
     }
-    if aroot == AIG_FALSE {
+    if root == AIG_FALSE {
         // Property is constantly false: any assignment violates it.
         return ProveResult::Counterexample { backend: resolved, inputs: BTreeMap::new() };
     }
-    match resolved {
-        Backend::Bdd => {
-            // Honour the requested input order on the AIG's input nodes.
-            let order: Vec<u32> = var_order
+    if resolved == Backend::Bdd {
+        return match aig_bdd_cex(aig, root, var_order) {
+            None => ProveResult::Proved { backend: Backend::Bdd },
+            Some(inputs) => ProveResult::Counterexample { backend: Backend::Bdd, inputs },
+        };
+    }
+    let mut solver = Solver::new();
+    // Plaisted–Greenbaum, seeded from the edge actually asserted (the
+    // property's negation): single-polarity nodes get 1–2 clauses, not 3.
+    let enc = tseitin_pg(aig, !root, &mut solver);
+    solver.add_clause(&[enc.lit]);
+    telemetry::record("prove.cnf_clauses", solver.num_clauses() as u64);
+    let result = solver.solve();
+    let st = solver.stats();
+    telemetry::counter("sat.decisions", st.decisions);
+    telemetry::counter("sat.conflicts", st.conflicts);
+    telemetry::counter("sat.propagations", st.propagations);
+    telemetry::counter("sat.learned_clauses", st.learned_clauses);
+    telemetry::counter("sat.restarts", st.restarts);
+    match result {
+        SatResult::Unsat => ProveResult::Proved { backend: Backend::Sat },
+        SatResult::Sat(model) => {
+            // The encoding covers the root's cone, so these are exactly
+            // the inputs the property reads.
+            let inputs = enc
+                .var_of_node
                 .iter()
-                .filter_map(|n| input_map.get(n).map(|r| r.node()))
+                .map(|(&n, &v)| (AigRef::from_node(n), model[v as usize]))
+                .filter(|(input, _)| aig.node(*input) == AigNode::Input)
                 .collect();
-            match aig_bdd_cex(&aig, aroot, &order) {
-                None => ProveResult::Proved { backend: Backend::Bdd },
-                Some(model) => {
-                    let inputs = input_map
-                        .iter()
-                        .filter_map(|(net, r)| model.get(&r.node()).map(|&b| (*net, b)))
-                        .collect();
-                    ProveResult::Counterexample { backend: Backend::Bdd, inputs }
-                }
-            }
-        }
-        _ => {
-            let mut solver = Solver::new();
-            // Plaisted–Greenbaum, seeded from the edge actually asserted
-            // (the property's negation): single-polarity nodes get 1–2
-            // clauses, not 3.
-            let enc = tseitin_pg(&aig, !aroot, &mut solver);
-            solver.add_clause(&[enc.lit]);
-            telemetry::record("prove.cnf_clauses", solver.num_clauses() as u64);
-            let result = solver.solve();
-            let st = solver.stats();
-            telemetry::counter("sat.decisions", st.decisions);
-            telemetry::counter("sat.conflicts", st.conflicts);
-            telemetry::counter("sat.propagations", st.propagations);
-            telemetry::counter("sat.learned_clauses", st.learned_clauses);
-            telemetry::counter("sat.restarts", st.restarts);
-            match result {
-                SatResult::Unsat => ProveResult::Proved { backend: Backend::Sat },
-                SatResult::Sat(model) => {
-                    let inputs = input_map
-                        .iter()
-                        .map(|(net, r)| {
-                            let var = enc.var_of_node.get(&r.node());
-                            // Inputs outside the encoded cone are don't-cares.
-                            (*net, var.is_some_and(|v| model[*v as usize]))
-                        })
-                        .collect();
-                    ProveResult::Counterexample { backend: Backend::Sat, inputs }
-                }
-            }
+            ProveResult::Counterexample { backend: Backend::Sat, inputs }
         }
     }
 }
@@ -297,51 +275,52 @@ impl OptProfile {
 /// [`prove_net`] with an ignored [`OptProfile`], kept for the benchmark's
 /// call site.
 pub fn prove_net_with(
-    nl: &Netlist,
-    root: Net,
+    aig: &Aig,
+    root: AigRef,
     backend: Backend,
     width: usize,
-    var_order: &[Net],
+    var_order: &[AigRef],
     _opt: OptProfile,
 ) -> ProveResult {
-    prove_net(nl, root, backend, width, var_order)
+    prove_net(aig, root, backend, width, var_order)
 }
 
-/// BDD tautology check of an AIG edge: `None` when `root` is constant
-/// true, otherwise a falsifying assignment over the graph's input node
-/// ids. `var_order` lists input node ids to order first.
-fn aig_bdd_cex(aig: &Aig, root: AigRef, var_order: &[u32]) -> Option<BTreeMap<u32, bool>> {
+/// BDD tautology check of an AIG edge over its cone: `None` when `root`
+/// is constant true, otherwise a falsifying assignment over the cone's
+/// input edges. Inputs listed in `var_order` take the first variables, in
+/// that order; the cone's other inputs follow in graph order.
+fn aig_bdd_cex(aig: &Aig, root: AigRef, var_order: &[AigRef]) -> Option<BTreeMap<AigRef, bool>> {
+    let in_cone = aig.cone(root);
     let mut bdd = crate::bdd::Bdd::new();
     let mut var_of_node: BTreeMap<u32, u32> = BTreeMap::new();
-    for (i, &n) in var_order.iter().enumerate() {
-        var_of_node.insert(n, i as u32);
+    for r in var_order.iter().filter(|r| in_cone[r.node() as usize]) {
+        let next = var_of_node.len() as u32;
+        var_of_node.entry(r.node()).or_insert(next);
     }
-    let mut next_var = var_order.len() as u32;
-    let mut refs: Vec<crate::bdd::Ref> = Vec::with_capacity(aig.len());
-    for i in 0..aig.len() as u32 {
-        let r = match aig.node(AigRef::from_node(i)) {
+    let mut refs: Vec<crate::bdd::Ref> = vec![crate::bdd::FALSE; aig.len()];
+    let bdd_of = |bdd: &mut crate::bdd::Bdd, refs: &[crate::bdd::Ref], e: AigRef| {
+        let r = refs[e.node() as usize];
+        if e.is_compl() {
+            bdd.not(r)
+        } else {
+            r
+        }
+    };
+    for i in (0..aig.len() as u32).filter(|&i| in_cone[i as usize]) {
+        refs[i as usize] = match aig.node(AigRef::from_node(i)) {
             AigNode::Const => crate::bdd::FALSE,
             AigNode::Input => {
-                let v = *var_of_node.entry(i).or_insert_with(|| {
-                    let v = next_var;
-                    next_var += 1;
-                    v
-                });
-                bdd.var(v)
+                let next = var_of_node.len() as u32;
+                bdd.var(*var_of_node.entry(i).or_insert(next))
             }
             AigNode::And(x, y) => {
-                let vx = refs[x.node() as usize];
-                let vx = if x.is_compl() { bdd.not(vx) } else { vx };
-                let vy = refs[y.node() as usize];
-                let vy = if y.is_compl() { bdd.not(vy) } else { vy };
+                let (vx, vy) = (bdd_of(&mut bdd, &refs, x), bdd_of(&mut bdd, &refs, y));
                 bdd.and(vx, vy)
             }
         };
-        refs.push(r);
     }
     telemetry::record("prove.bdd_nodes", bdd.node_count() as u64);
-    let r = refs[root.node() as usize];
-    let r = if root.is_compl() { bdd.not(r) } else { r };
+    let r = bdd_of(&mut bdd, &refs, root);
     if bdd.is_true(r) {
         return None;
     }
@@ -350,7 +329,7 @@ fn aig_bdd_cex(aig: &Aig, root: AigRef, var_order: &[u32]) -> Option<BTreeMap<u3
     let node_of_var: BTreeMap<u32, u32> = var_of_node.iter().map(|(n, v)| (*v, *n)).collect();
     Some(
         sat.into_iter()
-            .filter_map(|(v, b)| node_of_var.get(&v).map(|n| (*n, b)))
+            .filter_map(|(v, b)| node_of_var.get(&v).map(|&n| (AigRef::from_node(n), b)))
             .collect(),
     )
 }
@@ -358,27 +337,21 @@ fn aig_bdd_cex(aig: &Aig, root: AigRef, var_order: &[u32]) -> Option<BTreeMap<u3
 /// Builds the implication `assumptions → property` as a single net:
 /// the standard shape of a conditional equivalence obligation (e.g.
 /// "divisor nonzero implies quotient/remainder match").
-pub fn implies_net(nl: &mut Netlist, assumptions: &[Net], property: Net) -> Net {
-    let mut pre = nl.constant(true);
-    for &a in assumptions {
-        pre = nl.and(pre, a);
-    }
-    let npre = nl.not(pre);
-    nl.or(npre, property)
+pub fn implies_net(aig: &mut Aig, assumptions: &[AigRef], property: AigRef) -> AigRef {
+    let pre = assumptions.iter().fold(AIG_TRUE, |pre, &a| aig.and(pre, a));
+    aig.or(!pre, property)
 }
 
-/// Bitwise equality of two netlist words as a single net (zero-extending
-/// the shorter side) — the miter-building counterpart of [`words_equal`].
-pub fn nets_equal(nl: &mut Netlist, a: &Word<Net>, b: &Word<Net>) -> Net {
+/// Bitwise equality of two kit words as a single edge (zero-extending the
+/// shorter side) — the miter-building counterpart of [`words_equal`].
+pub fn nets_equal(aig: &mut Aig, a: &Word<AigRef>, b: &Word<AigRef>) -> AigRef {
     let w = a.width().max(b.width());
-    let zero = nl.constant(false);
-    let mut acc = nl.constant(true);
+    let mut acc = AIG_TRUE;
     for i in 0..w {
-        let x = a.bits.get(i).copied().unwrap_or(zero);
-        let y = b.bits.get(i).copied().unwrap_or(zero);
-        let ne = nl.xor(x, y);
-        let eq = nl.not(ne);
-        acc = nl.and(acc, eq);
+        let x = a.bits.get(i).copied().unwrap_or(AIG_FALSE);
+        let y = b.bits.get(i).copied().unwrap_or(AIG_FALSE);
+        let ne = aig.xor(x, y);
+        acc = aig.and(acc, !ne);
     }
     acc
 }
@@ -423,14 +396,14 @@ mod tests {
     #[test]
     fn prove_net_backends_agree_on_adder_commutativity() {
         // a + b == b + a at width 6, proved by both engines.
-        let mut nl = crate::netlist::Netlist::new();
+        let mut nl = Aig::new();
         let w = 6usize;
         let a = Word { bits: (0..w).map(|_| nl.input()).collect::<Vec<_>>(), signed: false };
         let b = Word { bits: (0..w).map(|_| nl.input()).collect::<Vec<_>>(), signed: false };
         let ab = add_words(&mut nl, &a, &b, w);
         let ba = add_words(&mut nl, &b, &a, w);
         let eq = nets_equal(&mut nl, &ab, &ba);
-        let order: Vec<crate::netlist::Net> = (0..w)
+        let order: Vec<AigRef> = (0..w)
             .flat_map(|i| [a.bits[i], b.bits[i]])
             .collect();
         assert!(prove_net(&nl, eq, Backend::Bdd, w, &order).is_proved());
@@ -442,7 +415,7 @@ mod tests {
     fn prove_net_counterexamples_are_real() {
         // a + b == a - b is falsifiable; both engines must return an
         // assignment that actually falsifies the net.
-        let mut nl = crate::netlist::Netlist::new();
+        let mut nl = Aig::new();
         let w = 4usize;
         let a = Word { bits: (0..w).map(|_| nl.input()).collect::<Vec<_>>(), signed: false };
         let b = Word { bits: (0..w).map(|_| nl.input()).collect::<Vec<_>>(), signed: false };
@@ -460,9 +433,9 @@ mod tests {
             match prove_net(&nl, eq, backend, w, &[]) {
                 ProveResult::Proved { .. } => panic!("{backend:?}: a+b == a-b is not valid"),
                 ProveResult::Counterexample { inputs, .. } => {
-                    let vals = nl.eval(&|net| inputs.get(&net).copied().unwrap_or(false));
+                    let vals = nl.eval_all(&|input| inputs.get(&input).copied().unwrap_or(false));
                     assert!(
-                        !vals[eq.0 as usize],
+                        !eq.value(&vals),
                         "{backend:?} returned a non-falsifying counterexample"
                     );
                 }
@@ -480,20 +453,20 @@ mod tests {
 
     #[test]
     fn implies_net_shape() {
-        let mut nl = crate::netlist::Netlist::new();
+        let mut nl = Aig::new();
         let a = nl.input();
         let p = nl.input();
         let imp = implies_net(&mut nl, &[a], p);
         for bits in 0..4u32 {
-            let vals = nl.eval(&|net| {
-                if net == a {
+            let vals = nl.eval_all(&|input| {
+                if input == a {
                     bits & 1 == 1
                 } else {
                     bits & 2 == 2
                 }
             });
             let want = (bits & 1 != 1) || (bits & 2 == 2);
-            assert_eq!(vals[imp.0 as usize], want);
+            assert_eq!(imp.value(&vals), want);
         }
     }
 

@@ -38,17 +38,7 @@ pub struct CnfRoot {
 pub fn tseitin(aig: &Aig, root: AigRef, solver: &mut Solver) -> CnfRoot {
     let mut var_of_node: HashMap<u32, Var> = HashMap::new();
     // Cone of influence, in (topological) node order.
-    let mut in_cone = vec![false; aig.len()];
-    let mut stack = vec![root.node()];
-    while let Some(n) = stack.pop() {
-        if std::mem::replace(&mut in_cone[n as usize], true) {
-            continue;
-        }
-        if let AigNode::And(x, y) = aig.node(AigRef::from_node(n)) {
-            stack.push(x.node());
-            stack.push(y.node());
-        }
-    }
+    let in_cone = aig.cone(root);
     let lit_of = |var_of_node: &HashMap<u32, Var>, r: AigRef| -> Lit {
         let v = var_of_node[&r.node()];
         if r.is_compl() {

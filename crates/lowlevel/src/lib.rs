@@ -1,7 +1,7 @@
 //! The low-level verification path the paper contrasts against: elaborated
 //! designs are emitted as word-level Verilog ([`emit_verilog`], the
 //! `#Verilog` column of Table 1), bit-blasted over an abstract bit kit
-//! ([`bitblast`]), materialised as gate netlists ([`netlist`]) or reduced
+//! ([`bitblast`]), built as and-inverter graphs ([`aig`]) or reduced
 //! ordered BDDs ([`bdd`]) or evaluated on plain bits ([`Eval`]), and
 //! checked *per bit width* by symbolic unrolling ([`check`]) — the
 //! approach whose cost grows with width.
@@ -11,11 +11,10 @@ pub mod bdd;
 pub mod bitblast;
 pub mod check;
 pub mod cnf;
-pub mod netlist;
 pub mod sweep;
 pub mod verilog;
 
-pub use aig::{from_netlist, Aig, AigNode, AigRef, AIG_FALSE, AIG_TRUE};
+pub use aig::{Aig, AigNode, AigRef, Net, Netlist, AIG_FALSE, AIG_TRUE};
 pub use bitblast::{
     add_words, clamp, constant_word, divide, extend, ge_words, less_than, mux_word, reduce_or,
     sub_words, BitKit, BlastError, Blaster, Eval, Word,
@@ -29,5 +28,4 @@ pub use sweep::{
     prove_net_sweep, prove_net_sweep_drill, prove_net_sweep_scheduled, sweep_pool,
     IncrementalProver, SweepItem, SweepOutcome, SweepReport, SweepStats, SweepVerdict, WidthProbe,
 };
-pub use netlist::{Gate, Net, Netlist};
 pub use verilog::{emit_verilog, verilog_loc};

@@ -4,11 +4,12 @@
 //! encoding, and re-learns clauses its width-(w−1) sibling already derived.
 //! This module amortizes the family three ways:
 //!
-//! 1. **One session AIG with shared inputs.** Truncated arithmetic is
-//!    width-monotone: the low result bits of the width-`w` cone are the
-//!    *same hash-consed nodes* as the width-`(w+1)` cone's, so encoding
-//!    width `w+1` after `w` only pays for the new top slice
-//!    ([`crate::cnf::CnfFrame`] tracks what is already in the solver).
+//! 1. **One shared kit with shared inputs.** Truncated arithmetic is
+//!    width-monotone: built into one hash-consed [`Aig`], the low result
+//!    bits of the width-`w` cone are the *same nodes* as the
+//!    width-`(w+1)` cone's, so encoding width `w+1` after `w` only pays
+//!    for the new top slice ([`crate::cnf::CnfFrame`] tracks what is
+//!    already in the solver).
 //! 2. **Assumption-based retirement.** Each width's root assertion is
 //!    guarded by a fresh activation literal and solved with
 //!    [`chicala_sat::Solver::solve_assuming`]; retiring the width is one
@@ -20,7 +21,7 @@
 //!    clauses entail its root; the root is asserted as a unit lemma, which
 //!    hands the width-`(w+1)` query the whole low-bit equivalence for free.
 //!
-//! [`prove_net_sweep`] drives a netlist family through the session and
+//! [`prove_net_sweep`] drives a kit family through the session and
 //! guarantees **byte-identical results** to the one-shot
 //! [`prove_net`] path: proved widths are reported with the resolved
 //! backend tag, and any counterexample is re-derived by the one-shot
@@ -32,7 +33,6 @@
 use crate::aig::{Aig, AigNode, AigRef, AIG_FALSE, AIG_TRUE};
 use crate::check::{prove_net, Backend, OptProfile, ProveResult};
 use crate::cnf::CnfFrame;
-use crate::netlist::{Gate, Net, Netlist};
 use chicala_sat::{Lit, SatResult, Solver};
 use chicala_telemetry as telemetry;
 use std::collections::BTreeMap;
@@ -43,7 +43,7 @@ use std::time::Instant;
 pub struct WidthProbe {
     /// The design width this probe covers.
     pub width: u64,
-    /// The root folded to a constant at lowering; no solving happened.
+    /// The root was a constant edge as built; no solving happened.
     pub folded: bool,
     /// Clauses newly emitted for this width's cone.
     pub new_clauses: u64,
@@ -98,11 +98,9 @@ pub enum SweepVerdict {
 pub struct IncrementalProver {
     /// The session graph; build width cones here with shared inputs.
     pub aig: Aig,
-    solver: Solver,
-    frame: CnfFrame,
+    session: Session,
     /// Session statistics, updated by every [`IncrementalProver::prove_root`].
     pub stats: SweepStats,
-    drill_unguarded: bool,
 }
 
 impl Default for IncrementalProver {
@@ -116,10 +114,8 @@ impl IncrementalProver {
     pub fn new() -> IncrementalProver {
         IncrementalProver {
             aig: Aig::new(),
-            solver: Solver::new(),
-            frame: CnfFrame::new(),
+            session: Session::new(false),
             stats: SweepStats::default(),
-            drill_unguarded: false,
         }
     }
 
@@ -129,33 +125,53 @@ impl IncrementalProver {
     /// reported proved — which the sweep-vs-oneshot A/B must catch. Never
     /// enable outside tests.
     pub fn set_drill_unguarded(&mut self, on: bool) {
-        self.drill_unguarded = on;
+        self.session.drill_unguarded = on;
     }
 
     /// Proves that the edge `root` (built in [`IncrementalProver::aig`]) is
     /// constant-true at `width`, reusing all prior session state.
     pub fn prove_root(&mut self, width: u64, root: AigRef) -> SweepVerdict {
-        self.stats.widths += 1;
+        self.session.prove_root(&self.aig, &mut self.stats, width, root)
+    }
+}
+
+/// The solver side of a sweep: one CDCL solver for the whole family and a
+/// CNF frame over the graph whose cones it is proving.
+struct Session {
+    solver: Solver,
+    frame: CnfFrame,
+    drill_unguarded: bool,
+}
+
+impl Session {
+    fn new(drill_unguarded: bool) -> Session {
+        Session { solver: Solver::new(), frame: CnfFrame::new(), drill_unguarded }
+    }
+
+    /// Proves that the edge `root` of `aig` is constant-true at `width`.
+    /// Every call on one frame must pass the same graph.
+    fn prove_root(&mut self, aig: &Aig, stats: &mut SweepStats, width: u64, root: AigRef) -> SweepVerdict {
+        stats.widths += 1;
         let mut probe = WidthProbe { width, ..WidthProbe::default() };
         if root == AIG_TRUE {
-            self.stats.folded += 1;
+            stats.folded += 1;
             probe.folded = true;
-            self.stats.per_width.push(probe);
+            stats.per_width.push(probe);
             return SweepVerdict::Proved;
         }
         if root == AIG_FALSE {
-            self.stats.folded += 1;
+            stats.folded += 1;
             probe.folded = true;
-            self.stats.per_width.push(probe);
+            stats.per_width.push(probe);
             return SweepVerdict::Counterexample(BTreeMap::new());
         }
         // Encode the cone of ¬root (we search for a counterexample); only
         // the slice new to this width costs clauses.
-        let (cex_lit, fstats) = self.frame.encode(&self.aig, !root, &mut self.solver);
+        let (cex_lit, fstats) = self.frame.encode(aig, !root, &mut self.solver);
         probe.new_clauses = fstats.new_clauses;
         probe.reused_clauses = fstats.reused_clauses;
-        self.stats.new_clauses += fstats.new_clauses;
-        self.stats.reused_clauses += fstats.reused_clauses;
+        stats.new_clauses += fstats.new_clauses;
+        stats.reused_clauses += fstats.reused_clauses;
         telemetry::counter("sweep.new_clauses", fstats.new_clauses);
         telemetry::counter("sweep.reused_clauses", fstats.reused_clauses);
         let act = self.solver.new_var();
@@ -166,7 +182,7 @@ impl IncrementalProver {
         } else {
             self.solver.add_clause(&[Lit::neg(act), cex_lit]);
         }
-        self.stats.sat_calls += 1;
+        stats.sat_calls += 1;
         let before = self.solver.stats().conflicts;
         let start = Instant::now();
         let result = self.solver.solve_assuming(&[Lit::pos(act)]);
@@ -187,11 +203,11 @@ impl IncrementalProver {
                     // polarities; top up the assertion side so the lemma
                     // unit-propagates down the shared cone (pinning every
                     // low-bit equivalence for the next width).
-                    let (root_lit, topup) = self.frame.encode(&self.aig, root, &mut self.solver);
-                    self.stats.new_clauses += topup.new_clauses;
+                    let (root_lit, topup) = self.frame.encode(aig, root, &mut self.solver);
+                    stats.new_clauses += topup.new_clauses;
                     probe.new_clauses += topup.new_clauses;
                     self.solver.add_clause(&[root_lit]);
-                    self.stats.lemmas += 1;
+                    stats.lemmas += 1;
                     probe.lemma = true;
                 }
                 SweepVerdict::Proved
@@ -199,8 +215,8 @@ impl IncrementalProver {
             SatResult::Sat(model) => {
                 self.solver.add_clause(&[Lit::neg(act)]);
                 let mut inputs = BTreeMap::new();
-                for i in 0..self.aig.len() as u32 {
-                    if let AigNode::Input = self.aig.node(AigRef::from_node(i)) {
+                for i in 0..aig.len() as u32 {
+                    if let AigNode::Input = aig.node(AigRef::from_node(i)) {
                         if let Some(v) = self.frame.var_of(i) {
                             inputs.insert(i, model[v as usize]);
                         }
@@ -209,25 +225,25 @@ impl IncrementalProver {
                 SweepVerdict::Counterexample(inputs)
             }
         };
-        self.stats.per_width.push(probe);
+        stats.per_width.push(probe);
         verdict
     }
 }
 
-/// One width of a sweepable netlist family: the property net `root` must
-/// be constant-true over `nl`'s inputs. Families that share one
-/// hash-consed kit across widths (see
-/// `conformance::formal_gate_obligation_shared`) get real incremental
-/// reuse; families with per-width kits still get the session solver.
+/// One width of a sweepable kit family: the property edge `root` must be
+/// constant-true over `nl`'s inputs. Families that share one hash-consed
+/// kit across widths (see `conformance::formal_gate_obligation_shared`)
+/// get real incremental reuse; families with per-width kits still get the
+/// session solver.
 pub struct SweepItem<'a> {
-    /// The netlist holding this width's cone (shared or per-width).
-    pub nl: &'a Netlist,
-    /// The single-bit property net.
-    pub root: Net,
+    /// The kit holding this width's cone (shared or per-width).
+    pub nl: &'a Aig,
+    /// The single-bit property edge.
+    pub root: AigRef,
     /// The design width (drives the `Auto` backend crossover).
     pub width: u64,
     /// BDD variable order for the small-width engine.
-    pub var_order: Vec<Net>,
+    pub var_order: Vec<AigRef>,
 }
 
 impl SweepItem<'_> {
@@ -264,89 +280,15 @@ impl SweepReport {
     }
 }
 
-/// Incremental lowering state: a dense net → edge map over one shared
-/// kit, so each width's cone only lowers the nets the previous widths
-/// have not.
-struct LowerSession {
-    map: Vec<AigRef>,
-    done: Vec<bool>,
-    inputs: BTreeMap<Net, AigRef>,
-}
-
-impl LowerSession {
-    fn new() -> LowerSession {
-        LowerSession { map: Vec::new(), done: Vec::new(), inputs: BTreeMap::new() }
-    }
-
-    fn lower(&mut self, nl: &Netlist, root: Net, aig: &mut Aig) -> AigRef {
-        if self.map.len() < nl.len() {
-            self.map.resize(nl.len(), AIG_FALSE);
-            self.done.resize(nl.len(), false);
-        }
-        // Collect the not-yet-lowered cone; hash-consed net ids are dense
-        // and topological, so ascending order is emission order.
-        let mut order: Vec<u32> = Vec::new();
-        let mut stack = vec![root];
-        while let Some(n) = stack.pop() {
-            let i = n.0 as usize;
-            if self.done[i] {
-                continue;
-            }
-            self.done[i] = true;
-            order.push(n.0);
-            match nl.gate(n) {
-                Gate::And(a, b) | Gate::Or(a, b) | Gate::Xor(a, b) => {
-                    stack.push(a);
-                    stack.push(b);
-                }
-                Gate::Not(a) => stack.push(a),
-                Gate::Const(_) | Gate::Input => {}
-            }
-        }
-        order.sort_unstable();
-        for i in order {
-            let net = Net(i);
-            let r = match nl.gate(net) {
-                Gate::Const(b) => {
-                    if b {
-                        AIG_TRUE
-                    } else {
-                        AIG_FALSE
-                    }
-                }
-                Gate::Input => {
-                    let r = aig.input();
-                    self.inputs.insert(net, r);
-                    r
-                }
-                Gate::And(a, b) => {
-                    let (x, y) = (self.map[a.0 as usize], self.map[b.0 as usize]);
-                    aig.and(x, y)
-                }
-                Gate::Or(a, b) => {
-                    let (x, y) = (self.map[a.0 as usize], self.map[b.0 as usize]);
-                    aig.or(x, y)
-                }
-                Gate::Xor(a, b) => {
-                    let (x, y) = (self.map[a.0 as usize], self.map[b.0 as usize]);
-                    aig.xor(x, y)
-                }
-                Gate::Not(a) => !self.map[a.0 as usize],
-            };
-            self.map[i as usize] = r;
-        }
-        self.map[root.0 as usize]
-    }
-}
-
 /// The `ProveSweep` entry point: proves a whole width family through one
 /// incremental session, with results **byte-identical** to calling
 /// [`prove_net`] per width.
 ///
 /// Items should be ascending in width (the session's reuse is built for
-/// that order). Consecutive items sharing the *same* `&Netlist` reuse one
-/// lowering session (real structural reuse); a change of kit starts a
-/// fresh lowering map but keeps the solver session.
+/// that order). Consecutive items sharing the *same* kit share one CNF
+/// frame, so each width encodes only the nodes earlier widths did not
+/// (real structural reuse); a change of kit starts a new frame but keeps
+/// the solver session.
 ///
 /// `verify_ab` additionally re-proves every width one-shot and counts any
 /// disagreement in [`SweepStats::divergences`], reporting the one-shot
@@ -373,10 +315,10 @@ fn prove_sweep_inner(
     drill: bool,
 ) -> SweepReport {
     let _span = telemetry::span!("prove_net_sweep");
-    let mut session = IncrementalProver::new();
-    session.set_drill_unguarded(drill);
-    let mut lower = LowerSession::new();
-    let mut last_kit: *const Netlist = std::ptr::null();
+    let mut session = Session::new(drill);
+    let mut stats = SweepStats::default();
+    // The kit the session's frame numbers: its node ids are the frame's.
+    let mut framed: Option<&Aig> = None;
     let mut outcomes = Vec::with_capacity(items.len());
     for item in items {
         let resolved = backend.resolve(item.width as usize);
@@ -386,12 +328,11 @@ fn prove_sweep_inner(
             // never sees the width, so its stats do not count it.
             item.oneshot(backend)
         } else {
-            if !std::ptr::eq(last_kit, item.nl) {
-                lower = LowerSession::new();
-                last_kit = item.nl;
+            if !framed.is_some_and(|kit| std::ptr::eq(kit, item.nl)) {
+                session.frame = CnfFrame::new();
+                framed = Some(item.nl);
             }
-            let aroot = lower.lower(item.nl, item.root, &mut session.aig);
-            match session.prove_root(item.width, aroot) {
+            match session.prove_root(item.nl, &mut stats, item.width, item.root) {
                 SweepVerdict::Proved => ProveResult::Proved { backend: resolved },
                 SweepVerdict::Counterexample(_) => {
                     // Byte-identity: the one-shot engine derives the
@@ -399,7 +340,7 @@ fn prove_sweep_inner(
                     let oneshot = item.oneshot(backend);
                     if oneshot.is_proved() {
                         // Session found a spurious model: soundness bug.
-                        session.stats.divergences += 1;
+                        stats.divergences += 1;
                         telemetry::counter("sweep.divergences", 1);
                     }
                     oneshot
@@ -409,7 +350,7 @@ fn prove_sweep_inner(
         let result = if verify_ab {
             let oneshot = item.oneshot(backend);
             if oneshot != result {
-                session.stats.divergences += 1;
+                stats.divergences += 1;
                 telemetry::counter("sweep.divergences", 1);
             }
             oneshot
@@ -418,7 +359,7 @@ fn prove_sweep_inner(
         };
         outcomes.push(SweepOutcome { width: item.width, result });
     }
-    SweepReport { outcomes, stats: session.stats }
+    SweepReport { outcomes, stats }
 }
 
 /// An inert stand-in for the pool the width sweep used to run on: it runs
@@ -706,9 +647,9 @@ mod tests {
         // one-shot, outside the session, so exactly the SAT widths count.
         use crate::bitblast::{add_words, Word};
         use crate::check::AUTO_SAT_CROSSOVER_WIDTH;
-        let cones: Vec<(Netlist, Net)> = (4..=9)
+        let cones: Vec<(Aig, AigRef)> = (4..=9)
             .map(|w| {
-                let mut nl = Netlist::new();
+                let mut nl = Aig::new();
                 let a = Word { bits: (0..w).map(|_| nl.input()).collect(), signed: false };
                 let b = Word { bits: (0..w).map(|_| nl.input()).collect(), signed: false };
                 let ab = add_words(&mut nl, &a, &b, w);
@@ -731,10 +672,37 @@ mod tests {
     }
 
     #[test]
+    fn a_new_kit_starts_a_new_frame() {
+        // Kit A's valid identity is proved by SAT, and its root becomes a
+        // unit lemma. Kit B's falsifiable root sits at the same node id:
+        // read through A's frame it would be A's proved root, and B would
+        // wrongly prove too.
+        let mut a = Aig::new();
+        let ins: Vec<AigRef> = (0..14).map(|_| a.input()).collect();
+        let good = addxor_root(&mut a, &ins[..7], &ins[7..], 7);
+        assert!(!good.is_compl() && good != AIG_TRUE, "an AND node that does not fold");
+        let mut b = Aig::new();
+        let (x, y) = (b.input(), b.input());
+        while b.len() < good.node() as usize {
+            b.input();
+        }
+        let bad = b.and(x, y);
+        assert_eq!(bad.node(), good.node());
+        let items = [
+            SweepItem { nl: &a, root: good, width: 7, var_order: Vec::new() },
+            SweepItem { nl: &b, root: bad, width: 8, var_order: Vec::new() },
+        ];
+        let report = prove_net_sweep(&items, Backend::Auto, false);
+        assert_eq!(report.stats.lemmas, 1, "kit A's width reached the solver and proved");
+        assert!(report.outcomes[0].result.is_proved());
+        assert!(!report.outcomes[1].result.is_proved(), "x ∧ y is falsifiable");
+    }
+
+    #[test]
     fn drill_unguarded_retention_is_caught_by_ab() {
         // The injected bug: unguarded root retention poisons the solver,
-        // so a falsifiable later width reports Proved. The netlist-level
-        // A/B (verify_ab) must catch exactly this.
+        // so a falsifiable later width reports Proved. The one-shot A/B
+        // (verify_ab) must catch exactly this.
         let mut session = IncrementalProver::new();
         session.set_drill_unguarded(true);
         let w = 3;

@@ -6,12 +6,12 @@
 //! conformance engine's gate layer (`crates/conformance`), which owns case
 //! generation, the per-design width caps of the formal proofs, shrinking,
 //! and seed replay. `eval_kit_matches_netlist_evaluation` pins the kit
-//! that layer simulates with against the netlist it replaced.
+//! that layer simulates with against building and evaluating the AIG.
 
 use chicala_bigint::BigInt;
 use chicala_chisel::{elaborate, ElabKind, ElabModule};
 use chicala_conformance::{self as conformance, gen_case_for, Config, Layer, SplitMix64};
-use chicala_lowlevel::{constant_word, unroll, BitKit, Eval, Netlist, UnrolledState, Word};
+use chicala_lowlevel::{constant_word, unroll, Aig, BitKit, Eval, UnrolledState, Word};
 use std::collections::BTreeMap;
 
 #[test]
@@ -61,10 +61,10 @@ fn state_bits<B>(st: &UnrolledState<B>, bit: impl Fn(&B) -> bool) -> Vec<(String
 }
 
 /// The concrete kit agrees bit for bit with building the structurally
-/// hashed netlist over the same constant inputs and evaluating it, on
-/// every register and output, for every registry design at its minimum,
-/// a middle and its top soak width. Over constant inputs the netlist's
-/// unit rules fold every gate, so this also pins those rules.
+/// hashed AIG over the same constant inputs and evaluating it, on every
+/// register and output, for every registry design at its minimum, a
+/// middle and its top soak width. Over constant inputs the AIG's unit
+/// rules fold every gate, so this also pins those rules.
 #[test]
 fn eval_kit_matches_netlist_evaluation() {
     const CASES_PER_WIDTH: usize = 3;
@@ -89,14 +89,14 @@ fn eval_kit_matches_netlist_evaluation() {
                 let inputs = constant_inputs(&mut eval, &em, &values);
                 let got = unroll(&em, &mut eval, &inputs, &BTreeMap::new(), cycles)
                     .expect("blasts over Eval");
-                let mut nl = Netlist::new();
+                let mut nl = Aig::new();
                 let inputs = constant_inputs(&mut nl, &em, &values);
                 let want = unroll(&em, &mut nl, &inputs, &BTreeMap::new(), cycles)
-                    .expect("blasts over Netlist");
-                let vals = nl.eval(&|_| false);
+                    .expect("blasts over the AIG");
+                let vals = nl.eval_all(&|_| false);
                 assert_eq!(
                     state_bits(&got, |&b| b),
-                    state_bits(&want, |n| vals[n.0 as usize]),
+                    state_bits(&want, |n| n.value(&vals)),
                     "{} at width {width}, case {case}",
                     d.name
                 );

@@ -7,7 +7,10 @@
 //! * `--socket PATH` — listen on a Unix socket, one thread per
 //!   connection, all sharing the server's batching memo, coalescing
 //!   cells, and cache; each request's work runs on its connection's
-//!   thread;
+//!   thread. At most [`MAX_CONNECTIONS`] connections are served at once:
+//!   the daemon accepts the next one only when a connection thread ends,
+//!   so a further client waits in the listen backlog, unanswered, behind
+//!   the open ones;
 //! * `--client PATH --send LINE [--send LINE ...]` — connect to a running
 //!   daemon, send each line, print each response (the CI smoke driver).
 //!
@@ -15,9 +18,10 @@
 //! `CHICALA_CACHE_DIR`); `--no-cache` disables it, `--cache-dir DIR`
 //! relocates it.
 
-use chicala_serve::{CacheHandle, Server, Store};
+use chicala_serve::{CacheHandle, Server, Store, MAX_CONNECTIONS};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 
 fn main() {
@@ -82,14 +86,23 @@ fn run_socket(server: Arc<Server>, path: &str) {
         }
     };
     eprintln!("chicala-served: listening on {path}");
-    for conn in listener.incoming() {
+    // One token per free connection slot. The loop takes a token before it
+    // accepts, so past the bound a client waits in the listen backlog.
+    let (free, slots) = sync_channel(MAX_CONNECTIONS);
+    for _ in 0..MAX_CONNECTIONS {
+        free.send(()).expect("the channel holds one token per slot");
+    }
+    while slots.recv().is_ok() {
+        let slot = Slot(free.clone());
+        let conn = listener.accept();
         if server.shutdown_requested() {
             break;
         }
-        let Ok(stream) = conn else { continue };
+        let Ok((stream, _)) = conn else { continue };
         let server = Arc::clone(&server);
         let sock = path.to_string();
         std::thread::spawn(move || {
+            let _slot = slot;
             serve_connection(&server, stream);
             if server.shutdown_requested() {
                 // Unblock and finish: remove the socket and exit once the
@@ -100,6 +113,17 @@ fn run_socket(server: Arc<Server>, path: &str) {
         });
     }
     let _ = std::fs::remove_file(path);
+}
+
+/// A connection thread's slot: dropping it, when the thread returns or
+/// unwinds from a panic, hands the token back to the accept loop.
+struct Slot(SyncSender<()>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        // At most MAX_CONNECTIONS tokens exist, so this never blocks.
+        let _ = self.0.send(());
+    }
 }
 
 fn serve_connection(server: &Server, stream: UnixStream) {

@@ -29,6 +29,12 @@
 
 #![warn(missing_docs)]
 
+/// Most connections `chicala-served --socket` serves at once, one thread
+/// each. Each request's work runs on its connection's thread, so this also
+/// bounds how many requests hold memory at once. A further client waits
+/// in the listen backlog, unanswered, until a connection closes.
+pub const MAX_CONNECTIONS: usize = 32;
+
 mod coalesce;
 pub mod handle;
 mod line;

@@ -414,7 +414,7 @@ impl Server {
             // Byte-identity with the `prove` op: proved rows carry only
             // the resolved backend tag (same bytes by construction); a
             // counterexample is re-derived on the per-width obligation so
-            // its net numbering matches what `prove` would report.
+            // its input node ids match what `prove` would report.
             let result = if o.result.is_proved() {
                 o.result.clone()
             } else {
@@ -637,7 +637,11 @@ impl Server {
 }
 
 /// The byte-comparable `prove` result: identical whether the request built
-/// its obligation or reused a batch-mate's.
+/// its obligation or reused a batch-mate's. A counterexample's
+/// `assignment` lists `{"net", "value"}` pairs in ascending `net` order,
+/// where `net` is an input's node id
+/// ([`AigRef::node`](chicala_lowlevel::AigRef::node)) in the per-width
+/// obligation's AIG; inputs it leaves out are don't-cares.
 fn prove_result_json(design: &str, width: u64, r: &ProveResult) -> JsonValue {
     let base = JsonValue::obj()
         .set("design", JsonValue::str(design))
@@ -649,9 +653,9 @@ fn prove_result_json(design: &str, width: u64, r: &ProveResult) -> JsonValue {
         ProveResult::Counterexample { backend, inputs } => {
             let assignment = inputs
                 .iter()
-                .map(|(net, v)| {
+                .map(|(input, v)| {
                     JsonValue::obj()
-                        .set("net", JsonValue::int(net.0 as u64))
+                        .set("net", JsonValue::int(input.node() as u64))
                         .set("value", JsonValue::Bool(*v))
                 })
                 .collect();

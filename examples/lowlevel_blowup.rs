@@ -7,11 +7,11 @@
 //! `acc == a*b` is proved *at that width only* — this is the curve that
 //! forced the old `gate_max_width ≤ 10` ceilings. Second, the per-width
 //! check as the conformance gates layer runs it: `formal_gate_obligation`
-//! unrolls the design and builds the golden-model miter, which the netlist
-//! folds to the constant-true net as it is built, then `prove_net` runs
-//! under BDD and under AIG+SAT. Both engine columns only time a return on
-//! that constant root; the build column is the per-width cost that
-//! remains, far past the old ceiling.
+//! unrolls the design and builds the golden-model miter straight into the
+//! AIG, which folds it to the constant-true edge as it is built, then
+//! `prove_net` runs under BDD and under SAT. Both engine columns only time
+//! a return on that constant root; the build column is the per-width cost
+//! that remains, far past the old ceiling.
 //!
 //! Run with `cargo run --release --example lowlevel_blowup`.
 
@@ -60,8 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let d = Design::by_name("rmul").expect("rmul is registered");
     println!(
         "\nThe gates layer's actual per-width check: building the design-vs-golden\n\
-         obligation (the miter folds to the constant-true net as it is built),\n\
-         then `prove_net` under BDD and AIG+SAT, which both return on that root:\n"
+         obligation (the AIG folds the miter to the constant-true edge as it is\n\
+         built), then `prove_net` under BDD and SAT, which both return on that root:\n"
     );
     println!("{:>6} {:>12} {:>12} {:>12} {:>9}", "width", "build", "BDD", "SAT", "status");
     for width in 2..=d.gate_max_width {
