@@ -625,11 +625,6 @@ impl<'p> CompiledSim<'p> {
         CompiledSim { prog, state }
     }
 
-    /// The program this VM runs.
-    pub fn program(&self) -> &CompiledModule {
-        self.prog
-    }
-
     /// Latches input values for subsequent [`step`](Self::step)s, clamping
     /// to each input's declared type (missing inputs read as zero).
     pub fn set_inputs(&mut self, values: &BTreeMap<String, BigInt>) {

@@ -1,18 +1,22 @@
-//! Counterexample capture: the one recorder of the executable layers,
+//! Counterexample capture and the one cosim comparison: the one recorder
+//! of the executable layers, the one comparison of what it recorded,
 //! typed waveforms from it, and self-contained replay bundles.
 //!
-//! [`record_layers`] drives every executable layer of one module at one
-//! width — the Chisel interpreter, the generated sequential program, the
-//! compiled slot-VM and the interpreter on the `when`-flattened module —
-//! over an input *schedule* (one input map per cycle) and returns, per
-//! layer, a typed [`Trace`] or the [`LayerError`] that stopped it. The
-//! conformance engine records a case's inputs held for `case.cycles`
-//! cycles; the generative fuzzer records, and checks, its own random
-//! schedule through the same function.
+//! [`record_layers`] drives the Chisel reference interpreter and any of
+//! the other executable layers of one module at one width — the generated
+//! sequential program, the compiled slot-VM, the interpreter on the
+//! `when`-flattened module and the compiled sequential VM — over an input
+//! *schedule* (one input map per cycle) and returns, per layer, a typed
+//! [`Trace`] or the [`LayerError`] that stopped it. [`compare_layers`]
+//! then compares every recorded layer with the interpreter. The
+//! conformance engine's `interp` and `both` cosim checks record a case's
+//! inputs held for `case.cycles` cycles and compare them through it; the
+//! generative fuzzer records, and compares, its own random schedule
+//! through the same two functions.
 //!
 //! When a conformance case diverges (and only then — on the already-shrunk
 //! final counterexample, so the green path never pays for any of this),
-//! [`capture_failure`] records the case through each layer, marks the
+//! [`capture_failure`] records the case through all five layers, marks the
 //! first divergent cycle/signal across the pair that actually disagrees,
 //! and writes the VCDs next to a schema-versioned JSON [`ReplayBundle`]
 //! under `target/chicala-failures/` (see [`chicala_trace::bundle`]).
@@ -31,13 +35,13 @@ use chicala_chisel::{
     Simulator,
 };
 use chicala_lowlevel::{prove_net, Backend, ProveResult};
-use chicala_seq::{SValue, SeqProgram, SeqRunner};
+use chicala_seq::{SValue, SeqCompiled, SeqProgram, SeqRunner, SeqVm};
 use chicala_telemetry as telemetry;
 use chicala_trace::{
-    capture_enabled, git_rev, mark_earliest, Divergence, ReplayBundle, SignalKind, Trace,
-    SCHEMA_VERSION,
+    capture_enabled, first_divergence, git_rev, mark_earliest, Divergence, ReplayBundle,
+    SignalKind, Trace, SCHEMA_VERSION,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::PathBuf;
 
@@ -49,11 +53,26 @@ pub const SCOPE_FLAT: &str = "flat_interp";
 pub const SCOPE_COMPILED: &str = "compiled_vm";
 /// The generated sequential program's scope.
 pub const SCOPE_SEQ: &str = "seq_program";
+/// The compiled sequential VM's scope.
+pub const SCOPE_SEQ_VM: &str = "seq_vm";
 /// The gate-level miter counterexample's scope.
 pub const SCOPE_MITER: &str = "gates_miter";
 
 /// One cycle's input values by port name; a schedule is one per cycle.
 pub type Inputs = BTreeMap<String, BigInt>;
+
+/// A layer [`record_layers`] records besides the reference interpreter,
+/// as its caller built it: `Err` carries the reason it could not be built.
+pub enum ExecLayer<'a> {
+    /// The generated sequential program, on the tree-walking [`SeqRunner`].
+    Program(Result<&'a SeqProgram, String>),
+    /// The compiled Chisel slot-VM.
+    Compiled(Result<&'a CompiledModule, String>),
+    /// The interpreter on the `when`-flattened module.
+    Flat(Result<&'a ElabModule, String>),
+    /// The generated program compiled for one width, on [`SeqVm`].
+    SeqVm(Result<&'a SeqCompiled, String>),
+}
 
 /// Why a layer has no complete trace.
 #[derive(Clone, Debug, PartialEq)]
@@ -185,9 +204,6 @@ fn record_seq(
     width: u64,
     schedule: &[Inputs],
 ) -> Result<Trace, LayerError> {
-    let width_of = |name: &str| -> u64 {
-        em.signals.iter().find(|s| s.name == name).map(|s| s.width).unwrap_or(64)
-    };
     let scalars = |values: &BTreeMap<String, SValue>| -> Inputs {
         values.iter().filter_map(|(k, v)| v.scalar().map(|b| (k.clone(), b))).collect()
     };
@@ -228,7 +244,7 @@ fn record_seq(
         plan.extend(regs.keys().map(|name| (name.clone(), SignalKind::Register)));
     }
     for (name, kind) in &plan {
-        trace.declare(name, width_of(name), *kind);
+        trace.declare(name, width_of(em, name), *kind);
     }
     for ((outs, regs), inputs) in rows.iter().zip(schedule) {
         let row = plan
@@ -251,26 +267,175 @@ fn record_seq(
     }
 }
 
-/// Records every executable layer of one module at `width` over
-/// `schedule`, in the order capture lists them: the reference interpreter
-/// on `em`, the generated program, the compiled slot-VM, and the
-/// interpreter on the `when`-flattened module. A layer the caller could
-/// not build comes back as its reason, with no cycle.
+/// The width `em` gives the signal `name`, or 64 for a name it lacks.
+fn width_of(em: &ElabModule, name: &str) -> u64 {
+    em.signals.iter().find(|s| s.name == name).map(|s| s.width).unwrap_or(64)
+}
+
+/// Records the compiled sequential VM: the scheduled inputs, then the
+/// compiled program's outputs and registers, with widths from `em` as for
+/// the program.
+fn record_seq_vm(
+    prog: &SeqCompiled,
+    em: &ElabModule,
+    schedule: &[Inputs],
+) -> Result<Trace, LayerError> {
+    let mut trace = Trace::new(SCOPE_SEQ_VM);
+    let inputs: Vec<&String> = schedule.first().into_iter().flat_map(BTreeMap::keys).collect();
+    for name in &inputs {
+        trace.declare(*name, width_of(em, name), SignalKind::Input);
+    }
+    for i in 0..prog.outputs_len() {
+        trace.declare(prog.output_name(i), width_of(em, prog.output_name(i)), SignalKind::Output);
+    }
+    for i in 0..prog.regs_len() {
+        trace.declare(prog.reg_name(i), width_of(em, prog.reg_name(i)), SignalKind::Register);
+    }
+    let mut vm = match SeqVm::new(prog, &BTreeMap::new()) {
+        Ok(vm) => vm,
+        Err(e) => return Err(LayerError::unrun(trace, format!("{SCOPE_SEQ_VM}: {e}"))),
+    };
+    let scalar = |v: SValue| v.scalar().unwrap_or_else(BigInt::zero);
+    drive(trace, schedule, |values| {
+        let sw: BTreeMap<String, SValue> =
+            values.iter().map(|(k, v)| (k.clone(), SValue::Int(v.clone()))).collect();
+        vm.set_inputs(&sw).map_err(|e| e.to_string())?;
+        vm.step().map_err(|e| e.to_string())?;
+        let mut row: Vec<BigInt> = inputs
+            .iter()
+            .map(|name| values.get(*name).cloned().unwrap_or_else(BigInt::zero))
+            .collect();
+        row.extend((0..prog.outputs_len()).map(|i| scalar(vm.output_svalue(i))));
+        row.extend((0..prog.regs_len()).map(|i| scalar(vm.reg_svalue(i))));
+        Ok(row)
+    })
+}
+
+/// Records the reference interpreter on `em`, then each of `layers` in
+/// order, over `schedule` at `width`. A layer the caller could not build
+/// comes back as its reason, with no cycle.
 pub fn record_layers(
     em: &ElabModule,
-    prog: Result<&SeqProgram, String>,
-    compiled: Result<&CompiledModule, String>,
-    flat: Result<&ElabModule, String>,
+    layers: &[ExecLayer<'_>],
     width: u64,
     schedule: &[Inputs],
-) -> [Result<Trace, LayerError>; 4] {
-    let unbuilt = |scope: &str, message| Err(LayerError::unrun(Trace::new(scope), message));
-    [
-        record_interp(SCOPE_INTERP, em, schedule),
-        prog.map_or_else(|e| unbuilt(SCOPE_SEQ, e), |p| record_seq(p, em, width, schedule)),
-        compiled.map_or_else(|e| unbuilt(SCOPE_COMPILED, e), |cm| record_compiled(cm, schedule)),
-        flat.map_or_else(|e| unbuilt(SCOPE_FLAT, e), |f| record_interp(SCOPE_FLAT, f, schedule)),
-    ]
+) -> Vec<Result<Trace, LayerError>> {
+    let unbuilt = |scope: &str, message: &String| {
+        Err(LayerError::unrun(Trace::new(scope), message.clone()))
+    };
+    let mut traces = vec![record_interp(SCOPE_INTERP, em, schedule)];
+    traces.extend(layers.iter().map(|layer| match layer {
+        ExecLayer::Program(p) => p
+            .as_ref()
+            .map_or_else(|e| unbuilt(SCOPE_SEQ, e), |p| record_seq(p, em, width, schedule)),
+        ExecLayer::Compiled(cm) => cm
+            .as_ref()
+            .map_or_else(|e| unbuilt(SCOPE_COMPILED, e), |cm| record_compiled(cm, schedule)),
+        ExecLayer::Flat(f) => f
+            .as_ref()
+            .map_or_else(|e| unbuilt(SCOPE_FLAT, e), |f| record_interp(SCOPE_FLAT, f, schedule)),
+        ExecLayer::SeqVm(p) => p
+            .as_ref()
+            .map_or_else(|e| unbuilt(SCOPE_SEQ_VM, e), |p| record_seq_vm(p, em, schedule)),
+    }));
+    traces
+}
+
+/// How messages name the layer recorded under `scope`, and its values.
+fn layer_names(scope: &str) -> (&'static str, &'static str) {
+    match scope {
+        SCOPE_SEQ => ("sequential program", "program"),
+        SCOPE_COMPILED => ("compiled VM", "compiled"),
+        SCOPE_FLAT => ("when-flattened module", "flattened"),
+        SCOPE_SEQ_VM => ("sequential VM", "seq_vm"),
+        _ => ("layer", "layer"),
+    }
+}
+
+/// The names `t` declares with role `kind`.
+fn names(t: &Trace, kind: SignalKind) -> BTreeSet<&str> {
+    t.signals.iter().filter(|s| s.kind == kind).map(|s| s.name.as_str()).collect()
+}
+
+/// The earliest way `layer` departs from the reference `interp`, keyed by
+/// cycle (`None`: before any cycle): a failure to build or initialize,
+/// signals other than the interpreter's, a value on a cycle both recorded,
+/// or a failure to step. The message names the layer and its values by its
+/// scope (`chicala_gen`'s `stage_of` classifies it by them).
+fn departure(
+    interp: &Trace,
+    layer: &Result<Trace, LayerError>,
+    width: u64,
+) -> Option<(Option<u64>, String)> {
+    let (trace, failure) = match layer {
+        Ok(t) => (t, None),
+        // The sequential VM may decline a program or stop at its `i128`
+        // envelope, where the engine falls back to the interpreters: it is
+        // compared on the cycles it ran, and the stop is no departure.
+        Err(e) if e.partial.scope == SCOPE_SEQ_VM => (&*e.partial, None),
+        Err(e) => (&*e.partial, Some((e.cycle, format!("width {width}: {}", e.message)))),
+    };
+    if let Some((None, _)) = failure {
+        return failure;
+    }
+    let (what, label) = layer_names(&trace.scope);
+    // The program, on either engine, declares its own outputs and
+    // registers: every interpreter output, and only registers the
+    // interpreter knows. The other layers run the same module: exactly
+    // the interpreter's outputs and registers.
+    let (output, register) = (SignalKind::Output, SignalKind::Register);
+    let undeclared = if trace.is_empty() {
+        None
+    } else if matches!(trace.scope.as_str(), SCOPE_SEQ | SCOPE_SEQ_VM) {
+        let missing = names(interp, output).difference(&names(trace, output)).next().copied();
+        let unknown = names(trace, register).difference(&names(interp, register)).next().copied();
+        missing
+            .map(|n| format!("output `{n}` missing from {label}"))
+            .or_else(|| unknown.map(|n| format!("{label} register `{n}` unknown to interpreter")))
+    } else {
+        [output, register].into_iter().find(|&k| names(interp, k) != names(trace, k)).map(|k| {
+            let (got, want) = (names(trace, k), names(interp, k));
+            format!("{what} declares {} {got:?}, interpreter {want:?}", k.name())
+        })
+    };
+    if let Some(msg) = undeclared {
+        return Some((None, format!("width {width}: {msg}")));
+    }
+    // Cycles only one side recorded are not compared: the failure that
+    // cut the other side short is reported instead.
+    let common = interp.len().min(trace.len()) as u64;
+    first_divergence(interp, trace)
+        .filter(|d| d.cycle < common)
+        .map(|d| {
+            let msg = format!(
+                "width {width} cycle {}: {what} diverges on `{}`: interp={} {label}={}",
+                d.cycle, d.signal, d.expected, d.actual
+            );
+            (Some(d.cycle), msg)
+        })
+        .or(failure)
+}
+
+/// The one cosim comparison: every layer [`record_layers`] recorded
+/// against the reference interpreter, `layers[0]`, on every output and
+/// register of every cycle both recorded. `Err` reports the earliest
+/// departure across all layers, naming `width`; ties go to the
+/// interpreter's own failure, then to the layer recorded first.
+pub fn compare_layers(layers: &[Result<Trace, LayerError>], width: u64) -> Result<(), String> {
+    let Some((interp, layers)) = layers.split_first() else { return Ok(()) };
+    let (interp, mut earliest) = match interp {
+        Ok(t) => (t, None),
+        Err(e) if e.cycle.is_none() => return Err(format!("width {width}: {}", e.message)),
+        Err(e) => (&*e.partial, Some((e.cycle, format!("width {width}: {}", e.message)))),
+    };
+    for layer in layers {
+        if let Some(found) = departure(interp, layer, width) {
+            if earliest.as_ref().is_none_or(|(cycle, _)| found.0 < *cycle) {
+                earliest = Some(found);
+            }
+        }
+    }
+    earliest.map_or(Ok(()), |(_, msg)| Err(msg))
 }
 
 /// `d`'s `when`-flattened module, elaborated at `width`.
@@ -358,22 +523,22 @@ pub fn capture_traces(
     }
     let Ok(em) = elab(d, case.width) else { return (Vec::new(), None) };
     let prog = transform_arc(d);
-    let plan = sim_plan(d, case.width);
-    let compiled = plan.as_ref().map_err(Clone::clone).and_then(|p| {
-        p.chisel
-            .as_deref()
-            .ok_or_else(|| format!("{}: no compiled module at width {}", d.name, case.width))
-    });
+    let sim = sim_plan(d, case.width);
+    let plan = sim.as_deref().map_err(Clone::clone);
+    let missing = |what: &str| format!("{}: no {what} at width {}", d.name, case.width);
     let flat = flat_elab(d, case.width);
+    let layers = [
+        ExecLayer::Program(prog.as_deref().map_err(Clone::clone)),
+        ExecLayer::Compiled(plan.clone().and_then(|p| {
+            p.chisel.as_deref().ok_or_else(|| missing("compiled module"))
+        })),
+        ExecLayer::Flat(flat.as_ref().map_err(Clone::clone)),
+        ExecLayer::SeqVm(
+            plan.and_then(|p| p.seq.as_deref().ok_or_else(|| missing("compiled program"))),
+        ),
+    ];
     let schedule = vec![case.input_map(d); case.cycles as usize];
-    let layers = record_layers(
-        &em,
-        prog.as_deref().map_err(Clone::clone),
-        compiled,
-        flat.as_ref().map_err(Clone::clone),
-        case.width,
-        &schedule,
-    );
+    let layers = record_layers(&em, &layers, case.width, &schedule);
     let mut traces: Vec<Trace> = layers.into_iter().filter_map(Result::ok).collect();
     // Mark the earliest-diverging pair (the reference interpreter records
     // first, so it is preferred as the `expected` side of the pair).
@@ -435,7 +600,9 @@ pub fn capture_failure(d: &Design, failure: &Failure) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chicala_trace::first_divergence;
+    use crate::engine::{check_case_with, SimBackend};
+    use crate::registry::InputSpec;
+    use chicala_chisel::{ChiselType, Expr, Module, ModuleBuilder};
     use chicala_trace::vcd::{parse_vcd, write_vcd, MARKER};
 
     fn known_case() -> Case {
@@ -447,7 +614,7 @@ mod tests {
     }
 
     #[test]
-    fn four_layers_record_and_agree_on_a_passing_case() {
+    fn five_layers_record_and_agree_on_a_passing_case() {
         let d = Design::by_name("rmul").expect("registered");
         let case = known_case().normalized(&d);
         let (traces, divergence) = capture_traces(&d, Layer::Cosim, &case);
@@ -455,7 +622,7 @@ mod tests {
         let scopes: Vec<&str> = traces.iter().map(|t| t.scope.as_str()).collect();
         assert_eq!(
             scopes,
-            [SCOPE_INTERP, SCOPE_SEQ, SCOPE_COMPILED, SCOPE_FLAT],
+            [SCOPE_INTERP, SCOPE_SEQ, SCOPE_COMPILED, SCOPE_FLAT, SCOPE_SEQ_VM],
             "every layer records"
         );
         for t in &traces {
@@ -493,5 +660,128 @@ mod tests {
         assert_eq!(t.value(0, "acc"), t.value(0, "golden_acc"));
         let vcd = write_vcd(&t);
         assert!(!vcd.contains(MARKER), "no marker without a divergence");
+    }
+
+    /// A one-bit input port that a `go` flag latches into `r` from the
+    /// second cycle on. The engine masks a case's inputs to the case width,
+    /// not to each port's: the interpreters and the compiled Chisel VM
+    /// read the port's low bit, while the generated program, on either
+    /// engine, reads the value it is given.
+    fn narrow_port() -> Module {
+        let mut m = ModuleBuilder::new("NarrowPort", &["len"]);
+        let len = m.param("len");
+        let io_x = m.input("io_x", ChiselType::uint(1));
+        let io_y = m.output("io_y", ChiselType::uint(len.clone()));
+        let go = m.reg_init("go", ChiselType::Bool, Expr::lit_b(false));
+        let r = m.reg_init("r", ChiselType::uint(len.clone()), Expr::lit_u(0, len));
+        m.connect(go.lv(), Expr::lit_b(true));
+        let (r2, x) = (r.clone(), io_x.clone());
+        m.when(go.e(), move |b| b.connect(r2.lv(), x.e()));
+        m.connect(io_y.lv(), r.e());
+        m.build()
+    }
+
+    /// Under `interp` and `both`, the engine's cosim check reports the
+    /// width, cycle and signal that failure capture marks: both compare
+    /// recorded layers with the reference interpreter.
+    #[test]
+    fn cosim_check_and_capture_agree_on_a_real_divergence() {
+        let d = Design {
+            name: "narrow_port_drill",
+            build: narrow_port,
+            inputs: &[InputSpec { name: "io_x", nonzero: false }],
+            min_width: 2,
+            gate_max_width: 8,
+            latency: |_| 3,
+            spec: |_, _, _| Ok(()),
+            gate_spec: None,
+        };
+        let case = Case { width: 4, cycles: 3, inputs: vec![BigInt::from(3u64)] };
+        let (traces, marked) = capture_traces(&d, Layer::Cosim, &case);
+        assert_eq!(traces.len(), 5, "all five layers record");
+        let marked = marked.expect("capture marks the divergence");
+        assert_eq!((marked.cycle, marked.signal.as_str()), (1, "r"));
+        let at = format!("cosim: width 4 cycle {}: sequential program diverges on ", marked.cycle);
+        for backend in [SimBackend::Interp, SimBackend::Both] {
+            let message = check_case_with(&d, Layer::Cosim, &case, backend)
+                .expect_err("the program reads the whole input");
+            assert!(
+                message.starts_with(&at),
+                "{backend}: capture marks {marked}, check says {message}"
+            );
+            assert!(message.contains(&format!("`{}`", marked.signal)), "{backend}: {message}");
+        }
+    }
+
+    /// A layer trace over `io_in`/`io_out`, one row per cycle.
+    fn toy(scope: &str, rows: &[[u64; 2]]) -> Trace {
+        let mut t = Trace::new(scope);
+        t.declare("io_in", 4, SignalKind::Input);
+        t.declare("io_out", 4, SignalKind::Output);
+        for row in rows {
+            t.push_cycle(row.iter().map(|&v| BigInt::from(v)).collect());
+        }
+        t
+    }
+
+    /// A layer under `scope` that failed to step after recording `rows`.
+    fn stopped(scope: &str, rows: &[[u64; 2]]) -> Result<Trace, LayerError> {
+        let cycle = rows.len() as u64;
+        let message = format!("{scope} cycle {cycle}: boom");
+        Err(LayerError { cycle: Some(cycle), message, partial: Box::new(toy(scope, rows)) })
+    }
+
+    /// A layer that stops early is still compared on the cycles it ran,
+    /// and its failure counts at the cycle it happened.
+    #[test]
+    fn a_layer_that_stops_early_departs_at_its_earliest_cycle() {
+        let interp = toy(SCOPE_INTERP, &[[1, 2], [3, 4], [5, 6]]);
+        let diverged_first = stopped(SCOPE_FLAT, &[[1, 2], [3, 9]]);
+        assert_eq!(
+            departure(&interp, &diverged_first, 4),
+            Some((
+                Some(1),
+                "width 4 cycle 1: when-flattened module diverges on `io_out`: interp=4 flattened=9"
+                    .to_string()
+            ))
+        );
+        let agreed_first = stopped(SCOPE_FLAT, &[[1, 2]]);
+        assert_eq!(
+            departure(&interp, &agreed_first, 4),
+            Some((Some(1), "width 4: flat_interp cycle 1: boom".to_string()))
+        );
+    }
+
+    /// The sequential VM stopping at its `i128` envelope is no departure:
+    /// the cycles it ran agree, so nothing is reported.
+    #[test]
+    fn a_seq_vm_that_stops_early_is_compared_on_the_cycles_it_ran() {
+        let interp = toy(SCOPE_INTERP, &[[1, 2], [3, 4], [5, 6]]);
+        let seq_vm = stopped(SCOPE_SEQ_VM, &[[1, 2], [3, 4]]);
+        assert_eq!(departure(&interp, &seq_vm, 4), None);
+        assert_eq!(compare_layers(&[Ok(interp), seq_vm], 4), Ok(()));
+    }
+
+    /// A value the sequential VM computed differently is a departure, with
+    /// its width, cycle and signal, even when the VM stopped afterwards.
+    #[test]
+    fn a_seq_vm_value_departure_is_reported_with_width_cycle_and_signal() {
+        let interp = toy(SCOPE_INTERP, &[[1, 2], [3, 4], [5, 6]]);
+        let want = "width 4 cycle 1: sequential VM diverges on `io_out`: interp=4 seq_vm=9";
+        let ran = Ok(toy(SCOPE_SEQ_VM, &[[1, 2], [3, 9], [5, 6]]));
+        for seq_vm in [ran, stopped(SCOPE_SEQ_VM, &[[1, 2], [3, 9]])] {
+            assert_eq!(departure(&interp, &seq_vm, 4), Some((Some(1), want.to_string())));
+            assert_eq!(compare_layers(&[Ok(interp.clone()), seq_vm], 4), Err(want.to_string()));
+        }
+    }
+
+    /// A program the sequential VM declines (it does not compile, or its
+    /// initial state or inputs leave the `i128` envelope) is no departure.
+    #[test]
+    fn a_seq_vm_decline_is_not_reported() {
+        let interp = toy(SCOPE_INTERP, &[[1, 2], [3, 4]]);
+        let declined = LayerError::unrun(Trace::new(SCOPE_SEQ_VM), "unsupported".to_string());
+        assert_eq!(departure(&interp, &Err(declined.clone()), 4), None);
+        assert_eq!(compare_layers(&[Ok(interp), Err(declined)], 4), Ok(()));
     }
 }

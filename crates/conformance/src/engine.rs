@@ -7,7 +7,12 @@
 //! * [`Layer::Cosim`] — the Chisel IR reference interpreter
 //!   ([`chicala_chisel::Simulator`]) against the generated sequential
 //!   program ([`chicala_seq::SeqRunner`]), cycle by cycle over every
-//!   output and register (experiment E3).
+//!   output and register (experiment E3). The `compiled` backend steps
+//!   the two compiled VMs in lockstep (`run_cosim_vms`, the one
+//!   hand-written cosim loop); `interp` and `both` record the case through
+//!   the layer recorder and compare every recorded layer with the
+//!   interpreter ([`crate::capture::compare_layers`], the comparison the
+//!   generative fuzzer uses too).
 //! * [`Layer::Gates`] — the bit-blasted design ([`chicala_lowlevel::unroll`]),
 //!   two ways: each sampled case blasted over its concrete input bits
 //!   ([`chicala_lowlevel::Eval`]) against the reference simulator the
@@ -20,6 +25,7 @@
 //!   against a pure mathematical specification (`a*b`, `n/d`, rotation,
 //!   popcount) from the registry.
 
+use crate::capture::{compare_layers, record_layers, ExecLayer};
 use crate::registry::{all_designs, Design, FinalState, GateEnv};
 use crate::rng::SplitMix64;
 use crate::shrink::shrink;
@@ -34,7 +40,7 @@ use chicala_lowlevel::{
     Netlist, ProveResult, UnrolledState, Word,
 };
 use chicala_par::ThreadPool;
-use chicala_seq::{compile_seq, SValue, SeqCompiled, SeqProgram, SeqRunner, SeqVm};
+use chicala_seq::{compile_seq, SValue, SeqCompiled, SeqProgram, SeqVm};
 use chicala_telemetry as telemetry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -53,13 +59,18 @@ use std::time::Instant;
 /// case.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimBackend {
-    /// Tree-walking interpreters ([`Simulator`] / [`SeqRunner`]) only.
+    /// Tree-walking interpreters ([`Simulator`] /
+    /// [`SeqRunner`](chicala_seq::SeqRunner)) only.
     Interp,
     /// Compiled VMs with per-case interpreter fallback (the default).
     Compiled,
-    /// Run both and cross-check every output and register on every cycle;
-    /// any disagreement between a compiled VM and its interpreter is
-    /// reported as a divergence.
+    /// The interpreters as ground truth, with each compiled VM the (design,
+    /// width) has beside them. Cosim compares the program and both VMs
+    /// with the reference interpreter on every output and register of
+    /// every cycle; the [`SeqVm`] may decline or stop at its `i128`
+    /// envelope, which is no divergence. Gates and spec compare the
+    /// compiled Chisel VM's final state with the interpreter's. Any
+    /// disagreement is reported as a divergence.
     Both,
 }
 
@@ -381,15 +392,6 @@ impl Report {
     }
 }
 
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
-}
-
 /// Generates the case for `case_seed` (width, cycles, inputs), biased
 /// toward boundary values: extreme widths, all-ones/zero/one inputs.
 pub fn gen_case(d: &Design, case_seed: u64, max_width: u64) -> Case {
@@ -461,8 +463,6 @@ pub(crate) fn transform_arc(d: &Design) -> Result<Arc<SeqProgram>, String> {
 /// absent (outside its compiler's subset); checks then fall back to the
 /// corresponding tree-walking interpreter.
 pub(crate) struct SimPlan {
-    pub(crate) em: Arc<ElabModule>,
-    pub(crate) prog: Arc<SeqProgram>,
     pub(crate) chisel: Option<Arc<CompiledModule>>,
     pub(crate) seq: Option<Arc<SeqCompiled>>,
 }
@@ -499,67 +499,40 @@ fn sim_plan_uncached(d: &Design, width: u64) -> Result<SimPlan, String> {
             None
         }
     };
-    Ok(SimPlan { em, prog, chisel, seq })
+    Ok(SimPlan { chisel, seq })
 }
 
 /// Layer A: the Chisel cycle semantics vs the generated sequential
 /// program, cycle by cycle, over every output and every (scalar) register.
 fn check_cosim(d: &Design, case: &Case, backend: SimBackend) -> Result<u64, String> {
     match backend {
-        SimBackend::Interp => check_cosim_interp(d, case),
         SimBackend::Compiled => check_cosim_compiled(d, case),
-        SimBackend::Both => check_cosim_both(d, case),
+        SimBackend::Interp | SimBackend::Both => check_cosim_recorded(d, case, backend),
     }
 }
 
-/// The tree-walking reference pairing: [`Simulator`] vs [`SeqRunner`].
-fn check_cosim_interp(d: &Design, case: &Case) -> Result<u64, String> {
+/// Records the case's inputs, held for `case.cycles` cycles, through the
+/// reference [`Simulator`] and the generated program on
+/// [`SeqRunner`](chicala_seq::SeqRunner) —
+/// under `Both` also through the compiled Chisel VM and [`SeqVm`], where
+/// the sim plan has them — and compares every layer with the interpreter
+/// ([`compare_layers`]).
+fn check_cosim_recorded(d: &Design, case: &Case, backend: SimBackend) -> Result<u64, String> {
     telemetry::counter("conformance.sim.interp_cases", 1);
     let em = elab(d, case.width)?;
-    let mut sim = Simulator::new(&em, &BTreeMap::new()).map_err(|e| e.to_string())?;
-    let hw_inputs = case.input_map(d);
-
     let prog = transform_arc(d)?;
-    let runner = SeqRunner::new(
-        &prog,
-        [("len".to_string(), BigInt::from(case.width))].into_iter().collect(),
-    );
-    let sw_inputs: BTreeMap<String, SValue> = hw_inputs
-        .iter()
-        .map(|(k, v)| (k.clone(), SValue::Int(v.clone())))
-        .collect();
-    let mut sw_regs = runner.init_regs(&BTreeMap::new()).map_err(|e| e.to_string())?;
-
-    for cycle in 0..case.cycles {
-        let hw_out = sim.step(&hw_inputs).map_err(|e| e.to_string())?;
-        let sw = runner
-            .trans(&sw_inputs, &sw_regs)
-            .map_err(|e| format!("{}: sequential step failed at cycle {cycle}: {e}", d.name))?;
-        for (name, hv) in &hw_out {
-            let sv = sw
-                .outputs
-                .get(name)
-                .and_then(SValue::scalar)
-                .ok_or_else(|| format!("cycle {cycle}: output `{name}` missing from program"))?;
-            if *hv != sv {
-                return Err(format!(
-                    "cosim: cycle {cycle}: output `{name}`: interpreter={hv} program={sv}"
-                ));
-            }
-        }
-        for (name, svv) in &sw.regs {
-            let Some(sv) = svv.scalar() else { continue };
-            let hv = sim
-                .reg(name)
-                .ok_or_else(|| format!("cycle {cycle}: program register `{name}` unknown to interpreter"))?;
-            if *hv != sv {
-                return Err(format!(
-                    "cosim: cycle {cycle}: register `{name}`: interpreter={hv} program={sv}"
-                ));
-            }
-        }
-        sw_regs = sw.regs;
+    let plan = match backend {
+        SimBackend::Both => Some(sim_plan(d, case.width)?),
+        _ => None,
+    };
+    let mut layers = vec![ExecLayer::Program(Ok(&prog))];
+    if let Some(plan) = &plan {
+        layers.extend(plan.chisel.as_deref().map(|cm| ExecLayer::Compiled(Ok(cm))));
+        layers.extend(plan.seq.as_deref().map(|p| ExecLayer::SeqVm(Ok(p))));
     }
+    let schedule = vec![case.input_map(d); case.cycles as usize];
+    let recorded = record_layers(&em, &layers, case.width, &schedule);
+    compare_layers(&recorded, case.width).map_err(|e| format!("cosim: {e}"))?;
     Ok(case.cycles)
 }
 
@@ -626,7 +599,7 @@ fn count_case_fallback<T>(kind: &str, outcome: &Result<T, String>) {
 fn check_cosim_compiled(d: &Design, case: &Case) -> Result<u64, String> {
     let plan = sim_plan(d, case.width)?;
     let (Some(chisel), Some(seq)) = (&plan.chisel, &plan.seq) else {
-        let r = check_cosim_interp(d, case);
+        let r = check_cosim_recorded(d, case, SimBackend::Interp);
         count_case_fallback("compile", &r);
         return r;
     };
@@ -635,7 +608,7 @@ fn check_cosim_compiled(d: &Design, case: &Case) -> Result<u64, String> {
         // The sequential VM left its i128 envelope: the case is legal but
         // outside the compiled subset — re-check it on the interpreters.
         Err(_bail) => {
-            let r = check_cosim_interp(d, case);
+            let r = check_cosim_recorded(d, case, SimBackend::Interp);
             count_case_fallback("run", &r);
             r
         }
@@ -690,117 +663,6 @@ fn run_cosim_vms(
         }
     }
     Ok(Ok(case.cycles))
-}
-
-/// Cross-checking mode: runs the interpreters as ground truth, steps each
-/// compiled VM alongside, and reports any compiled-vs-interpreted
-/// disagreement on any output or register of any cycle as a divergence —
-/// on top of the usual hardware-vs-program comparison.
-fn check_cosim_both(d: &Design, case: &Case) -> Result<u64, String> {
-    let plan = sim_plan(d, case.width)?;
-    let em = &plan.em;
-    let mut sim = Simulator::new(em, &BTreeMap::new()).map_err(|e| e.to_string())?;
-    let hw_inputs = case.input_map(d);
-    let runner = SeqRunner::new(
-        &plan.prog,
-        [("len".to_string(), BigInt::from(case.width))].into_iter().collect(),
-    );
-    let sw_inputs: BTreeMap<String, SValue> = hw_inputs
-        .iter()
-        .map(|(k, v)| (k.clone(), SValue::Int(v.clone())))
-        .collect();
-    let mut sw_regs = runner.init_regs(&BTreeMap::new()).map_err(|e| e.to_string())?;
-
-    let mut hw_vm = plan.chisel.as_deref().map(|p| {
-        let mut vm = CompiledSim::new(p, &BTreeMap::new());
-        vm.set_inputs(&hw_inputs);
-        vm
-    });
-    let mut sw_vm = match plan.seq.as_deref() {
-        Some(p) => match SeqVm::new(p, &BTreeMap::new()) {
-            Ok(mut vm) => match vm.set_inputs(&sw_inputs) {
-                Ok(()) => Some(vm),
-                Err(_) => None,
-            },
-            Err(_) => None,
-        },
-        None => None,
-    };
-
-    for cycle in 0..case.cycles {
-        let hw_out = sim.step(&hw_inputs).map_err(|e| e.to_string())?;
-        let sw = runner
-            .trans(&sw_inputs, &sw_regs)
-            .map_err(|e| format!("{}: sequential step failed at cycle {cycle}: {e}", d.name))?;
-        if let Some(vm) = &mut hw_vm {
-            vm.step();
-            let prog = vm.program();
-            for i in 0..prog.outputs_len() {
-                let name = prog.output_name(i);
-                let want = &hw_out[name];
-                let got = vm.output_value(i);
-                if got != *want {
-                    return Err(format!(
-                        "cosim: cycle {cycle}: compiled Chisel VM diverges from interpreter \
-                         on output `{name}`: interp={want} compiled={got}"
-                    ));
-                }
-            }
-            for i in 0..prog.regs_len() {
-                let name = prog.reg_name(i);
-                let want = sim.reg(name).cloned().unwrap_or_else(BigInt::zero);
-                let got = vm.reg_value(i);
-                if got != want {
-                    return Err(format!(
-                        "cosim: cycle {cycle}: compiled Chisel VM diverges from interpreter \
-                         on register `{name}`: interp={want} compiled={got}"
-                    ));
-                }
-            }
-        }
-        if let Some(vm) = &mut sw_vm {
-            match vm.step() {
-                // Legal bail-out (i128 envelope): drop the VM, keep the
-                // interpreter comparison going.
-                Err(_) => sw_vm = None,
-                Ok(()) => {
-                    let got = vm.trans_result();
-                    if got.outputs != sw.outputs || got.regs != sw.regs {
-                        return Err(format!(
-                            "cosim: cycle {cycle}: compiled sequential VM diverges from \
-                             interpreter: interp outs={:?} regs={:?}; compiled outs={:?} regs={:?}",
-                            sw.outputs, sw.regs, got.outputs, got.regs
-                        ));
-                    }
-                }
-            }
-        }
-        for (name, hv) in &hw_out {
-            let sv = sw
-                .outputs
-                .get(name)
-                .and_then(SValue::scalar)
-                .ok_or_else(|| format!("cycle {cycle}: output `{name}` missing from program"))?;
-            if *hv != sv {
-                return Err(format!(
-                    "cosim: cycle {cycle}: output `{name}`: interpreter={hv} program={sv}"
-                ));
-            }
-        }
-        for (name, svv) in &sw.regs {
-            let Some(sv) = svv.scalar() else { continue };
-            let hv = sim
-                .reg(name)
-                .ok_or_else(|| format!("cycle {cycle}: program register `{name}` unknown to interpreter"))?;
-            if *hv != sv {
-                return Err(format!(
-                    "cosim: cycle {cycle}: register `{name}`: interpreter={hv} program={sv}"
-                ));
-            }
-        }
-        sw_regs = sw.regs;
-    }
-    Ok(case.cycles)
 }
 
 /// The formal gate-level obligation for one design at one width, ready to
@@ -1208,7 +1070,7 @@ pub fn run_design(d: &Design, cfg: &Config) -> Report {
     // Per-design stream: independent of registry order and of how many
     // cases other designs consumed, so any (design, case_seed) replays in
     // isolation.
-    let mut rng = SplitMix64::new(cfg.seed ^ fnv1a(d.name));
+    let mut rng = SplitMix64::new(cfg.seed ^ telemetry::fnv64(d.name.as_bytes()));
     for &layer in &cfg.layers {
         let _layer_span = telemetry::span!("{}", layer.name());
         let layer_cap = match layer {

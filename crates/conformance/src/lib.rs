@@ -42,7 +42,8 @@ pub use engine::{
 };
 pub use registry::{all_designs, drill_designs, Design, FinalState, GateEnv, GateSpecFn, InputSpec};
 pub use capture::{
-    capture_failure, capture_traces, miter_trace, record_layers, Inputs, LayerError,
+    capture_failure, capture_traces, compare_layers, miter_trace, record_layers, ExecLayer,
+    Inputs, LayerError,
 };
 pub use rng::{seed_from_env, SplitMix64};
 pub use shrink::shrink;

@@ -7,7 +7,7 @@
 //! operator is sign-sensitive. This is the integer view of the paper's
 //! Listing 3.
 
-use crate::split::{Guard, Unit};
+use crate::split::Unit;
 use crate::typing::{STy, TypeCtx, TypeError};
 use chicala_chisel::{
     Accessor, BinaryOp, ChiselType, Expr, LAccessor, LValue, PExpr, SignalRef, UnaryOp,
@@ -507,22 +507,6 @@ impl<'m> Translator<'m> {
                 "whole-bundle connects must be expanded before codegen".into(),
             )),
         }
-    }
-
-    /// Translates a guard stack into a boolean condition.
-    pub fn tr_guards(&mut self, guards: &[Guard]) -> Result<Option<SExpr>, CodegenError> {
-        let mut acc: Option<SExpr> = None;
-        for g in guards {
-            let mut c = self.tr(&g.cond)?.as_bool()?;
-            if !g.polarity {
-                c = c.not();
-            }
-            acc = Some(match acc {
-                None => c,
-                Some(prev) => prev.and(c),
-            });
-        }
-        Ok(acc)
     }
 }
 

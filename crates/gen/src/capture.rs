@@ -1,5 +1,5 @@
 //! Failure capture for the generative fuzzer: records a shrunk reproducer
-//! through the four executable layers over the cosim stage's own input
+//! through the five executable layers over the cosim stage's own input
 //! schedule, with `check::record_cosim`, the function the check records
 //! with, and writes the VCDs plus a schema-versioned replay bundle (see
 //! [`chicala_trace::bundle`]) under `target/chicala-failures/`.
@@ -22,6 +22,8 @@ pub fn stage_of(message: &str) -> &'static str {
         "flatten"
     } else if message.contains("compiled VM") {
         "compiled"
+    } else if message.contains("sequential VM") || message.contains("seq_vm") {
+        "seq_vm"
     } else if message.contains("sequential") || message.contains("program") {
         "seq"
     } else if message.contains("miter") {
@@ -133,7 +135,7 @@ mod tests {
         assert_eq!(stage_of("width 4 cycle 2: sequential program diverges"), "seq");
         assert_eq!(stage_of("self-miter falsified at width 4"), "miter");
         assert_eq!(stage_of("transform: unsupported"), "check");
-        // The texts `check::check_cosim_width` reports, after `cosim: `.
+        // The texts `chicala_conformance::compare_layers` reports, after `cosim: `.
         for (message, stage) in [
             ("width 4 cycle 1: when-flattened module diverges on `r`: interp=1 flattened=0", "flatten"),
             ("width 4: when-flattened module declares registers {}, interpreter {\"r\"}", "flatten"),
@@ -148,6 +150,9 @@ mod tests {
             ("width 4: program register `r` unknown to interpreter", "seq"),
             ("width 4: seq_program: division by zero", "seq"),
             ("width 4: seq_program cycle 3: division by zero", "seq"),
+            ("width 4 cycle 2: sequential VM diverges on `o`: interp=1 seq_vm=0", "seq_vm"),
+            ("width 4: output `o` missing from seq_vm", "seq_vm"),
+            ("width 4: seq_vm register `r` unknown to interpreter", "seq_vm"),
             ("width 4: chisel_interp: combinational loop through `w`", "check"),
             ("width 4: chisel_interp cycle 3: combinational loop through `w`", "check"),
             ("elaborate at 4: unbound `len`", "check"),

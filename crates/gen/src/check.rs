@@ -4,16 +4,19 @@
 //! 1. **Structural invariants** — `check_module` accepts the module (the
 //!    generator stays inside the transformable subset by construction).
 //! 2. **Transform** — the Chisel-to-sequential transformation succeeds.
-//! 3. **Cosim** — at several sampled widths, four executions are recorded
+//! 3. **Cosim** — at several sampled widths, five executions are recorded
 //!    over one input schedule with fresh random inputs every cycle
 //!    (`cosim_schedule`) by the conformance engine's recorder
 //!    ([`record_layers`]): the reference interpreter, the generated
-//!    sequential program, the compiled slot-VM, and the interpreter on the
-//!    `when`-flattened module. Each trace is then compared with the
-//!    interpreter's; a layer that fails to build or step, or any
-//!    disagreement on any output or register of any cycle, is a
-//!    divergence, and the earliest cycle across all layers is reported.
-//!    Failure capture records the same schedule through the same function.
+//!    sequential program, the compiled slot-VM, the interpreter on the
+//!    `when`-flattened module, and the program compiled for the width on
+//!    the sequential VM. The engine's one comparison ([`compare_layers`])
+//!    then checks each trace against the interpreter's: a layer that fails
+//!    to build or step, or any disagreement on any output or register of
+//!    any cycle, is a divergence, and the earliest cycle across all layers
+//!    is reported. The sequential VM alone may decline the program or stop
+//!    at its `i128` envelope, as the engine's fallback allows. Failure
+//!    capture records the same schedule through the same function.
 //! 4. **Gate-level self-miter** — the module is bit-blasted against its
 //!    pre-optimization self (the `when`-flattened form) over shared fresh
 //!    symbolic inputs and proved equivalent for *every* input assignment
@@ -23,15 +26,17 @@
 use crate::generate::{GenModule, MIN_LEN};
 use chicala_bigint::BigInt;
 use chicala_chisel::{compile, elaborate, flatten_whens, Bindings, ElabModule, Module};
-use chicala_conformance::{record_layers, Inputs, LayerError, SplitMix64};
+use chicala_conformance::{
+    compare_layers, record_layers, ExecLayer, Inputs, LayerError, SplitMix64,
+};
 use chicala_core::{check_module, transform};
 use chicala_lowlevel::{
     fresh_inputs, interleaved_bits, nets_equal, prove_net, unroll, Backend, BitKit, Netlist,
     ProveResult,
 };
-use chicala_seq::SeqProgram;
-use chicala_trace::{first_divergence, SignalKind, Trace};
-use std::collections::{BTreeMap, BTreeSet};
+use chicala_seq::{compile_seq, SeqProgram};
+use chicala_trace::Trace;
+use std::collections::BTreeMap;
 
 /// Widths the cosim stage samples for one module: both ends of the range
 /// plus two seed-derived interior points.
@@ -77,99 +82,39 @@ pub(crate) fn cosim_schedule(g: &GenModule, em: &ElabModule, width: u64, seed: u
     (0..cycles).map(|_| gen_inputs(&mut rng, g, em)).collect()
 }
 
-/// Records `g`'s four layers at `width` over [`cosim_schedule`], in
-/// [`record_layers`] order: interpreter, sequential program (`prog`),
-/// compiled slot-VM, and the interpreter on the flattened module `flat`.
-/// `Err` when `g` itself does not elaborate.
+/// Records `g`'s five layers at `width` over [`cosim_schedule`]: the
+/// interpreter, the sequential program `prog`, the compiled slot-VM, the
+/// interpreter on the flattened module `flat`, and `prog` on the
+/// sequential VM. `Err` when `g` itself does not elaborate.
 pub(crate) fn record_cosim(
     g: &GenModule,
     flat: Result<&Module, String>,
     prog: Result<&SeqProgram, String>,
     width: u64,
     seed: u64,
-) -> Result<[Result<Trace, LayerError>; 4], String> {
+) -> Result<Vec<Result<Trace, LayerError>>, String> {
     let b = bind(width);
     let em = elaborate(&g.module, &b).map_err(|e| format!("elaborate at {width}: {e}"))?;
     let em_flat = flat.and_then(|flat| {
         elaborate(flat, &b).map_err(|e| format!("flattened module fails to elaborate: {e}"))
     });
     let cm = compile(&em).map_err(|e| format!("compiled VM rejects module: {e}"));
+    let params = [("len".to_string(), BigInt::from(width))].into_iter().collect();
+    let seq = prog.clone().and_then(|p| {
+        compile_seq(p, &params).map_err(|e| format!("sequential VM declines the program: {e}"))
+    });
     let schedule = cosim_schedule(g, &em, width, seed);
-    Ok(record_layers(
-        &em,
-        prog,
-        cm.as_ref().map_err(Clone::clone),
-        em_flat.as_ref().map_err(Clone::clone),
-        width,
-        &schedule,
-    ))
+    let layers = [
+        ExecLayer::Program(prog),
+        ExecLayer::Compiled(cm.as_ref().map_err(Clone::clone)),
+        ExecLayer::Flat(em_flat.as_ref().map_err(Clone::clone)),
+        ExecLayer::SeqVm(seq.as_ref().map_err(Clone::clone)),
+    ];
+    Ok(record_layers(&em, &layers, width, &schedule))
 }
 
-/// The names `t` declares with role `kind`.
-fn names(t: &Trace, kind: SignalKind) -> BTreeSet<&str> {
-    t.signals.iter().filter(|s| s.kind == kind).map(|s| s.name.as_str()).collect()
-}
-
-/// The earliest way `layer` departs from the reference `interp`, keyed by
-/// cycle (`None`: before any cycle): a failure to build or initialize,
-/// signals other than the interpreter's, a value on a cycle both recorded,
-/// or a failure to step. `what` and `label` name the layer and its values
-/// in the message (`capture::stage_of` classifies it by them).
-fn departure(
-    interp: &Trace,
-    layer: &Result<Trace, LayerError>,
-    (what, label): (&str, &str),
-    width: u64,
-) -> Option<(Option<u64>, String)> {
-    let (trace, failure) = match layer {
-        Ok(t) => (t, None),
-        Err(e) => (&*e.partial, Some((e.cycle, format!("width {width}: {}", e.message)))),
-    };
-    if let Some((None, _)) = failure {
-        return failure;
-    }
-    // The program declares the outputs and registers its first cycle
-    // produced: every interpreter output, and only registers the
-    // interpreter knows. The other layers run the same module: exactly
-    // the interpreter's outputs and registers.
-    let (output, register) = (SignalKind::Output, SignalKind::Register);
-    let undeclared = if trace.is_empty() {
-        None
-    } else if label == "program" {
-        let missing = names(interp, output).difference(&names(trace, output)).next().copied();
-        let unknown = names(trace, register).difference(&names(interp, register)).next().copied();
-        missing
-            .map(|n| format!("output `{n}` missing from program"))
-            .or_else(|| unknown.map(|n| format!("program register `{n}` unknown to interpreter")))
-    } else {
-        [output, register].into_iter().find(|&k| names(interp, k) != names(trace, k)).map(|k| {
-            let (got, want) = (names(trace, k), names(interp, k));
-            format!("{what} declares {} {got:?}, interpreter {want:?}", k.name())
-        })
-    };
-    if let Some(msg) = undeclared {
-        return Some((None, format!("width {width}: {msg}")));
-    }
-    // Cycles only one side recorded are not compared: the failure that
-    // cut the other side short is reported instead.
-    let common = interp.len().min(trace.len()) as u64;
-    first_divergence(interp, trace)
-        .filter(|d| d.cycle < common)
-        .map(|d| {
-            let msg = format!(
-                "width {width} cycle {}: {what} diverges on `{}`: interp={} {label}={}",
-                d.cycle, d.signal, d.expected, d.actual
-            );
-            (Some(d.cycle), msg)
-        })
-        .or(failure)
-}
-
-/// Cosim at one width: the sequential program, the compiled slot-VM and
-/// the flattened module's interpreter (`flat`) against the reference
-/// interpreter, every output and register of every cycle. Reports the
-/// earliest departure across all layers; ties go to the interpreter's own
-/// failure, then to the layer recorded first.
+/// Cosim at one width: every layer [`record_cosim`] records against the
+/// reference interpreter, through [`compare_layers`].
 fn check_cosim_width(
     g: &GenModule,
     flat: &Module,
@@ -177,25 +122,7 @@ fn check_cosim_width(
     width: u64,
     seed: u64,
 ) -> Result<(), String> {
-    let [interp, layers @ ..] = record_cosim(g, Ok(flat), Ok(prog), width, seed)?;
-    let (interp, mut earliest) = match interp {
-        Ok(t) => (t, None),
-        Err(e) if e.cycle.is_none() => return Err(format!("width {width}: {}", e.message)),
-        Err(e) => (*e.partial, Some((e.cycle, format!("width {width}: {}", e.message)))),
-    };
-    let stages = [
-        ("sequential program", "program"),
-        ("compiled VM", "compiled"),
-        ("when-flattened module", "flattened"),
-    ];
-    for (layer, stage) in layers.iter().zip(stages) {
-        if let Some(found) = departure(&interp, layer, stage, width) {
-            if earliest.as_ref().is_none_or(|(cycle, _)| found.0 < *cycle) {
-                earliest = Some(found);
-            }
-        }
-    }
-    earliest.map_or(Ok(()), |(_, msg)| Err(msg))
+    compare_layers(&record_cosim(g, Ok(flat), Ok(prog), width, seed)?, width)
 }
 
 /// Width cap for the gate-level self-miter (SAT/BDD cost, not soundness).
@@ -323,42 +250,6 @@ mod tests {
             }
         }
         panic!("no generated module within 400 seeds exposes the dropped guards");
-    }
-
-    /// A layer that stops early is still compared on the cycles it ran,
-    /// and its failure counts at the cycle it happened.
-    #[test]
-    fn a_layer_that_stops_early_departs_at_its_earliest_cycle() {
-        let trace = |rows: &[[u64; 2]]| {
-            let mut t = Trace::new("layer");
-            t.declare("io_in", 4, SignalKind::Input);
-            t.declare("io_out", 4, SignalKind::Output);
-            for row in rows {
-                t.push_cycle(row.iter().map(|&v| BigInt::from(v)).collect());
-            }
-            t
-        };
-        let stopped = |rows: &[[u64; 2]]| {
-            let cycle = rows.len() as u64;
-            let message = format!("flat_interp cycle {cycle}: boom");
-            Err(LayerError { cycle: Some(cycle), message, partial: Box::new(trace(rows)) })
-        };
-        let interp = trace(&[[1, 2], [3, 4], [5, 6]]);
-        let flat = ("when-flattened module", "flattened");
-        let diverged_first = stopped(&[[1, 2], [3, 9]]);
-        assert_eq!(
-            departure(&interp, &diverged_first, flat, 4),
-            Some((
-                Some(1),
-                "width 4 cycle 1: when-flattened module diverges on `io_out`: interp=4 flattened=9"
-                    .to_string()
-            ))
-        );
-        let agreed_first = stopped(&[[1, 2]]);
-        assert_eq!(
-            departure(&interp, &agreed_first, flat, 4),
-            Some((Some(1), "width 4: flat_interp cycle 1: boom".to_string()))
-        );
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! elaborates at every width by construction (width-aware typing over a
 //! small totally-ordered class set). [`check_generated`] soaks one module
 //! through the whole stack: structural invariants, the
-//! Chisel-to-sequential transform, four-way differential cosim
-//! (interpreter vs `when`-flattened interpreter vs compiled slot-VM vs
-//! sequential program, recorded over one input schedule per width by the
-//! conformance engine's layer recorder) at several widths, and a
-//! gate-level self-miter of
-//! the module against its pre-optimization (`when`-flattened) form that
-//! must fold to constant-true.
+//! Chisel-to-sequential transform, five-way differential cosim at several
+//! widths (the generated sequential program, the compiled slot-VM, the
+//! `when`-flattened interpreter and the compiled sequential VM, each
+//! against the reference interpreter: recorded over one input schedule per
+//! width by the conformance engine's layer recorder and compared by its one
+//! cosim comparison), and a gate-level self-miter of the module against
+//! its pre-optimization (`when`-flattened) form that must fold to
+//! constant-true.
 //!
 //! Divergences are greedily shrunk ([`shrink_module`]) to a minimal
 //! reproducer under a strictly-decreasing `(nodes, width, depth)` measure
@@ -212,7 +213,7 @@ mod tests {
     #[test]
     fn injected_when_lowering_bug_is_found_and_shrinks_small() {
         use chicala_chisel::{elaborate, passes};
-        use chicala_conformance::{record_layers, Inputs};
+        use chicala_conformance::{record_layers, ExecLayer, Inputs};
         use chicala_trace::first_divergence;
 
         // The buggy-pass oracle: record the module flattened with dropped
@@ -237,13 +238,9 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let unused = "not recorded".to_string();
-            let [Ok(good), _, _, Ok(flat)] =
-                record_layers(&em, Err(unused.clone()), Err(unused), Ok(&em_bad), 4, &schedule)
-            else {
-                return false;
-            };
-            first_divergence(&good, &flat).is_some()
+            let layers = record_layers(&em, &[ExecLayer::Flat(Ok(&em_bad))], 4, &schedule);
+            let [Ok(good), Ok(flat)] = layers.as_slice() else { return false };
+            first_divergence(good, flat).is_some()
         };
 
         // Scan seeds until the fuzzer catches the planted bug.

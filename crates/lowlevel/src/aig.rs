@@ -162,11 +162,6 @@ impl Aig {
         self.nodes.iter().filter(|n| matches!(n, AigNode::And(_, _))).count()
     }
 
-    /// Number of primary inputs.
-    pub fn input_count(&self) -> usize {
-        self.nodes.iter().filter(|n| matches!(n, AigNode::Input)).count()
-    }
-
     /// The cone of influence of `root`: a mark per node id, set for every
     /// node `root` reads.
     pub(crate) fn cone(&self, root: AigRef) -> Vec<bool> {

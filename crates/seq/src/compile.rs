@@ -797,11 +797,6 @@ impl<'p> SeqVm<'p> {
         Ok(SeqVm { prog, slots: vec![0; prog.nodes.len()], regs, inputs: vec![0; prog.inputs.len()] })
     }
 
-    /// The compiled program this VM runs.
-    pub fn program(&self) -> &SeqCompiled {
-        self.prog
-    }
-
     /// Binds input values for subsequent [`step`](Self::step)s.
     ///
     /// # Errors

@@ -10,7 +10,9 @@
 //!   thread. At most [`MAX_CONNECTIONS`] connections are served at once:
 //!   the daemon accepts the next one only when a connection thread ends,
 //!   so a further client waits in the listen backlog, unanswered, behind
-//!   the open ones;
+//!   the open ones. `stats` counts those waits for a free slot
+//!   (`connections.full_waits`, `connections.full_wait_us`), which no
+//!   request's `meta.elapsed_us` includes;
 //! * `--client PATH --send LINE [--send LINE ...]` — connect to a running
 //!   daemon, send each line, print each response (the CI smoke driver).
 //!
@@ -21,8 +23,9 @@
 use chicala_serve::{CacheHandle, Server, Store, MAX_CONNECTIONS};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
+use std::time::Instant;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -92,7 +95,7 @@ fn run_socket(server: Arc<Server>, path: &str) {
     for _ in 0..MAX_CONNECTIONS {
         free.send(()).expect("the channel holds one token per slot");
     }
-    while slots.recv().is_ok() {
+    while take_slot(&slots, &server) {
         let slot = Slot(free.clone());
         let conn = listener.accept();
         if server.shutdown_requested() {
@@ -113,6 +116,21 @@ fn run_socket(server: Arc<Server>, path: &str) {
         });
     }
     let _ = std::fs::remove_file(path);
+}
+
+/// Takes a free connection slot's token, blocking while every slot is
+/// taken and telling `server` how long such a wait lasted. False once no
+/// token can come back.
+fn take_slot(slots: &Receiver<()>, server: &Server) -> bool {
+    if slots.try_recv().is_ok() {
+        return true;
+    }
+    let start = Instant::now();
+    if slots.recv().is_err() {
+        return false;
+    }
+    server.note_full_wait(start.elapsed());
+    true
 }
 
 /// A connection thread's slot: dropping it, when the thread returns or

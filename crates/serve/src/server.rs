@@ -44,7 +44,7 @@ use chicala_trace::json;
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Protocol version reported by `ping` and checked by clients that care.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -154,6 +154,8 @@ pub struct Server {
     batch_reuses: AtomicU64,
     report_hits: AtomicU64,
     report_misses: AtomicU64,
+    full_waits: AtomicU64,
+    full_wait_us: AtomicU64,
     shutdown: AtomicBool,
     started: Instant,
 }
@@ -180,6 +182,8 @@ impl Server {
             batch_reuses: AtomicU64::new(0),
             report_hits: AtomicU64::new(0),
             report_misses: AtomicU64::new(0),
+            full_waits: AtomicU64::new(0),
+            full_wait_us: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
         }
@@ -191,9 +195,22 @@ impl Server {
         self.shutdown.load(Ordering::SeqCst)
     }
 
+    /// Notes that a transport found every connection slot taken and waited
+    /// `waited` for one to free. `stats` reports the count and the total
+    /// as `connections.full_waits` and `connections.full_wait_us`.
+    pub fn note_full_wait(&self, waited: Duration) {
+        self.full_waits.fetch_add(1, Ordering::Relaxed);
+        self.full_wait_us.fetch_add(waited.as_micros() as u64, Ordering::Relaxed);
+    }
+
     /// Handles one request line, returning one response line (no trailing
     /// newline). Never panics on malformed input — protocol errors come
     /// back as `{"ok":false,"error":...}` envelopes.
+    ///
+    /// `meta.elapsed_us` times this call, from parsing the line to building
+    /// the response. It excludes backlog time: a client that waited for a
+    /// free connection slot before its line was read waited longer (see
+    /// [`note_full_wait`](Server::note_full_wait)).
     pub fn handle_line(&self, line: &str) -> String {
         let start = Instant::now();
         self.requests.fetch_add(1, Ordering::Relaxed);
@@ -576,6 +593,10 @@ impl Server {
     /// that ran (`executed`) and the twins that waited for one
     /// (`inflight_dedup`). It keeps the name of the work pool it replaced
     /// because the repository benchmark reads these two counters there.
+    /// `connections` counts the times every connection slot was taken
+    /// (`full_waits`) and the microseconds spent waiting for a free one
+    /// (`full_wait_us`), as the transport reported them through
+    /// [`note_full_wait`](Server::note_full_wait).
     pub fn stats_json(&self) -> JsonValue {
         let (o, v, c) = (&self.obligations, &self.vc_runs, &self.soaks);
         let pool = JsonValue::obj()
@@ -592,6 +613,9 @@ impl Server {
         let reports = JsonValue::obj()
             .set("hits", JsonValue::int(self.report_hits.load(Ordering::Relaxed)))
             .set("misses", JsonValue::int(self.report_misses.load(Ordering::Relaxed)));
+        let connections = JsonValue::obj()
+            .set("full_waits", JsonValue::int(self.full_waits.load(Ordering::Relaxed)))
+            .set("full_wait_us", JsonValue::int(self.full_wait_us.load(Ordering::Relaxed)));
         let cache = match &self.cache {
             Some(c) => {
                 let s = c.stats();
@@ -631,6 +655,7 @@ impl Server {
             .set("server", server)
             .set("batch", batch)
             .set("reports", reports)
+            .set("connections", connections)
             .set("cache", cache)
             .set("telemetry", JsonValue::obj().set("counters", counters).set("hists", hists))
     }

@@ -1,9 +1,11 @@
 //! The daemon's connection bound, end to end over its Unix socket: with
 //! [`MAX_CONNECTIONS`] connections open, a further client is left in the
-//! listen backlog unanswered, and it is answered once one of the open
-//! connections closes.
+//! listen backlog unanswered, it is answered once one of the open
+//! connections closes, and `stats` then shows that the daemon waited for a
+//! free slot.
 
 use chicala_serve::MAX_CONNECTIONS;
+use chicala_trace::json;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -95,4 +97,13 @@ fn a_connection_past_the_bound_waits_for_a_free_slot() {
     holders.pop();
     let pong = answer(&waiting, Duration::from_secs(10)).expect("answered once a slot frees");
     assert!(pong.contains(r#""pong":true"#), "{pong}");
+    // The accept loop found every slot taken and timed its wait.
+    writeln!(&waiting, r#"{{"op":"stats"}}"#).expect("the request is written");
+    let stats = answer(&waiting, Duration::from_secs(10)).expect("stats answered");
+    let stats = json::parse(&stats).expect("stats parse");
+    let connections = json::get(&stats, "result")
+        .and_then(|r| json::get(r, "connections"))
+        .unwrap_or_else(|| panic!("stats carry `connections`: {stats}"));
+    let full_waits = json::get(connections, "full_waits").and_then(json::as_u64);
+    assert!(full_waits >= Some(1), "full_waits: {connections}");
 }

@@ -984,8 +984,8 @@ impl Env {
         let outcome = self.filtered_refute(&mut atoms, &cons, &seed_idx);
         telemetry::counter("kernel.rewrites", (40_000 - cap) as u64);
         if outcome != Refutation::Unsat && telemetry::enabled() {
-            // The old CHICALA_DUMP_CONS eprintln dump, now a capturable
-            // structured event (exported via the trace, not lost to stderr).
+            // The unrefuted constraint system, as a structured telemetry
+            // event (exported via the trace, not lost to stderr).
             let system: Vec<String> = cons
                 .iter()
                 .map(|c| {

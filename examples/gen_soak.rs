@@ -1,5 +1,5 @@
 //! Generative fuzzing CLI: soak seeded random Chisel-subset modules
-//! through every pipeline layer (structural checks, transform, four-way
+//! through every pipeline layer (structural checks, transform, five-way
 //! differential cosim, gate-level self-miter), shrinking any divergence to
 //! a minimal reproducer.
 //!

@@ -1,9 +1,11 @@
 //! Differential validation of the compiled simulation backend: for every
 //! registered design, seeded cases run under `SimBackend::Both`, which
-//! steps the slot-indexed VMs (`CompiledSim` / `SeqVm`) in lockstep with
-//! the tree-walking interpreters and reports any disagreement on any
-//! output or register of any cycle as a divergence. A green run is the
-//! compiled backend's correctness certificate; the report-digest test
+//! records the slot-indexed VMs (`CompiledSim` / `SeqVm`) beside the
+//! tree-walking interpreters over the case's inputs and compares every
+//! layer with the reference interpreter, reporting any disagreement on
+//! any output or register of any cycle as a divergence (the `SeqVm` may
+//! stop at its `i128` envelope instead). A green run is the compiled
+//! backend's correctness certificate; the report-digest test
 //! additionally pins worker-count independence and backend independence of
 //! the green-run coverage stats.
 

@@ -120,7 +120,7 @@ fn drill_under(d: &Design, backend: SimBackend, dir: &std::path::Path) {
     }
 }
 
-/// Four healthy layers agree; corrupting one recorded value must flag
+/// Five healthy layers agree; corrupting one recorded value must flag
 /// exactly the first divergent cycle/signal on both sides of the earliest
 /// diverging pair, and the mark must survive the VCD round trip.
 #[test]
@@ -129,7 +129,7 @@ fn injected_divergence_is_flagged_at_first_divergent_cycle_and_signal() {
     let case = conformance::gen_case(&d, 0x0BAD_5EED, 8);
     let (mut traces, clean) = conformance::capture_traces(&d, Layer::Cosim, &case);
     assert!(clean.is_none(), "a passing case must record agreeing layers");
-    assert_eq!(traces.len(), 4, "all four executable layers recorded");
+    assert_eq!(traces.len(), 5, "all five executable layers recorded");
 
     // Corrupt one output sample mid-trace in the second layer.
     let sig = traces[1]
