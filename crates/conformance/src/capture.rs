@@ -38,8 +38,8 @@ use chicala_lowlevel::{prove_net, Backend, ProveResult};
 use chicala_seq::{SValue, SeqCompiled, SeqProgram, SeqRunner, SeqVm};
 use chicala_telemetry as telemetry;
 use chicala_trace::{
-    capture_enabled, first_divergence, git_rev, mark_earliest, Divergence, ReplayBundle,
-    SignalKind, Trace, SCHEMA_VERSION,
+    first_divergence, git_rev, mark_earliest, Divergence, ReplayBundle, SignalKind, Trace,
+    SCHEMA_VERSION,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -550,12 +550,8 @@ pub fn capture_traces(
 /// the layer traces, builds the schema-versioned [`ReplayBundle`], writes
 /// everything under the failures directory, and emits the
 /// `conformance.divergence` telemetry event carrying the bundle path.
-/// Returns `None` when capture is disabled (`CHICALA_TRACE_FAILURES=0`) or
-/// the artifacts cannot be written.
+/// Returns `None` when the artifacts cannot be written.
 pub fn capture_failure(d: &Design, failure: &Failure) -> Option<PathBuf> {
-    if !capture_enabled() {
-        return None;
-    }
     let case = failure.shrunk.normalized(d);
     let (traces, divergence) = capture_traces(d, failure.layer, &case);
     let mut bundle = ReplayBundle {

@@ -10,9 +10,7 @@ use crate::SoakDivergence;
 use chicala_chisel::flatten_whens;
 use chicala_core::transform;
 use chicala_telemetry as telemetry;
-use chicala_trace::{
-    capture_enabled, git_rev, mark_earliest, Divergence, ReplayBundle, Trace, SCHEMA_VERSION,
-};
+use chicala_trace::{git_rev, mark_earliest, Divergence, ReplayBundle, Trace, SCHEMA_VERSION};
 use std::path::PathBuf;
 
 /// Classifies a divergence message into the pipeline stage it came from
@@ -53,11 +51,8 @@ pub fn record_width_traces(g: &GenModule, width: u64, seed: u64) -> Result<Vec<T
 /// where any pair disagrees, and writes the VCDs plus the replay bundle.
 /// Divergences outside the cosim stage (transform or self-miter failures)
 /// still produce a bundle — with the shrunk module and replay line, but
-/// no traces. Returns `None` when capture is disabled or writing fails.
+/// no traces. Returns `None` when writing fails.
 pub fn capture_divergence(g: &GenModule, div: &SoakDivergence) -> Option<PathBuf> {
-    if !capture_enabled() {
-        return None;
-    }
     let mut captured: Option<(u64, Vec<Trace>, Option<Divergence>)> = None;
     for width in sample_widths(div.case_seed, div.max_width) {
         let Ok(mut traces) = record_width_traces(g, width, div.case_seed) else { continue };

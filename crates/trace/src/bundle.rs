@@ -47,17 +47,6 @@ use std::path::{Path, PathBuf};
 /// Current bundle schema version.
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// Whether failure capture is on. Reads `CHICALA_TRACE_FAILURES`: unset or
-/// any value other than `"0"`/`"off"` means **on** (the default — capture
-/// only runs on the already-shrunk final counterexample, so the green hot
-/// path never pays for it).
-pub fn capture_enabled() -> bool {
-    match std::env::var("CHICALA_TRACE_FAILURES") {
-        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("off")),
-        Err(_) => true,
-    }
-}
-
 /// The directory failure artifacts are written to:
 /// `CHICALA_FAILURES_DIR` when set, else `target/chicala-failures/` at the
 /// workspace root.

@@ -24,16 +24,15 @@
 //!   formatter for `CHICALA_SEED` and `CHICALA_GEN_SEED`, so the two
 //!   fuzzing surfaces document and print replay lines identically.
 //!
-//! Capture is gated by `CHICALA_TRACE_FAILURES` (default **on**, shrunk
-//! final cases only — the soak hot path never records): see
-//! [`bundle::capture_enabled`].
+//! Capture is always on and runs only on the shrunk final case, so the
+//! soak hot path never records.
 
 pub mod bundle;
 pub mod json;
 pub mod replay;
 pub mod vcd;
 
-pub use bundle::{capture_enabled, failures_dir, git_rev, ReplayBundle, SCHEMA_VERSION};
+pub use bundle::{failures_dir, git_rev, ReplayBundle, SCHEMA_VERSION};
 
 use chicala_bigint::BigInt;
 use std::fmt;

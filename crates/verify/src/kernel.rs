@@ -26,7 +26,7 @@
 //! and every step is re-checked by the automatic core, so the trusted base
 //! is the axiom list plus this module.
 
-use crate::linarith::{intern_con, refute_ids, refute_refs, ConId, LinCon, Refutation};
+use crate::linarith::{intern_con, refute_ids, ConId, LinCon, Refutation};
 use crate::poly::{assume_ite, find_ite, Monomial, Poly};
 use crate::store::{self, TermId};
 use crate::term::{Formula, Sym, Term};
@@ -160,7 +160,10 @@ pub struct Limits {
     pub ite_splits: usize,
     /// Maximum disjunctive hypothesis cases.
     pub case_cap: usize,
-    /// Fourier–Motzkin constraint budget.
+    /// Most constraints one Fourier–Motzkin elimination step may hold,
+    /// over `i128` and exact integers alike; past it the refutation gives
+    /// up and the goal fails with "linear arithmetic budget exceeded".
+    /// Saturation probes get a quarter of it.
     pub fm_budget: usize,
     /// Fact-saturation rounds.
     pub saturation_rounds: usize,
@@ -825,7 +828,7 @@ impl Env {
             }
             set
         };
-        if self.filtered_refute_opt(&mut atoms, &cons, &seed_idx, true) == Refutation::Unsat {
+        if self.filtered_refute(&mut atoms, &cons, &seed_idx, true) == Refutation::Unsat {
             return Ok(());
         }
 
@@ -842,7 +845,7 @@ impl Env {
                 break;
             }
         }
-        if self.filtered_refute_opt(&mut atoms, &cons, &seed_idx, true) == Refutation::Unsat {
+        if self.filtered_refute(&mut atoms, &cons, &seed_idx, true) == Refutation::Unsat {
             return Ok(());
         }
 
@@ -880,7 +883,7 @@ impl Env {
                     break;
                 }
             }
-            if self.filtered_refute_opt(&mut atoms, &cons, &seed_idx, true) == Refutation::Unsat {
+            if self.filtered_refute(&mut atoms, &cons, &seed_idx, true) == Refutation::Unsat {
                 return Ok(());
             }
             rules2
@@ -981,7 +984,7 @@ impl Env {
                 break;
             }
         }
-        let outcome = self.filtered_refute(&mut atoms, &cons, &seed_idx);
+        let outcome = self.filtered_refute(&mut atoms, &cons, &seed_idx, false);
         telemetry::counter("kernel.rewrites", (40_000 - cap) as u64);
         if outcome != Refutation::Unsat && telemetry::enabled() {
             // The unrefuted constraint system, as a structured telemetry
@@ -1018,17 +1021,9 @@ impl Env {
 
     /// Refutes with goal-directed relevance filtering first (constraints
     /// within a few shared-atom hops of the negated goal), falling back to
-    /// the full set.
+    /// the full set. A `light` attempt (the intermediate tiers) stops at a
+    /// mid-size prefix instead.
     fn filtered_refute(
-        &self,
-        atoms: &mut AtomTable,
-        cons: &[LinCon],
-        seeds: &std::collections::BTreeSet<usize>,
-    ) -> Refutation {
-        self.filtered_refute_opt(atoms, cons, seeds, false)
-    }
-
-    fn filtered_refute_opt(
         &self,
         atoms: &mut AtomTable,
         cons: &[LinCon],
@@ -1038,22 +1033,15 @@ impl Env {
         if self.past_deadline() {
             return Refutation::Overflow;
         }
-        // Interned ids when every constraint fits i128 (the common case):
-        // each subset attempt is then a `Vec` of `Copy` ids instead of a
-        // re-converted borrow list.
-        let use_ids = atoms.sync_con_ids(cons);
-        let run = |atoms: &AtomTable, idxs: &[usize]| -> Refutation {
-            if use_ids {
-                let sub: Vec<ConId> =
-                    idxs.iter().map(|&i| atoms.con_ids[i].expect("synced")).collect();
-                refute_ids(&sub, self.limits.fm_budget)
-            } else {
-                let sub: Vec<&LinCon> = idxs.iter().map(|&i| &cons[i]).collect();
-                refute_refs(&sub, self.limits.fm_budget)
-            }
+        // Each subset attempt is a `Vec` of `Copy` ids into the case's
+        // interned mirror.
+        atoms.sync_con_ids(cons);
+        let run = |idxs: &[usize]| -> Refutation {
+            let sub: Vec<ConId> = idxs.iter().map(|&i| atoms.con_ids[i]).collect();
+            refute_ids(&sub, self.limits.fm_budget)
         };
         if !seeds.is_empty() {
-            let order = relevance_order(cons, seeds);
+            let order = relevance_order(cons, seeds, None);
             for cap in [24usize, 64, 160] {
                 if cap >= order.len() {
                     break;
@@ -1061,7 +1049,7 @@ impl Env {
                 if self.past_deadline() {
                     return Refutation::Overflow;
                 }
-                if run(atoms, &order[..cap]) == Refutation::Unsat {
+                if run(&order[..cap]) == Refutation::Unsat {
                     return Refutation::Unsat;
                 }
             }
@@ -1069,11 +1057,11 @@ impl Env {
                 // Intermediate tiers stop at a mid-size attempt; the final
                 // tier pays for the full system.
                 let take = order.len().min(240);
-                return run(atoms, &order[..take]);
+                return run(&order[..take]);
             }
             if order.len() < cons.len()
                 && !self.past_deadline()
-                && run(atoms, &order) == Refutation::Unsat
+                && run(&order) == Refutation::Unsat
             {
                 return Refutation::Unsat;
             }
@@ -1082,7 +1070,7 @@ impl Env {
             return Refutation::Overflow;
         }
         let all: Vec<usize> = (0..cons.len()).collect();
-        run(atoms, &all)
+        run(&all)
     }
 
     /// Adds range facts for `Div` sub-terms with provably positive
@@ -1369,8 +1357,8 @@ impl Env {
     /// A cheaper refutation used by saturation probes: small relevance
     /// prefixes with a reduced budget (probes are asked often and usually
     /// have local certificates). `probe_con` is the negated fact being
-    /// probed; it is appended to `cons` (by reference — the constraint set
-    /// itself is never cloned) and seeds the relevance filter.
+    /// probed; it joins `cons` as a virtual last element (the constraint
+    /// set itself is never cloned) and seeds the relevance filter.
     fn probe_refute(
         &self,
         atoms: &mut AtomTable,
@@ -1378,61 +1366,36 @@ impl Env {
         probe_con: LinCon,
     ) -> Refutation {
         let budget = self.limits.fm_budget / 4;
+        // The case's constraints are interned once; each prefix is a copy
+        // of machine words and a memoised repeat costs an id sort.
+        atoms.sync_con_ids(cons);
+        let probe_id = intern_con(&probe_con);
+        let id_at = |i: usize| -> ConId {
+            if i == cons.len() {
+                probe_id
+            } else {
+                atoms.con_ids[i]
+            }
+        };
         let seeds: std::collections::BTreeSet<usize> =
             probe_con.coeffs.keys().copied().collect();
-        if !seeds.is_empty() {
-            // The probe constraint itself participates in the BFS as a
-            // virtual last element of `cons`.
-            let order = relevance_order_with(cons, &seeds, &probe_con);
-            // Id path: the case's constraints are interned once; each
-            // prefix is a copy of machine words and a memoised repeat
-            // costs an id sort.
-            if atoms.sync_con_ids(cons) {
-                if let Some(probe_id) = intern_con(&probe_con) {
-                    let id_at = |i: usize| -> ConId {
-                        if i == cons.len() {
-                            probe_id
-                        } else {
-                            atoms.con_ids[i].expect("synced")
-                        }
-                    };
-                    for cap in [32usize, 96] {
-                        let take = cap.min(order.len());
-                        let sub: Vec<ConId> = order[..take].iter().map(|&i| id_at(i)).collect();
-                        if refute_ids(&sub, budget) == Refutation::Unsat {
-                            return Refutation::Unsat;
-                        }
-                        if take == order.len() {
-                            return Refutation::Unknown;
-                        }
-                    }
-                    let sub: Vec<ConId> = order.iter().map(|&i| id_at(i)).collect();
-                    return refute_ids(&sub, budget);
-                }
-            }
-            // i128-overflow fallback: borrowed constraints.
-            for cap in [32usize, 96] {
-                let take = cap.min(order.len());
-                let sub: Vec<&LinCon> = order[..take]
-                    .iter()
-                    .map(|&i| if i == cons.len() { &probe_con } else { &cons[i] })
-                    .collect();
-                if refute_refs(&sub, budget) == Refutation::Unsat {
-                    return Refutation::Unsat;
-                }
-                if take == order.len() {
-                    return Refutation::Unknown;
-                }
-            }
-            let sub: Vec<&LinCon> = order
-                .iter()
-                .map(|&i| if i == cons.len() { &probe_con } else { &cons[i] })
-                .collect();
-            return refute_refs(&sub, budget);
+        if seeds.is_empty() {
+            let sub: Vec<ConId> = (0..=cons.len()).map(id_at).collect();
+            return refute_ids(&sub, budget);
         }
-        let mut sub: Vec<&LinCon> = cons.iter().collect();
-        sub.push(&probe_con);
-        refute_refs(&sub, budget)
+        let order = relevance_order(cons, &seeds, Some(&probe_con));
+        for cap in [32usize, 96] {
+            let take = cap.min(order.len());
+            let sub: Vec<ConId> = order[..take].iter().map(|&i| id_at(i)).collect();
+            if refute_ids(&sub, budget) == Refutation::Unsat {
+                return Refutation::Unsat;
+            }
+            if take == order.len() {
+                return Refutation::Unknown;
+            }
+        }
+        let sub: Vec<ConId> = order.iter().map(|&i| id_at(i)).collect();
+        refute_ids(&sub, budget)
     }
 
     fn implies_nonneg(&self, atoms: &mut AtomTable, cons: &[LinCon], d: &Term) -> bool {
@@ -1449,25 +1412,12 @@ impl Env {
 /// Orders constraints by the BFS round (shared-atom distance from the seed
 /// atoms) at which they join, ties within a round broken by constraint
 /// index — certificates tend to be local, so callers try growing prefixes
-/// of this order. Single pass: an atom → constraints incidence index is
-/// built once, then each BFS round only touches the constraints incident
-/// to atoms that joined in the previous round (the old implementation
-/// rescanned the full constraint set every round).
-fn relevance_order(cons: &[LinCon], seeds: &std::collections::BTreeSet<usize>) -> Vec<usize> {
-    relevance_order_impl(cons, seeds, None)
-}
-
-/// [`relevance_order`] with one extra virtual constraint at index
-/// `cons.len()` (the probe constraint), avoiding a clone of `cons`.
-fn relevance_order_with(
-    cons: &[LinCon],
-    seeds: &std::collections::BTreeSet<usize>,
-    extra: &LinCon,
-) -> Vec<usize> {
-    relevance_order_impl(cons, seeds, Some(extra))
-}
-
-fn relevance_order_impl(
+/// of this order. `extra` (a probe constraint) joins as a virtual element
+/// at index `cons.len()`, avoiding a clone of `cons`. Single pass: an
+/// atom → constraints incidence index is built once, then each BFS round
+/// only touches the constraints incident to atoms that joined in the
+/// previous round.
+fn relevance_order(
     cons: &[LinCon],
     seeds: &std::collections::BTreeSet<usize>,
     extra: Option<&LinCon>,
@@ -2103,13 +2053,11 @@ struct AtomTable {
     /// Ids of terms already in `candidates`.
     candidate_seen: HashSet<TermId>,
     /// Interned mirror of the case's constraint system: `con_ids[i]` is
-    /// the [`ConId`] of the `i`-th constraint (`None` on i128 overflow).
-    /// The system is append-only, so the mirror extends lazily and every
-    /// relevance prefix becomes a `Vec` of `Copy` ids — refutation probes
-    /// stop re-converting coefficients on every call.
-    con_ids: Vec<Option<ConId>>,
-    /// Whether any mirrored constraint failed to intern.
-    con_ids_bad: bool,
+    /// the [`ConId`] of the `i`-th constraint. The system is append-only,
+    /// so the mirror extends lazily and every relevance prefix becomes a
+    /// `Vec` of `Copy` ids — refutation probes stop re-converting
+    /// coefficients on every call.
+    con_ids: Vec<ConId>,
 }
 
 impl AtomTable {
@@ -2124,15 +2072,11 @@ impl AtomTable {
         i
     }
 
-    /// Extends the interned-constraint mirror to cover `cons`; returns
-    /// whether every constraint (including earlier ones) interned.
-    fn sync_con_ids(&mut self, cons: &[LinCon]) -> bool {
+    /// Extends the interned-constraint mirror to cover `cons`.
+    fn sync_con_ids(&mut self, cons: &[LinCon]) {
         while self.con_ids.len() < cons.len() {
-            let id = intern_con(&cons[self.con_ids.len()]);
-            self.con_ids_bad |= id.is_none();
-            self.con_ids.push(id);
+            self.con_ids.push(intern_con(&cons[self.con_ids.len()]));
         }
-        !self.con_ids_bad
     }
 
     /// Scans atoms added since the last call, appending their `Div`/`Pow2`

@@ -24,7 +24,6 @@ mod vcgen;
 
 pub use axioms::all as axiom_lemmas;
 pub use kernel::{CalcStep, DefFn, Env, Just, Lemma, Limits, Proof, ProofError};
-pub use linarith::{refute, LinCon, Refutation};
 
 /// Bounds this thread's proof-state interners (term arena, linear-constraint
 /// store, refutation memo) at a point where no interned ids are live — the
