@@ -5,7 +5,7 @@
 //! inventory is built here, each lemma *proved* in the kernel (mostly from
 //! `div_unique`, `pow2_step`, and induction) rather than trusted.
 
-use chicala_verify::{Env, Formula, Just, Lemma, Proof, ProofError, Term};
+use chicala_verify::{Env, Formula, Lemma, Proof, ProofError, Term};
 
 /// Operation 1: `Pow2(e)` — `2^e` (the kernel primitive).
 pub fn pow2(e: Term) -> Term {
@@ -341,31 +341,13 @@ pub fn source_loc() -> usize {
     let ops = 6;
     let lemma_lines: usize = lemmas()
         .iter()
-        .map(|(l, p)| 1 + l.hyps.len() + proof_len(p))
+        .map(|(l, p)| 1 + l.hyps.len() + p.loc())
         .sum();
     ops + lemma_lines
 }
 
-fn proof_len(p: &Proof) -> usize {
-    match p {
-        Proof::Auto => 1,
-        Proof::SplitAnd(ps) => 1 + ps.iter().map(proof_len).sum::<usize>(),
-        Proof::Cases { if_true, if_false, .. } => 1 + proof_len(if_true) + proof_len(if_false),
-        Proof::Calc(steps) => 1 + steps.len(),
-        Proof::Use { rest, .. } => 1 + proof_len(rest),
-        Proof::Have { proof, rest, .. } => 1 + proof_len(proof) + proof_len(rest),
-        Proof::Unfold { rest, .. } => 1 + proof_len(rest),
-        Proof::Induction { base_case, step_case, .. } => {
-            1 + proof_len(base_case) + proof_len(step_case)
-        }
-    }
-}
-
 // Re-exported for the doc examples.
 pub use chicala_verify::Term as VerifyTerm;
-
-#[allow(unused_imports)]
-use Just as _JustUnused;
 
 #[cfg(test)]
 mod tests {

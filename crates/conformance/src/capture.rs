@@ -596,7 +596,7 @@ pub fn capture_failure(d: &Design, failure: &Failure) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{check_case_with, SimBackend};
+    use crate::engine::{check_case_with, cosim_recorded, SimBackend};
     use crate::registry::InputSpec;
     use chicala_chisel::{ChiselType, Expr, Module, ModuleBuilder};
     use chicala_trace::vcd::{parse_vcd, write_vcd, MARKER};
@@ -659,10 +659,10 @@ mod tests {
     }
 
     /// A one-bit input port that a `go` flag latches into `r` from the
-    /// second cycle on. The engine masks a case's inputs to the case width,
-    /// not to each port's: the interpreters and the compiled Chisel VM
-    /// read the port's low bit, while the generated program, on either
-    /// engine, reads the value it is given.
+    /// second cycle on. The interpreters and the compiled Chisel VM read an
+    /// out-of-range input's low bit, while the generated program, on either
+    /// engine, reads the value it is given; the engine masks a case's inputs
+    /// to each port's width, so only a hand-built schedule reaches that.
     fn narrow_port() -> Module {
         let mut m = ModuleBuilder::new("NarrowPort", &["len"]);
         let len = m.param("len");
@@ -677,12 +677,8 @@ mod tests {
         m.build()
     }
 
-    /// Under `interp` and `both`, the engine's cosim check reports the
-    /// width, cycle and signal that failure capture marks: both compare
-    /// recorded layers with the reference interpreter.
-    #[test]
-    fn cosim_check_and_capture_agree_on_a_real_divergence() {
-        let d = Design {
+    fn narrow_port_drill() -> Design {
+        Design {
             name: "narrow_port_drill",
             build: narrow_port,
             inputs: &[InputSpec { name: "io_x", nonzero: false }],
@@ -691,21 +687,44 @@ mod tests {
             latency: |_| 3,
             spec: |_, _, _| Ok(()),
             gate_spec: None,
-        };
+        }
+    }
+
+    /// On an input out of its port's range, the engine's recorded cosim
+    /// comparison (`interp` and `both`) reports the width, cycle and signal
+    /// that failure capture marks: both compare recorded layers with the
+    /// reference interpreter.
+    #[test]
+    fn cosim_check_and_capture_agree_on_a_real_divergence() {
+        let d = narrow_port_drill();
         let case = Case { width: 4, cycles: 3, inputs: vec![BigInt::from(3u64)] };
         let (traces, marked) = capture_traces(&d, Layer::Cosim, &case);
         assert_eq!(traces.len(), 5, "all five layers record");
         let marked = marked.expect("capture marks the divergence");
         assert_eq!((marked.cycle, marked.signal.as_str()), (1, "r"));
         let at = format!("cosim: width 4 cycle {}: sequential program diverges on ", marked.cycle);
+        let schedule = vec![case.input_map(&d); case.cycles as usize];
         for backend in [SimBackend::Interp, SimBackend::Both] {
-            let message = check_case_with(&d, Layer::Cosim, &case, backend)
+            let message = cosim_recorded(&d, case.width, &schedule, backend)
                 .expect_err("the program reads the whole input");
             assert!(
                 message.starts_with(&at),
                 "{backend}: capture marks {marked}, check says {message}"
             );
             assert!(message.contains(&format!("`{}`", marked.signal)), "{backend}: {message}");
+        }
+    }
+
+    /// The engine masks each input to its own port's width, not the case
+    /// width, so the narrow port gets a legal value and every backend's
+    /// cosim passes.
+    #[test]
+    fn inputs_are_masked_to_their_port_width() {
+        let d = narrow_port_drill();
+        let case = Case { width: 4, cycles: 3, inputs: vec![BigInt::from(3u64)] };
+        assert_eq!(case.normalized(&d).inputs, [BigInt::one()], "3 masked to one bit");
+        for backend in [SimBackend::Interp, SimBackend::Compiled, SimBackend::Both] {
+            assert_eq!(check_case_with(&d, Layer::Cosim, &case, backend), Ok(3), "{backend}");
         }
     }
 

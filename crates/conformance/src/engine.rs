@@ -25,7 +25,7 @@
 //!   against a pure mathematical specification (`a*b`, `n/d`, rotation,
 //!   popcount) from the registry.
 
-use crate::capture::{compare_layers, record_layers, ExecLayer};
+use crate::capture::{compare_layers, record_layers, ExecLayer, Inputs};
 use crate::registry::{all_designs, Design, FinalState, GateEnv};
 use crate::rng::SplitMix64;
 use crate::shrink::shrink;
@@ -152,15 +152,19 @@ pub struct Case {
 }
 
 impl Case {
-    /// Masks every input into `[0, 2^width)` and enforces the registry's
-    /// non-zero constraints, so all layers see identical legal stimuli.
+    /// Masks every input into its port's range, `[0, 2^w)` for the port's
+    /// width `w` in `d` elaborated at the case width (the case width if `d`
+    /// does not elaborate there), and enforces the registry's non-zero
+    /// constraints, so all layers see identical legal stimuli.
     pub fn normalized(&self, d: &Design) -> Case {
+        let em = elab(d, self.width).ok();
         let inputs = d
             .inputs
             .iter()
             .zip(&self.inputs)
             .map(|(spec, v)| {
-                let v = v.to_unsigned(self.width);
+                let port = em.as_ref().and_then(|em| em.signal(spec.name));
+                let v = v.to_unsigned(port.map_or(self.width, |p| p.width));
                 if spec.nonzero && v.is_zero() {
                     BigInt::one()
                 } else {
@@ -511,18 +515,30 @@ fn check_cosim(d: &Design, case: &Case, backend: SimBackend) -> Result<u64, Stri
     }
 }
 
-/// Records the case's inputs, held for `case.cycles` cycles, through the
-/// reference [`Simulator`] and the generated program on
-/// [`SeqRunner`](chicala_seq::SeqRunner) —
+/// Checks the case's inputs, held for `case.cycles` cycles, with
+/// [`cosim_recorded`].
+fn check_cosim_recorded(d: &Design, case: &Case, backend: SimBackend) -> Result<u64, String> {
+    let schedule = vec![case.input_map(d); case.cycles as usize];
+    cosim_recorded(d, case.width, &schedule, backend)?;
+    Ok(case.cycles)
+}
+
+/// Records `schedule` at `width` through the reference [`Simulator`] and
+/// the generated program on [`SeqRunner`](chicala_seq::SeqRunner) —
 /// under `Both` also through the compiled Chisel VM and [`SeqVm`], where
 /// the sim plan has them — and compares every layer with the interpreter
 /// ([`compare_layers`]).
-fn check_cosim_recorded(d: &Design, case: &Case, backend: SimBackend) -> Result<u64, String> {
+pub(crate) fn cosim_recorded(
+    d: &Design,
+    width: u64,
+    schedule: &[Inputs],
+    backend: SimBackend,
+) -> Result<(), String> {
     telemetry::counter("conformance.sim.interp_cases", 1);
-    let em = elab(d, case.width)?;
+    let em = elab(d, width)?;
     let prog = transform_arc(d)?;
     let plan = match backend {
-        SimBackend::Both => Some(sim_plan(d, case.width)?),
+        SimBackend::Both => Some(sim_plan(d, width)?),
         _ => None,
     };
     let mut layers = vec![ExecLayer::Program(Ok(&prog))];
@@ -530,10 +546,8 @@ fn check_cosim_recorded(d: &Design, case: &Case, backend: SimBackend) -> Result<
         layers.extend(plan.chisel.as_deref().map(|cm| ExecLayer::Compiled(Ok(cm))));
         layers.extend(plan.seq.as_deref().map(|p| ExecLayer::SeqVm(Ok(p))));
     }
-    let schedule = vec![case.input_map(d); case.cycles as usize];
-    let recorded = record_layers(&em, &layers, case.width, &schedule);
-    compare_layers(&recorded, case.width).map_err(|e| format!("cosim: {e}"))?;
-    Ok(case.cycles)
+    let recorded = record_layers(&em, &layers, width, schedule);
+    compare_layers(&recorded, width).map_err(|e| format!("cosim: {e}"))
 }
 
 /// Index pairs `(chisel port, seq port)` for one port class, compared

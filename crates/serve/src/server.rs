@@ -486,21 +486,16 @@ impl Server {
                 .map_err(|e| e.to_string())?;
             let mut proved = Vec::new();
             let mut unproved = Vec::new();
-            let mut scripted = 0u64;
-            for vc in &vcs {
-                let proof =
-                    spec.proofs.get(&vc.name).cloned().unwrap_or(chicala_verify::Proof::Auto);
-                if spec.proofs.contains_key(&vc.name) {
-                    scripted += 1;
-                }
-                env.limits.deadline = Some(
-                    std::time::Instant::now() + std::time::Duration::from_millis(deadline_ms),
-                );
-                match chicala_verify::discharge_vc(&env, vc, &proof) {
-                    Ok(()) => proved.push(JsonValue::str(vc.name.clone())),
-                    Err(_) => unproved.push(JsonValue::str(vc.name.clone())),
-                }
-            }
+            let deadline = std::time::Duration::from_millis(deadline_ms);
+            chicala_verify::discharge_all(&env, &spec, &vcs, deadline, |v| {
+                let names = if v.verdict == chicala_verify::Verdict::Proved {
+                    &mut proved
+                } else {
+                    &mut unproved
+                };
+                names.push(JsonValue::str(v.vc.name.clone()));
+            });
+            let scripted = vcs.iter().filter(|vc| spec.proofs.contains_key(&vc.name)).count() as u64;
             let result = JsonValue::obj()
                 .set("design", JsonValue::str(design))
                 .set("total", JsonValue::int(vcs.len() as u64))

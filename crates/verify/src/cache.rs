@@ -13,22 +13,22 @@
 //!   artifact; re-running it is the only honest answer. A cache hit
 //!   therefore means exactly "this statement was proved by this script in
 //!   this environment before".
-//! * [`Limits`](crate::kernel::Limits) are excluded from the key:
-//!   provability is monotone in search budget, so a recorded success is
-//!   valid under any limits. Nothing else is excluded — environment
-//!   content, VC name, hypotheses, goal, and the full proof script all
-//!   enter the digest.
+//! * the [`Limits`](crate::kernel::Limits) deadline is excluded from the
+//!   key: it bounds how long a search runs, never what a finished search
+//!   proves, so a recorded success is valid under any deadline. Nothing
+//!   else is excluded — environment content, VC name, hypotheses, goal,
+//!   and the full proof script (its derived `Hash`) all enter the digest.
 //! * the store layer re-verifies the full key transcript on read, so a
 //!   digest collision cannot alias two different VCs.
 
-use crate::kernel::{CalcStep, Env, Just, Proof};
+use crate::kernel::{Env, Proof};
 use crate::vcgen::Vc;
 use chicala_telemetry as telemetry;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
 /// Bumped when the key transcript shape changes.
-pub const VC_KEY_SCHEMA: u32 = 1;
+pub const VC_KEY_SCHEMA: u32 = 2;
 
 /// A content-addressed store for VC discharge results. Byte-level: the
 /// payload is a short "proved" marker, the key carries all the meaning.
@@ -53,107 +53,34 @@ fn vc_cache() -> Option<Arc<dyn VcCache>> {
 /// The payload stored for a proved VC.
 const PROVED_MARKER: &[u8] = b"proved:v1";
 
-/// Digests a [`Proof`] script. `Proof` has no `Hash` derive (it is never
-/// used as a map key), so the walk is explicit: a discriminant tag per
-/// node, then the children. Tags are part of the schema — renumbering
-/// requires a [`VC_KEY_SCHEMA`] bump.
-fn hash_proof(p: &Proof, h: &mut impl Hasher) {
-    match p {
-        Proof::Auto => 0u8.hash(h),
-        Proof::SplitAnd(parts) => {
-            1u8.hash(h);
-            parts.len().hash(h);
-            for part in parts {
-                hash_proof(part, h);
-            }
-        }
-        Proof::Cases { on, if_true, if_false } => {
-            2u8.hash(h);
-            on.hash(h);
-            hash_proof(if_true, h);
-            hash_proof(if_false, h);
-        }
-        Proof::Calc(steps) => {
-            3u8.hash(h);
-            steps.len().hash(h);
-            for CalcStep { to, just } in steps {
-                to.hash(h);
-                hash_just(just, h);
-            }
-        }
-        Proof::Use { lemma, args, rest } => {
-            4u8.hash(h);
-            lemma.hash(h);
-            args.hash(h);
-            hash_proof(rest, h);
-        }
-        Proof::Unfold { func, rest } => {
-            5u8.hash(h);
-            func.hash(h);
-            hash_proof(rest, h);
-        }
-        Proof::Have { fact, proof, rest } => {
-            6u8.hash(h);
-            fact.hash(h);
-            hash_proof(proof, h);
-            hash_proof(rest, h);
-        }
-        Proof::Induction { var, base, base_case, step_case } => {
-            7u8.hash(h);
-            var.hash(h);
-            base.hash(h);
-            hash_proof(base_case, h);
-            hash_proof(step_case, h);
-        }
-    }
-}
-
-fn hash_just(j: &Just, h: &mut impl Hasher) {
-    match j {
-        Just::Auto => 0u8.hash(h),
-        Just::Lemma { name, args } => {
-            1u8.hash(h);
-            name.hash(h);
-            args.hash(h);
-        }
-        Just::Unfold(f) => {
-            2u8.hash(h);
-            f.hash(h);
-        }
-    }
-}
-
 /// The canonical key of one VC discharge: environment content + VC
 /// statement + proof script, schema-versioned.
 pub fn vc_key(env: &Env, vc: &Vc, proof: &Proof) -> Vec<u8> {
-    let mut h = telemetry::Fnv128::new();
-    h.write(b"chicala-vc");
-    h.write(&VC_KEY_SCHEMA.to_le_bytes());
-    env.content_digest(&mut h);
-    vc.name.hash(&mut h);
-    vc.hyps.hash(&mut h);
-    vc.goal.hash(&mut h);
-    hash_proof(proof, &mut h);
-    let digest = h.finish128();
     // The transcript bytes the store re-verifies on read. A full
     // structural serialization of Env+Vc+Proof would be large and slow;
     // instead the transcript is a *second, independent* digest pass with a
     // different seed — two simultaneous 128-bit collisions over different
     // polynomials is the collision bar, at O(1) stored bytes.
-    let mut h2 = telemetry::Fnv128::new();
-    h2.write(b"chicala-vc-check");
-    h2.write(&VC_KEY_SCHEMA.to_le_bytes());
-    env.content_digest(&mut h2);
-    vc.name.hash(&mut h2);
-    vc.hyps.hash(&mut h2);
-    vc.goal.hash(&mut h2);
-    hash_proof(proof, &mut h2);
     let mut key = Vec::with_capacity(48);
     key.extend_from_slice(b"chicala-vc");
     key.extend_from_slice(&VC_KEY_SCHEMA.to_le_bytes());
-    key.extend_from_slice(&digest.to_le_bytes());
-    key.extend_from_slice(&h2.finish128().to_le_bytes());
+    for seed in [&b"chicala-vc"[..], b"chicala-vc-check"] {
+        key.extend_from_slice(&transcript_digest(seed, env, vc, proof).to_le_bytes());
+    }
     key
+}
+
+/// One digest pass over the key transcript, seeded with `seed`.
+fn transcript_digest(seed: &[u8], env: &Env, vc: &Vc, proof: &Proof) -> u128 {
+    let mut h = telemetry::Fnv128::new();
+    h.write(seed);
+    h.write(&VC_KEY_SCHEMA.to_le_bytes());
+    env.content_digest(&mut h);
+    vc.name.hash(&mut h);
+    vc.hyps.hash(&mut h);
+    vc.goal.hash(&mut h);
+    proof.hash(&mut h);
+    h.finish128()
 }
 
 /// A computed key bound to the installed cache, handed back to
@@ -241,10 +168,9 @@ mod tests {
         let mut env = Env::new();
         let vc = sample_vc();
         let k1 = vc_key(&env, &vc, &Proof::Auto);
-        env.limits.fm_budget = 1;
-        env.limits.ite_splits = 1;
+        env.limits.deadline = Some(std::time::Instant::now());
         let k2 = vc_key(&env, &vc, &Proof::Auto);
-        assert_eq!(k1, k2, "limits bound search, not provability");
+        assert_eq!(k1, k2, "a deadline bounds search, not provability");
     }
 
     #[test]

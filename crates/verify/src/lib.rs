@@ -23,7 +23,7 @@ mod term;
 mod vcgen;
 
 pub use axioms::all as axiom_lemmas;
-pub use kernel::{CalcStep, DefFn, Env, Just, Lemma, Limits, Proof, ProofError};
+pub use kernel::{CalcStep, DefFn, Env, Lemma, Limits, Proof, ProofError};
 
 /// Bounds this thread's proof-state interners (term arena, linear-constraint
 /// store, refutation memo) at a point where no interned ids are live — the
@@ -49,6 +49,6 @@ pub use poly::{assume_ite, find_ite, normalize, ItePresent, Poly};
 pub use store::{normalize_cached, TermId, TermStore};
 pub use term::{Formula, Sym, Term};
 pub use vcgen::{
-    discharge_vc, generate_vcs, prepare_env, verify_design, DesignSpec, SymState, SymValue, Vc,
-    VcError, VcReport,
+    discharge_all, discharge_vc, generate_vcs, prepare_env, verify_design, DesignSpec, SymState,
+    SymValue, Vc, VcError, VcReport, VcVerdict, Verdict,
 };

@@ -299,68 +299,21 @@ pub fn find_ite(f: &Formula) -> Option<Formula> {
 /// `Ite` whose condition is syntactically `c` collapses to one branch.
 pub fn assume_ite(f: &Formula, c: &Formula, v: bool) -> Formula {
     fn in_term(t: &Term, c: &Formula, v: bool) -> Term {
-        match t {
-            Term::Ite(cond, a, b) => {
-                let cond2 = in_formula(cond, c, v);
-                let a2 = in_term(a, c, v);
-                let b2 = in_term(b, c, v);
-                if &cond2 == c {
-                    if v {
-                        a2
-                    } else {
-                        b2
-                    }
-                } else if cond2 == Formula::True {
-                    a2
-                } else if cond2 == Formula::False {
-                    b2
-                } else {
-                    Term::Ite(Box::new(cond2), Box::new(a2), Box::new(b2))
-                }
-            }
-            Term::Const(_) | Term::Var(_) => t.clone(),
-            Term::Add(ts) => Term::Add(ts.iter().map(|x| in_term(x, c, v)).collect()),
-            Term::Mul(ts) => Term::Mul(ts.iter().map(|x| in_term(x, c, v)).collect()),
-            Term::App(f, ts) => {
-                Term::App(f.clone(), ts.iter().map(|x| in_term(x, c, v)).collect())
-            }
-            Term::Div(a, b) => {
-                Term::Div(Box::new(in_term(a, c, v)), Box::new(in_term(b, c, v)))
-            }
-            Term::Mod(a, b) => {
-                Term::Mod(Box::new(in_term(a, c, v)), Box::new(in_term(b, c, v)))
-            }
-            Term::BitAnd(a, b) => {
-                Term::BitAnd(Box::new(in_term(a, c, v)), Box::new(in_term(b, c, v)))
-            }
-            Term::BitOr(a, b) => {
-                Term::BitOr(Box::new(in_term(a, c, v)), Box::new(in_term(b, c, v)))
-            }
-            Term::BitXor(a, b) => {
-                Term::BitXor(Box::new(in_term(a, c, v)), Box::new(in_term(b, c, v)))
-            }
-            Term::Pow2(a) => Term::Pow2(Box::new(in_term(a, c, v))),
+        match t.map_children(|x| in_term(x, c, v), |x| in_formula(x, c, v)) {
+            Term::Ite(cond, a, b) => match *cond {
+                _ if *cond == *c => *(if v { a } else { b }),
+                Formula::True => *a,
+                Formula::False => *b,
+                _ => Term::Ite(cond, a, b),
+            },
+            other => other,
         }
     }
     fn in_formula(f: &Formula, c: &Formula, v: bool) -> Formula {
         if f == c {
             return if v { Formula::True } else { Formula::False };
         }
-        match f {
-            Formula::True | Formula::False | Formula::BVar(_) => f.clone(),
-            Formula::Eq(a, b) => Formula::Eq(in_term(a, c, v), in_term(b, c, v)),
-            Formula::Le(a, b) => Formula::Le(in_term(a, c, v), in_term(b, c, v)),
-            Formula::Lt(a, b) => Formula::Lt(in_term(a, c, v), in_term(b, c, v)),
-            Formula::Not(x) => Formula::Not(Box::new(in_formula(x, c, v))),
-            Formula::And(fs) => {
-                Formula::And(fs.iter().map(|x| in_formula(x, c, v)).collect())
-            }
-            Formula::Or(fs) => Formula::Or(fs.iter().map(|x| in_formula(x, c, v)).collect()),
-            Formula::Implies(a, b) => Formula::Implies(
-                Box::new(in_formula(a, c, v)),
-                Box::new(in_formula(b, c, v)),
-            ),
-        }
+        f.map_children(|t| in_term(t, c, v), |x| in_formula(x, c, v))
     }
     in_formula(f, c, v)
 }

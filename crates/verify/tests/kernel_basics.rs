@@ -2,7 +2,7 @@
 //! div/mod range reasoning, conditionals, lemma instantiation, calc chains,
 //! and the paper's `Pow2Mul` induction.
 
-use chicala_verify::{CalcStep, Env, Formula, Just, Lemma, Proof, Term};
+use chicala_verify::{CalcStep, DefFn, Env, Formula, Lemma, Proof, Term};
 
 fn t(v: i64) -> Term {
     Term::int(v)
@@ -174,9 +174,61 @@ fn calc_chain_listing4_style() {
     env.prove(
         &[],
         &lhs.clone().eq(rhs),
-        &Proof::Calc(vec![CalcStep { to: mid, just: Just::Auto }]),
+        &Proof::Calc(vec![CalcStep { to: mid, proof: Proof::Auto }]),
     )
     .expect("calc chain");
+}
+
+/// A step the automatic core cannot take alone closes once its proof
+/// instantiates a lemma: `a & b` unfolds one digit by `bit_and_rec`.
+#[test]
+fn calc_step_by_lemma() {
+    let env = Env::new();
+    let (a, b) = (v("a"), v("b"));
+    let and = |x: Term, y: Term| Term::BitAnd(Box::new(x), Box::new(y));
+    let low = a.clone().imod(t(2)).mul(b.clone().imod(t(2)));
+    let step = t(2).mul(and(a.clone().div(t(2)), b.clone().div(t(2)))).add(low.clone());
+    let goal = and(a.clone(), b.clone()).eq(low.add(and(a.clone().div(t(2)), b.clone().div(t(2))).mul(t(2))));
+    let hyps = [a.clone().ge(t(0)), b.clone().ge(t(0))];
+    let chain = |proof: Proof| Proof::Calc(vec![CalcStep { to: step.clone(), proof }]);
+    let by_lemma = Proof::Use { lemma: "bit_and_rec".into(), args: vec![a, b], rest: Box::new(Proof::Auto) };
+    env.prove(&hyps, &goal, &chain(by_lemma)).expect("calc step by lemma");
+    let e = env.prove(&hyps, &goal, &chain(Proof::Auto)).expect_err("the core alone cannot");
+    assert!(e.message.starts_with("calc step 1 failed"), "{}", e.message);
+}
+
+/// A step about a defined function closes once its proof unfolds it.
+#[test]
+fn calc_step_by_unfolding() {
+    let mut env = Env::new();
+    env.define(DefFn { name: "dbl".into(), params: vec!["n".into()], body: t(2).mul(v("n")) });
+    let dbl_x = Term::App("dbl".into(), vec![v("x")]);
+    let goal = dbl_x.clone().add(t(1)).eq(v("x").add(v("x")).add(t(1)));
+    let chain = |proof: Proof| {
+        Proof::Calc(vec![CalcStep { to: t(2).mul(v("x")).add(t(1)), proof }])
+    };
+    let unfold = Proof::Unfold { func: "dbl".into(), rest: Box::new(Proof::Auto) };
+    env.prove(&[], &goal, &chain(unfold)).expect("calc step by unfolding");
+    let e = env.prove(&[], &goal, &chain(Proof::Auto)).expect_err("`dbl` is opaque");
+    assert!(e.message.starts_with("calc step 1 failed"), "{}", e.message);
+}
+
+/// A wrong step fails the chain and names its position.
+#[test]
+fn calc_wrong_step_is_named() {
+    let env = Env::new();
+    // (x + 1)^2 == x*x + 2*x + 1, then a wrong step to x*x + 1.
+    let lhs = v("x").add(t(1)).mul(v("x").add(t(1)));
+    let right = v("x").mul(v("x")).add(t(2).mul(v("x"))).add(t(1));
+    let wrong = v("x").mul(v("x")).add(t(1));
+    let steps = vec![
+        CalcStep { to: right, proof: Proof::Auto },
+        CalcStep { to: wrong.clone(), proof: Proof::Auto },
+    ];
+    let e = env
+        .prove(&[], &lhs.eq(wrong), &Proof::Calc(steps))
+        .expect_err("(x + 1)^2 is not x*x + 1");
+    assert!(e.message.starts_with("calc step 2 failed"), "{}", e.message);
 }
 
 #[test]

@@ -16,9 +16,9 @@ use chicala::chisel::{elaborate, Simulator};
 use chicala::core::transform;
 use chicala::lowlevel;
 use chicala::seq::{SValue, SeqRunner};
-use chicala::verify::{discharge_vc, gc_checkpoint, generate_vcs, prepare_env, Env, Proof};
+use chicala::verify::{discharge_all, generate_vcs, prepare_env, Env, Verdict};
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Wall-clock budget per verification condition.
 const DEADLINE: Duration = Duration::from_secs(2);
@@ -71,25 +71,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         DEADLINE.as_secs()
     );
     let mut proved = 0;
-    for vc in &vcs {
-        let proof = spec.proofs.get(&vc.name).cloned().unwrap_or(Proof::Auto);
-        let start = Instant::now();
-        env.limits.deadline = Some(start + DEADLINE);
-        let result = discharge_vc(&env, vc, &proof);
-        let elapsed = start.elapsed();
-        // Some deadline expiries come back as ordinary kernel failures.
-        let (verdict, why) = match &result {
-            Ok(()) => ("proved", String::new()),
-            Err(e) if elapsed >= DEADLINE || e.to_string().contains("deadline") => {
-                ("timeout", String::new())
-            }
-            Err(e) => ("failed", format!("  {}", e.to_string().lines().next().unwrap_or_default())),
-        };
-        proved += result.is_ok() as usize;
-        let ms = elapsed.as_secs_f64() * 1e3;
-        println!("  {verdict:<8} {:<16} {ms:>8.1} ms{why}", vc.name);
-        gc_checkpoint();
-    }
+    discharge_all(&env, &spec, &vcs, DEADLINE, |v| {
+        proved += (v.verdict == Verdict::Proved) as usize;
+        println!("  {v}");
+    });
     println!("{proved} of {} VCs proved for every width", vcs.len());
 
     // 5. The low-level contrast: a per-width BDD proof (one width only).
