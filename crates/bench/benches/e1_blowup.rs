@@ -3,14 +3,22 @@
 //!
 //! The per-width series (BDD proof of `acc == a*b` for the shift/add
 //! multiplier) grows exponentially in the width; the parametric check of
-//! the same design (its full VC set through the kernel) is a constant,
-//! width-independent cost. This is the paper's §1 motivation, measured.
+//! the same design (its full VC set through the kernel, 2 s per VC) is a
+//! constant, width-independent cost. This is the paper's §1 motivation,
+//! measured. Not every rmul VC closes yet (ROADMAP item 1), so the
+//! parametric line says how many did.
 
 use chicala_chisel::elaborate;
 use chicala_lowlevel::bdd::Bdd;
 use chicala_lowlevel::{add_words, fresh_inputs, unroll, words_equal, Word};
 use chicala_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use chicala_designs::ProofJob;
+use chicala_verify::{discharge_all, Verdict};
 use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
+
+/// Wall-clock budget per verification condition of the parametric proof.
+const DEADLINE: Duration = Duration::from_secs(2);
 
 fn mul_reference(
     bdd: &mut Bdd,
@@ -52,19 +60,14 @@ fn check_width(len: i64) -> usize {
     bdd.node_count()
 }
 
-fn parametric_proof() -> usize {
-    let module = chicala_designs::rmul::module();
-    let out = chicala_core::transform(&module).expect("transforms");
-    let mut env = chicala_verify::Env::new();
-    chicala_bvlib::install_bitvec(&mut env).expect("library installs");
-    let report = chicala_verify::verify_design(
-        &mut env,
-        &out.program,
-        &chicala_designs::rmul::spec(),
-        &out.obligations,
-    )
-    .expect("parametric proof goes through");
-    report.proved()
+/// The parametric proof of rmul: (VCs proved, VCs generated).
+fn parametric_proof() -> (usize, usize) {
+    let job = ProofJob::new(&chicala_designs::rmul::module(), chicala_designs::rmul::spec())
+        .expect("rmul's proof job builds");
+    let proved = discharge_all(&job.env, &job.spec, &job.vcs, Some(DEADLINE))
+        .filter(|v| v.verdict == Verdict::Proved)
+        .count();
+    (proved, job.vcs.len())
 }
 
 fn e1(c: &mut Criterion) {
@@ -84,25 +87,16 @@ fn e1(c: &mut Criterion) {
     }
     group.finish();
 
-    // The parametric proof is minutes-scale: run it here only on request
-    // (CHICALA_BENCH_PARAMETRIC=1); it is exercised and timed by the test
-    // suite (`rmul_verifies_for_all_widths`) either way. Its cost is a
-    // width-independent constant — the point of the comparison.
-    if std::env::var_os("CHICALA_BENCH_PARAMETRIC").is_some() {
-        let start = std::time::Instant::now();
-        let vcs = parametric_proof();
-        println!(
-            "  parametric proof (rmul, ALL widths): {} VCs in {:.1?} (width-independent)",
-            vcs,
-            start.elapsed()
-        );
-    } else {
-        println!(
-            "  parametric proof (rmul, ALL widths): width-independent constant; \
-             run the `rmul_verifies_for_all_widths` test or set \
-             CHICALA_BENCH_PARAMETRIC=1 to time it here"
-        );
-    }
+    // The parametric proof's cost is a width-independent constant: the
+    // point of the comparison.
+    let start = Instant::now();
+    let (proved, vcs) = parametric_proof();
+    println!(
+        "  parametric proof (rmul, ALL widths): {proved} of {vcs} VCs proved in {:.1?} \
+         at {} s per VC (width-independent)",
+        start.elapsed(),
+        DEADLINE.as_secs()
+    );
 }
 
 criterion_group!(benches, e1);

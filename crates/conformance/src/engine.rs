@@ -146,8 +146,8 @@ pub struct Case {
     /// Clock cycles to simulate (ignored by [`Layer::Spec`], which always
     /// runs the design's full latency).
     pub cycles: u64,
-    /// Input values in `Design::inputs` order (masked to `width` bits by
-    /// the engine before driving any layer).
+    /// Input values in `Design::inputs` order (each masked to its port's
+    /// width by the engine before driving any layer: [`Case::normalized`]).
     pub inputs: Vec<BigInt>,
 }
 

@@ -232,14 +232,7 @@ mod tests {
     #[test]
     #[ignore = "minutes-scale deductive proof on one core; run with: cargo test --release -p chicala-designs -- --ignored"]
     fn rmul_verifies_for_all_widths() {
-        use chicala_verify::{verify_design, Env};
-        let out = transform(&module()).expect("transforms");
-        let mut env = Env::new();
-        chicala_bvlib::install_bitvec(&mut env)
-            .unwrap_or_else(|(n, e)| panic!("bitvec `{n}`: {e}"));
-        let report = verify_design(&mut env, &out.program, &spec(), &out.obligations)
-            .unwrap_or_else(|e| panic!("{e}"));
-        assert!(report.proved() >= 12, "expected a full VC set, got {}", report.proved());
+        crate::assert_proves_for_all_widths(module(), spec());
     }
 
     #[test]

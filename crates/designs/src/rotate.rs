@@ -178,19 +178,10 @@ pub fn spec() -> DesignSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chicala_core::transform;
-    use chicala_verify::{verify_design, Env};
 
     #[test]
     #[ignore = "minutes-scale deductive proof on one core; run with: cargo test --release -p chicala-designs -- --ignored"]
     fn rotate_verifies_for_all_widths() {
-        let m = module();
-        let out = transform(&m).expect("transforms");
-        let mut env = Env::new();
-        chicala_bvlib::install_bitvec(&mut env)
-            .unwrap_or_else(|(n, e)| panic!("bitvec `{n}`: {e}"));
-        let report = verify_design(&mut env, &out.program, &spec(), &out.obligations)
-            .unwrap_or_else(|e| panic!("{e}"));
-        assert!(report.proved() >= 10, "expected a full VC set, got {}", report.proved());
+        crate::assert_proves_for_all_widths(module(), spec());
     }
 }

@@ -1,5 +1,6 @@
-//! Every generated VC of the five specs, discharged under a 100 ms kernel
-//! deadline (`Limits::deadline`). About half of them do not prove in that
+//! Every generated VC of the five specs, built by each design's proof job
+//! and discharged by the driver (`discharge_all`) under a 100 ms kernel
+//! deadline each. About half of them do not prove in that
 //! budget, so this is the check that a hard VC stops at its deadline
 //! instead of running on: each discharge must return within
 //! [`PER_VC_BOUND`] and the whole set within [`TOTAL_BOUND`]. Verdicts are
@@ -9,9 +10,8 @@
 //! slowest discharge 117 ms (120 ms with two more CPU-bound processes
 //! running).
 
-use chicala_core::transform;
 use chicala_designs::verified_designs;
-use chicala_verify::{discharge_vc, gc_checkpoint, generate_vcs, prepare_env, Env, Proof};
+use chicala_verify::{discharge_all, Verdict};
 use std::time::{Duration, Instant};
 
 /// The kernel deadline each VC runs under.
@@ -34,25 +34,12 @@ fn every_vc_stops_at_its_deadline() {
     let mut designs = 0;
     let mut runs: Vec<(Duration, String, bool)> = Vec::new();
     for d in verified_designs() {
-        let Some(spec) = d.spec else { continue };
+        let Some(job) = d.job() else { continue };
+        let job = job.unwrap_or_else(|e| panic!("{}: {e}", d.name));
         designs += 1;
-        let spec = spec();
-        let out = transform(&(d.module)()).unwrap_or_else(|e| panic!("{}: {e}", d.name));
-        let mut env = Env::new();
-        chicala_bvlib::install_bitvec(&mut env)
-            .unwrap_or_else(|(n, e)| panic!("{}: lemma {n}: {e}", d.name));
-        prepare_env(&mut env, &spec).unwrap_or_else(|e| panic!("{}: {e}", d.name));
-        let vcs = generate_vcs(&out.program, &spec, &out.obligations)
-            .unwrap_or_else(|e| panic!("{}: {e}", d.name));
-        for vc in &vcs {
-            let proof = spec.proofs.get(&vc.name).cloned().unwrap_or(Proof::Auto);
-            // Bound the thread-local term and constraint stores between VCs.
-            gc_checkpoint();
-            let mut env = env.clone();
-            let t = Instant::now();
-            env.limits.deadline = Some(t + DEADLINE);
-            let proved = discharge_vc(&env, vc, &proof).is_ok();
-            runs.push((t.elapsed(), format!("{}/{}", d.name, vc.name), proved));
+        for v in discharge_all(&job.env, &job.spec, &job.vcs, Some(DEADLINE)) {
+            let name = format!("{}/{}", d.name, v.vc.name);
+            runs.push((v.elapsed, name, v.verdict == Verdict::Proved));
         }
     }
     let total = start.elapsed();

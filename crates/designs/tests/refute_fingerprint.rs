@@ -14,9 +14,8 @@
 //! discharges one VC at a time, each on a fresh thread like the benchmark
 //! does. Under `cargo test` on a 2-core machine it takes a few seconds.
 
-use chicala_core::transform;
 use chicala_designs::verified_designs;
-use chicala_verify::{discharge_vc, generate_vcs, prepare_env, refute_calls, Env, Proof};
+use chicala_verify::{discharge_vc, refute_calls};
 use std::collections::BTreeMap;
 
 /// `(design/vc, refute_calls)` for every known-proved VC, in the order of
@@ -100,26 +99,18 @@ fn known_proved_vcs_keep_their_refute_calls() {
     let mut got: BTreeMap<String, Result<u64, String>> = BTreeMap::new();
     let start = std::time::Instant::now();
     for d in verified_designs() {
-        let Some(spec) = d.spec else { continue };
-        let spec = spec();
-        let out = transform(&(d.module)()).unwrap_or_else(|e| panic!("{}: {e}", d.name));
-        let mut env = Env::new();
-        chicala_bvlib::install_bitvec(&mut env)
-            .unwrap_or_else(|(n, e)| panic!("{}: lemma {n}: {e}", d.name));
-        prepare_env(&mut env, &spec).unwrap_or_else(|e| panic!("{}: {e}", d.name));
-        let vcs = generate_vcs(&out.program, &spec, &out.obligations)
-            .unwrap_or_else(|e| panic!("{}: {e}", d.name));
-        for vc in &vcs {
+        let Some(job) = d.job() else { continue };
+        let job = job.unwrap_or_else(|e| panic!("{}: {e}", d.name));
+        for vc in &job.vcs {
             let key = format!("{}/{}", d.name, vc.name);
             if !expected.contains_key(key.as_str()) {
                 continue;
             }
-            let proof = spec.proofs.get(&vc.name).cloned().unwrap_or(Proof::Auto);
             // A fresh thread starts from empty thread-local stores.
             let run = std::thread::scope(|s| {
                 s.spawn(|| {
                     let calls = refute_calls();
-                    let r = discharge_vc(&env, vc, &proof);
+                    let r = discharge_vc(&job.env, vc, job.spec.proof(&vc.name));
                     r.map(|()| refute_calls() - calls)
                         .map_err(|e| e.to_string())
                 })

@@ -1,17 +1,15 @@
 //! Pins verification-condition generation: for each of the five specs, the
-//! number of VCs `generate_vcs` produces and an FNV-1a digest of every VC's
-//! name, hypotheses and goal as displayed.
+//! number of VCs its proof job (`VerifiedDesign::job`) holds and an FNV-1a
+//! digest of every VC's name, hypotheses and goal as displayed.
 //!
 //! `refute_fingerprint.rs` pins the kernel's search on the 68 VCs known to
 //! prove; this test covers all 113, the 45 it never discharges included, so
 //! a change to VC generation or to the term rewrites it uses must leave
 //! every VC identical or update [`EXPECTED`] in the same commit and say why.
-//! It discharges nothing and runs in well under a second.
+//! It discharges no VC and runs in well under a second.
 
-use chicala_core::transform;
 use chicala_designs::verified_designs;
 use chicala_telemetry::fnv64;
-use chicala_verify::generate_vcs;
 
 /// `(design, VCs generated, fnv64 of their text)`: 113 VCs in all.
 const EXPECTED: &[(&str, usize, u64)] = &[
@@ -26,10 +24,8 @@ const EXPECTED: &[(&str, usize, u64)] = &[
 fn every_generated_vc_is_unchanged() {
     let mut got = Vec::new();
     for d in verified_designs() {
-        let Some(spec) = d.spec else { continue };
-        let out = transform(&(d.module)()).unwrap_or_else(|e| panic!("{}: {e}", d.name));
-        let vcs = generate_vcs(&out.program, &spec(), &out.obligations)
-            .unwrap_or_else(|e| panic!("{}: {e}", d.name));
+        let Some(job) = d.job() else { continue };
+        let vcs = job.unwrap_or_else(|e| panic!("{}: {e}", d.name)).vcs;
         let mut text = String::new();
         for vc in &vcs {
             text.push_str(&vc.name);

@@ -20,9 +20,8 @@
 //! the workers so its warm thread-local stores do part of the work.
 //!
 //! A fan-out started from inside a worker runs inline on that worker, in
-//! index order. VC discharge already fans out across VCs
-//! (`examples/telemetry_report.rs`), and each VC's cases must not then
-//! start workers² threads.
+//! index order, so a fan-out nested in another never starts workers²
+//! threads.
 //!
 //! [`ThreadPool`] is the workspace's one scheduler. The verification daemon
 //! needs none of its own: it runs each request's work on the thread that

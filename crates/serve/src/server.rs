@@ -41,6 +41,7 @@ use chicala_lowlevel::{prove_net, prove_net_sweep, Backend, Netlist, ProveResult
 use chicala_telemetry as telemetry;
 use chicala_telemetry::JsonValue;
 use chicala_trace::json;
+use chicala_verify::{discharge_all, VcVerdict, Verdict};
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -475,38 +476,27 @@ impl Server {
         // determines.
         let deadline_ms = field(req, "deadline_ms")?.unwrap_or(10_000);
         let (outcome, _) = self.vc_runs.run((design.to_string(), deadline_ms), || {
-            let module = (vd.module)();
-            let out = chicala_core::transform(&module).map_err(|e| e.to_string())?;
-            let mut env = chicala_verify::Env::new();
-            chicala_bvlib::install_bitvec(&mut env)
-                .map_err(|(n, e)| format!("lemma {n}: {e}"))?;
-            let spec = spec();
-            chicala_verify::prepare_env(&mut env, &spec).map_err(|e| e.to_string())?;
-            let vcs = chicala_verify::generate_vcs(&out.program, &spec, &out.obligations)
-                .map_err(|e| e.to_string())?;
-            let mut proved = Vec::new();
-            let mut unproved = Vec::new();
+            let job = chicala_designs::ProofJob::new(&(vd.module)(), spec())?;
             let deadline = std::time::Duration::from_millis(deadline_ms);
-            chicala_verify::discharge_all(&env, &spec, &vcs, deadline, |v| {
-                let names = if v.verdict == chicala_verify::Verdict::Proved {
-                    &mut proved
-                } else {
-                    &mut unproved
-                };
-                names.push(JsonValue::str(v.vc.name.clone()));
-            });
-            let scripted = vcs.iter().filter(|vc| spec.proofs.contains_key(&vc.name)).count() as u64;
+            let (proved, unproved): (Vec<_>, Vec<_>) =
+                discharge_all(&job.env, &job.spec, &job.vcs, Some(deadline))
+                    .partition(|v| v.verdict == Verdict::Proved);
+            let names = |vs: Vec<VcVerdict>| {
+                JsonValue::Arr(vs.iter().map(|v| JsonValue::str(v.vc.name.clone())).collect())
+            };
+            let scripted =
+                job.vcs.iter().filter(|vc| job.spec.proofs.contains_key(&vc.name)).count() as u64;
             let result = JsonValue::obj()
                 .set("design", JsonValue::str(design))
-                .set("total", JsonValue::int(vcs.len() as u64))
+                .set("total", JsonValue::int(job.vcs.len() as u64))
                 .set("scripted", JsonValue::int(scripted));
             Ok((
                 result,
                 vec![
                     ("deadline_ms", JsonValue::int(deadline_ms)),
                     ("proved", JsonValue::int(proved.len() as u64)),
-                    ("proved_names", JsonValue::Arr(proved)),
-                    ("unproved_names", JsonValue::Arr(unproved)),
+                    ("proved_names", names(proved)),
+                    ("unproved_names", names(unproved)),
                 ],
             ))
         });
@@ -1104,14 +1094,8 @@ mod tests {
             .into_iter()
             .find(|d| d.name == "rotate")
             .unwrap();
-        let spec = (d.spec.unwrap())();
-        let out = chicala_core::transform(&(d.module)()).unwrap();
         let mut all: Vec<String> =
-            chicala_verify::generate_vcs(&out.program, &spec, &out.obligations)
-                .unwrap()
-                .into_iter()
-                .map(|vc| vc.name)
-                .collect();
+            d.job().unwrap().unwrap().vcs.into_iter().map(|vc| vc.name).collect();
         let total = json::get(&v, "result").and_then(|r| json::get(r, "total"));
         assert_eq!(total.and_then(json::as_u64), Some(all.len() as u64));
 

@@ -21,7 +21,7 @@
 //! but `0`) or programmatically via [`set_enabled`]. Two exporters are
 //! provided: a human-readable tree report ([`tree_report`]) and Chrome
 //! trace-event JSON ([`chrome_trace`]) loadable in `chrome://tracing` or
-//! `ui.perfetto.dev`; [`write_chrome_trace`] honours `CHICALA_TRACE_OUT`.
+//! `ui.perfetto.dev`; [`write_chrome_trace`] writes the latter to a file.
 //!
 //! # Examples
 //!
@@ -73,25 +73,16 @@ macro_rules! span {
     };
 }
 
-/// Writes the Chrome trace for the current snapshot to `path`, or to
-/// `CHICALA_TRACE_OUT` when `path` is `None` (no-op returning `Ok(None)`
-/// if neither is given or collection is disabled). Returns the path
-/// written.
+/// Writes the Chrome trace for the current snapshot to `path`. Returns
+/// whether it wrote one: nothing is written while collection is disabled.
 ///
 /// # Errors
 ///
 /// Propagates the underlying [`std::io::Error`] on write failure.
-pub fn write_chrome_trace(path: Option<&str>) -> std::io::Result<Option<String>> {
+pub fn write_chrome_trace(path: &str) -> std::io::Result<bool> {
     if !enabled() {
-        return Ok(None);
+        return Ok(false);
     }
-    let out = match path {
-        Some(p) => p.to_string(),
-        None => match std::env::var("CHICALA_TRACE_OUT") {
-            Ok(p) if !p.is_empty() => p,
-            _ => return Ok(None),
-        },
-    };
-    std::fs::write(&out, chrome_trace(&snapshot()))?;
-    Ok(Some(out))
+    std::fs::write(path, chrome_trace(&snapshot()))?;
+    Ok(true)
 }

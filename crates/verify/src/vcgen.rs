@@ -108,23 +108,6 @@ pub struct Vc {
     pub goal: Formula,
 }
 
-/// Result of verifying a design: every generated VC, all proved.
-#[derive(Clone, Debug)]
-pub struct VcReport {
-    /// All VCs, in generation order.
-    pub vcs: Vec<Vc>,
-    /// Names of VCs discharged by explicit proof scripts (the rest used the
-    /// automatic core).
-    pub scripted: Vec<String>,
-}
-
-impl VcReport {
-    /// Number of VCs proved.
-    pub fn proved(&self) -> usize {
-        self.vcs.len()
-    }
-}
-
 /// The specification and proof artefacts for one design — the paper's
 /// `require`/`ensuring` annotations, invariants, timeout, measure, lemmas,
 /// and proof scripts (the `#Scala-vrf` content of Table 1).
@@ -174,6 +157,12 @@ impl Default for DesignSpec {
 }
 
 impl DesignSpec {
+    /// The proof script for the VC named `name`: its entry in
+    /// [`DesignSpec::proofs`], or [`Proof::Auto`].
+    pub fn proof(&self, name: &str) -> &Proof {
+        self.proofs.get(name).unwrap_or(&Proof::Auto)
+    }
+
     /// A rough line count of annotations, lemmas, and proof scripts — used
     /// for the `#Scala-vrf` column of Table 1.
     pub fn annotation_loc(&self) -> usize {
@@ -506,38 +495,8 @@ fn base_state(prog: &SeqProgram, ctx: &mut ExecCtx<'_>) -> Result<(SymState, Vec
     Ok((st, hyps))
 }
 
-/// Verifies a design: generates the §3.1 VCs and discharges each with the
-/// automatic core or the spec's proof script.
-///
-/// `obligations` are the literal-fit side conditions produced by the
-/// transformation; they are checked under the design's preconditions.
-///
-/// # Errors
-///
-/// Returns the first failing lemma or VC.
-pub fn verify_design(
-    env: &mut Env,
-    prog: &SeqProgram,
-    spec: &DesignSpec,
-    obligations: &[SExpr],
-) -> Result<VcReport, VcError> {
-    prepare_env(env, spec)?;
-    let vcs = generate_vcs(prog, spec, obligations)?;
-
-    // Discharge every VC; each is timed as its `vc:{name}` span.
-    let mut scripted = Vec::new();
-    for vc in &vcs {
-        let proof = spec.proofs.get(&vc.name).cloned().unwrap_or(Proof::Auto);
-        if spec.proofs.contains_key(&vc.name) {
-            scripted.push(vc.name.clone());
-        }
-        discharge_vc(env, vc, &proof)?;
-    }
-    Ok(VcReport { vcs, scripted })
-}
-
 /// Registers a spec's ghost definitions, proves its lemmas, and admits its
-/// trusted lemmas — the environment-setup phase of [`verify_design`].
+/// trusted lemmas: the environment-setup phase of a design's proof.
 ///
 /// # Errors
 ///
@@ -632,44 +591,43 @@ impl fmt::Display for VcVerdict<'_> {
     }
 }
 
-/// Discharges each of `vcs`, in order, with its script in `spec` (default
-/// [`Proof::Auto`]) under a `deadline` of its own, and hands each verdict
-/// to `report` as it lands. Unlike [`verify_design`] it does not stop at
-/// an unproved VC, so every verdict is reported; the thread's proof stores
-/// are bounded between VCs ([`crate::gc_checkpoint`]).
-pub fn discharge_all(
+/// Discharges each of `vcs`, in order, with its script in `spec`
+/// ([`DesignSpec::proof`]) under a `deadline` of its own (`None`: no
+/// deadline), and yields each verdict as it lands. The iterator is lazy, so
+/// a caller that stops iterating (`find`, `take_while`) discharges no
+/// further VC. The thread's proof stores are bounded between VCs
+/// ([`crate::gc_checkpoint`]).
+pub fn discharge_all<'a>(
     env: &Env,
-    spec: &DesignSpec,
-    vcs: &[Vc],
-    deadline: Duration,
-    mut report: impl FnMut(VcVerdict<'_>),
-) {
+    spec: &'a DesignSpec,
+    vcs: &'a [Vc],
+    deadline: Option<Duration>,
+) -> impl Iterator<Item = VcVerdict<'a>> + 'a {
     let mut env = env.clone();
-    for vc in vcs {
-        let proof = spec.proofs.get(&vc.name).unwrap_or(&Proof::Auto);
+    vcs.iter().map(move |vc| {
         let start = Instant::now();
-        env.limits.deadline = Some(start + deadline);
-        let result = discharge_vc(&env, vc, proof);
+        env.limits.deadline = deadline.map(|d| start + d);
+        let result = discharge_vc(&env, vc, spec.proof(&vc.name));
         let elapsed = start.elapsed();
         let verdict = match result {
             Ok(()) => Verdict::Proved,
             // `discharge_vc` fails only with `VcError::Failed`.
             Err(VcError::Failed { error, .. })
-                if elapsed < deadline && !error.message.contains("deadline") =>
+                if deadline.is_none_or(|d| elapsed < d && !error.message.contains("deadline")) =>
             {
                 Verdict::Failed(error.message)
             }
             Err(_) => Verdict::Timeout,
         };
-        report(VcVerdict { vc, verdict, elapsed });
         crate::gc_checkpoint();
-    }
+        VcVerdict { vc, verdict, elapsed }
+    })
 }
 
 /// Symbolically executes `prog` against `spec`, producing every §3.1
-/// verification condition without discharging any — the generation phase
-/// of [`verify_design`], separated so callers (profiling reports, future
-/// incremental checkers) can budget or parallelise discharge themselves.
+/// verification condition without discharging any: the generation phase
+/// of a design's proof, which [`discharge_all`] or [`discharge_vc`] then
+/// discharges.
 ///
 /// # Errors
 ///

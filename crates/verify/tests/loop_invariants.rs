@@ -4,7 +4,7 @@
 
 use chicala_bigint::BigInt;
 use chicala_seq::{next_name, SCmp, SExpr, SStmt, SeqProgram, SeqVarDecl};
-use chicala_verify::{verify_design, DesignSpec, Env, Proof};
+use chicala_verify::{discharge_all, generate_vcs, DesignSpec, Env, Proof, Verdict};
 use std::collections::BTreeMap;
 
 /// A one-shot program: in a single `Trans`, sum i for i in 0..n into `s`,
@@ -66,21 +66,22 @@ fn gauss_sum_verifies_with_the_right_invariant() {
     let prog = gauss_program(vec![i(2)
         .mul(v("s"))
         .eq(v("i").mul(v("i").sub(i(1))))]);
-    let mut env = Env::new();
     let mut sp = spec();
     // The measure VC is irrelevant here (timeout immediately); the bounds
     // VC for r needs the loop result small enough, which we skip by giving
     // r a generous width.
     sp.proofs.insert("bounds:r".into(), Proof::Auto);
-    let report = verify_design(&mut env, &prog, &sp, &[]).unwrap_or_else(|e| panic!("{e}"));
-    assert!(report.proved() >= 4, "{}", report.proved());
+    let vcs = generate_vcs(&prog, &sp, &[]).unwrap_or_else(|e| panic!("{e}"));
+    assert!(vcs.len() >= 4, "{}", vcs.len());
+    if let Some(v) = first_unproved(&sp, &vcs) {
+        panic!("{v}");
+    }
 }
 
 #[test]
 fn missing_invariant_is_rejected() {
     let prog = gauss_program(vec![]);
-    let mut env = Env::new();
-    let err = verify_design(&mut env, &prog, &spec(), &[]).expect_err("must fail");
+    let err = generate_vcs(&prog, &spec(), &[]).expect_err("must fail");
     assert!(err.to_string().contains("no invariants"), "{err}");
 }
 
@@ -89,10 +90,16 @@ fn wrong_invariant_is_rejected() {
     let v = SExpr::var;
     // Claim s == i (false from the second iteration on).
     let prog = gauss_program(vec![v("s").eq(v("i"))]);
-    let mut env = Env::new();
-    let err = verify_design(&mut env, &prog, &spec(), &[]).expect_err("must fail");
-    let msg = err.to_string();
-    assert!(msg.contains("loop0"), "{msg}");
+    let vcs = generate_vcs(&prog, &spec(), &[]).unwrap_or_else(|e| panic!("{e}"));
+    let failed = first_unproved(&spec(), &vcs).expect("must fail");
+    assert!(failed.contains("loop0"), "{failed}");
+}
+
+/// The first verdict of the driver (no deadline) that is not `proved`.
+fn first_unproved(spec: &DesignSpec, vcs: &[chicala_verify::Vc]) -> Option<String> {
+    discharge_all(&Env::new(), spec, vcs, None)
+        .find(|v| v.verdict != Verdict::Proved)
+        .map(|v| v.to_string())
 }
 
 #[test]

@@ -16,7 +16,8 @@ use chicala::chisel::{elaborate, Simulator};
 use chicala::core::transform;
 use chicala::lowlevel;
 use chicala::seq::{SValue, SeqRunner};
-use chicala::verify::{discharge_all, generate_vcs, prepare_env, Env, Verdict};
+use chicala::designs::ProofJob;
+use chicala::verify::{discharge_all, Verdict};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -60,22 +61,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("(after 1 + len cycles the register has rotated back to the input)\n");
 
     // 4. Verify for ALL bit widths at once, one VC at a time.
-    let spec = chicala::designs::rotate::spec();
-    let mut env = Env::new();
-    chicala::bvlib::install_bitvec(&mut env).map_err(|(n, e)| format!("lemma {n}: {e}"))?;
-    prepare_env(&mut env, &spec)?;
-    let vcs = generate_vcs(&out.program, &spec, &out.obligations)?;
+    let job = ProofJob::new(&module, chicala::designs::rotate::spec())?;
     println!(
         "== Parametric verification: {} VCs, {} s deadline each ==",
-        vcs.len(),
+        job.vcs.len(),
         DEADLINE.as_secs()
     );
     let mut proved = 0;
-    discharge_all(&env, &spec, &vcs, DEADLINE, |v| {
+    for v in discharge_all(&job.env, &job.spec, &job.vcs, Some(DEADLINE)) {
         proved += (v.verdict == Verdict::Proved) as usize;
         println!("  {v}");
-    });
-    println!("{proved} of {} VCs proved for every width", vcs.len());
+    }
+    println!("{proved} of {} VCs proved for every width", job.vcs.len());
 
     // 5. The low-level contrast: a per-width BDD proof (one width only).
     let mut bdd = lowlevel::bdd::Bdd::new();

@@ -1,116 +1,38 @@
-//! Telemetry report: runs the full pipeline — transformation, VC
-//! generation, (budgeted) kernel discharge, per-width bit-blasting, and a
-//! short conformance soak — for every registered design, then prints a
-//! per-design, per-phase cost breakdown from the telemetry collector and
-//! writes a Chrome trace-event JSON file.
+//! Telemetry report: runs the full pipeline — transformation, the
+//! design's proof job (VC generation, then kernel discharge under a per-VC
+//! deadline), per-width bit-blasting, and a short conformance soak — for
+//! every registered design, then prints a per-design, per-phase cost
+//! breakdown from the telemetry collector and writes a Chrome trace-event
+//! JSON file.
 //!
 //! ```text
 //! CHICALA_TRACE=1 cargo run --example telemetry_report
 //! ```
 //!
-//! Tunables (environment):
+//! Environment:
 //! * `CHICALA_TRACE` — must be set (and not `0`) or the report has nothing
 //!   to show; the pipeline itself is not run without it.
 //! * `CHICALA_TRACE_OUT` — trace JSON path (default `telemetry_trace.json`).
-//! * `CHICALA_REPORT_BUDGET_SECS` — wall-clock kernel budget per design
-//!   (default 8); VCs and lemmas past the budget are counted as skipped.
 
 use chicala::chisel::elaborate;
 use chicala::conformance;
 use chicala::core::transform;
-use chicala::designs::verified_designs;
+use chicala::designs::{verified_designs, ProofJob};
 use chicala::lowlevel;
-use chicala::par::ThreadPool;
 use chicala::telemetry;
-use chicala::verify::{discharge_vc, generate_vcs, Env, Proof};
+use chicala::verify::{discharge_all, Verdict};
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Per-design verification tally under the kernel budget.
+/// Wall-clock kernel deadline per verification condition.
+const VC_DEADLINE: Duration = Duration::from_millis(250);
+
+/// Per-design verdict tally.
 #[derive(Default)]
 struct VcTally {
     proved: usize,
     failed: usize,
-    skipped: usize,
-}
-
-/// Runs environment setup and VC discharge for one design under a
-/// wall-clock budget: the kernel's `Limits::deadline` makes every single
-/// proof attempt fail fast once the budget is spent, so one hard linarith
-/// goal cannot stall the whole report.
-///
-/// Lemma proving is sequential (later lemmas may use earlier ones), but
-/// the VCs are independent and fan out across the scheduler's workers;
-/// the tally is folded in VC order, so counts don't depend on scheduling.
-fn budgeted_verify(
-    name: &str,
-    spec: &chicala::verify::DesignSpec,
-    prog: &chicala::seq::SeqProgram,
-    obligations: &[chicala::seq::SExpr],
-    budget: Duration,
-) -> Result<VcTally, String> {
-    let started = Instant::now();
-    let mut env = Env::new();
-    // Sequential setup (lemmas, vcgen) under one design-attributed span on
-    // this thread; the span is closed before the fan-out so worker-side
-    // spans don't nest inside it (span paths are per-thread, and a nested
-    // duplicate would break the cost table's `verify:{design}/...` match).
-    let (lemmas_done, vcs) = {
-        let _setup_span = telemetry::span!("verify:{}", name);
-        chicala::bvlib::install_bitvec(&mut env)
-            .map_err(|(n, e)| format!("lemma {n}: {e}"))?;
-        env.limits.deadline = Some(started + budget);
-
-        // Environment setup (prepare_env, inlined so lemmas respect the
-        // budget).
-        for d in &spec.defs {
-            env.define(d.clone());
-        }
-        let mut lemmas_done = true;
-        for (lemma, proof) in &spec.lemmas {
-            if started.elapsed() > budget {
-                lemmas_done = false;
-                break;
-            }
-            if let Err(e) = env.prove_lemma(lemma.clone(), proof) {
-                if e.message.contains("deadline") {
-                    lemmas_done = false;
-                    break;
-                }
-                return Err(format!("lemma {}: {}", lemma.name, e.message));
-            }
-        }
-        for lemma in &spec.trusted {
-            env.assume_axiom(lemma.clone());
-        }
-
-        let vcs = generate_vcs(prog, spec, obligations).map_err(|e| e.to_string())?;
-        (lemmas_done, vcs)
-    };
-    let pool = ThreadPool::default();
-    let outcomes = pool.scoped_map(vcs.len(), |i| {
-        // Without the design's lemmas the remaining VCs would fail for the
-        // wrong reason; count them against the budget instead.
-        if !lemmas_done || started.elapsed() > budget {
-            return None;
-        }
-        // Establish the design-attributed span prefix on whichever thread
-        // runs this VC, so the cost table's `verify:{design}/vc:*`
-        // aggregation keeps working.
-        let _span = telemetry::span!("verify:{}", name);
-        let proof = spec.proofs.get(&vcs[i].name).cloned().unwrap_or(Proof::Auto);
-        Some(discharge_vc(&env, &vcs[i], &proof).map_err(|e| e.to_string()))
-    });
-    let mut tally = VcTally::default();
-    for out in outcomes {
-        match out {
-            None => tally.skipped += 1,
-            Some(Ok(())) => tally.proved += 1,
-            Some(Err(e)) if e.contains("deadline") => tally.skipped += 1,
-            Some(Err(_)) => tally.failed += 1,
-        }
-    }
-    Ok(tally)
+    timeout: usize,
 }
 
 /// Bit-blasts the design at one small width for its full latency,
@@ -158,13 +80,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     }
 
-    let budget = Duration::from_secs(
-        std::env::var("CHICALA_REPORT_BUDGET_SECS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(8),
-    );
-
     let designs = verified_designs();
     let mut tallies: BTreeMap<&str, Option<VcTally>> = BTreeMap::new();
     let mut module_names: BTreeMap<&str, String> = BTreeMap::new();
@@ -180,34 +95,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  transform: {} statements, {} obligations",
             out.program.trans.len(), out.obligations.len());
 
-        // 2. Parametric verification under the kernel budget, with the
-        //    whole phase wrapped in a design-attributed span so vcgen /
-        //    vc / lemma child spans can be split out per design below.
-        match &d.spec {
-            Some(spec) => {
-                let spec = spec();
-                // Span management lives inside budgeted_verify: one span
-                // for the sequential setup, one per worker-side VC.
-                let tally = budgeted_verify(d.name, &spec, &out.program, &out.obligations, budget);
-                match tally {
-                    Ok(t) => {
-                        println!(
-                            "  verify: {} proved, {} failed, {} skipped (budget {:?})",
-                            t.proved, t.failed, t.skipped, budget
-                        );
-                        tallies.insert(d.name, Some(t));
-                    }
-                    Err(e) => {
-                        println!("  verify: error: {e}");
-                        tallies.insert(d.name, None);
-                    }
+        // 2. Parametric verification: the proof job and the driver, inside
+        //    a design-attributed span so the vcgen / vc / lemma child spans
+        //    can be split out per design below.
+        let tally = d.spec.map(|spec| {
+            let _span = telemetry::span!("verify:{}", d.name);
+            let job = ProofJob::new(&module, spec())?;
+            let mut t = VcTally::default();
+            for v in discharge_all(&job.env, &job.spec, &job.vcs, Some(VC_DEADLINE)) {
+                match v.verdict {
+                    Verdict::Proved => t.proved += 1,
+                    Verdict::Failed(_) => t.failed += 1,
+                    Verdict::Timeout => t.timeout += 1,
                 }
             }
-            None => {
-                println!("  verify: (no deductive spec)");
-                tallies.insert(d.name, None);
-            }
+            Ok::<_, String>(t)
+        });
+        match &tally {
+            Some(Ok(t)) => println!(
+                "  verify: {} proved, {} failed, {} timed out ({:?} per VC)",
+                t.proved, t.failed, t.timeout, VC_DEADLINE
+            ),
+            Some(Err(e)) => println!("  verify: error: {e}"),
+            None => println!("  verify: (no deductive spec)"),
         }
+        tallies.insert(d.name, tally.and_then(Result::ok));
 
         // 3. Low-level contrast: one-width bit-blast at the design's
         //    smallest interesting width.
@@ -239,7 +151,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The per-design, per-phase cost table, aggregated from span paths.
     let snap = telemetry::snapshot();
     println!(
-        "{:<10} {:>10} {:>10} {:>10} {:>10} {:>12}   vcs (proved/failed/skipped)",
+        "{:<10} {:>10} {:>10} {:>10} {:>10} {:>12}   vcs (proved/failed/timeout)",
         "design", "transform", "vcgen", "kernel", "bitblast", "conformance"
     );
     for d in &designs {
@@ -259,7 +171,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let conformance_ns =
             snap.span_total_ns(|p| p == format!("conformance:{name}"));
         let vcs = match tallies.get(name) {
-            Some(Some(t)) => format!("{}/{}/{}", t.proved, t.failed, t.skipped),
+            Some(Some(t)) => format!("{}/{}/{}", t.proved, t.failed, t.timeout),
             _ => "-".to_string(),
         };
         println!(
@@ -300,9 +212,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .ok()
         .filter(|p| !p.is_empty())
         .unwrap_or_else(|| "telemetry_trace.json".to_string());
-    match telemetry::write_chrome_trace(Some(&out_path))? {
-        Some(p) => println!("\nwrote Chrome trace ({} spans) to {p}", snap.spans.len()),
-        None => println!("\nno trace written (telemetry disabled)"),
+    if telemetry::write_chrome_trace(&out_path)? {
+        println!("\nwrote Chrome trace ({} spans) to {out_path}", snap.spans.len());
+    } else {
+        println!("\nno trace written (telemetry disabled)");
     }
     Ok(())
 }

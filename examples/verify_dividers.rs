@@ -10,30 +10,31 @@
 
 use chicala::bigint::BigInt;
 use chicala::chisel::{elaborate, Module, Simulator};
-use chicala::core::transform;
-use chicala::verify::{discharge_all, generate_vcs, prepare_env, DesignSpec, Env, Verdict};
+use chicala::designs::ProofJob;
+use chicala::verify::{discharge_all, DesignSpec, Verdict};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// Wall-clock budget per verification condition.
 const DEADLINE: Duration = Duration::from_secs(2);
 
-fn verify(name: &str, title: &str, module: &Module, spec: &DesignSpec) -> Result<(), Box<dyn std::error::Error>> {
+fn verify(
+    name: &str,
+    title: &str,
+    module: &Module,
+    spec: DesignSpec,
+) -> Result<(), Box<dyn std::error::Error>> {
     let start = Instant::now();
-    let out = transform(module)?;
-    let mut env = Env::new();
-    chicala::bvlib::install_bitvec(&mut env).map_err(|(n, e)| format!("lemma {n}: {e}"))?;
-    prepare_env(&mut env, spec)?;
-    let vcs = generate_vcs(&out.program, spec, &out.obligations)?;
-    println!("== {title}: {} VCs, {} s deadline each ==", vcs.len(), DEADLINE.as_secs());
+    let job = ProofJob::new(module, spec)?;
+    println!("== {title}: {} VCs, {} s deadline each ==", job.vcs.len(), DEADLINE.as_secs());
     let mut proved = 0;
-    discharge_all(&env, spec, &vcs, DEADLINE, |v| {
+    for v in discharge_all(&job.env, &job.spec, &job.vcs, Some(DEADLINE)) {
         proved += (v.verdict == Verdict::Proved) as usize;
         println!("  {name} {v}");
-    });
+    }
     println!(
         "{name}: {proved} of {} VCs proved for every width in {:.1?}\n",
-        vcs.len(),
+        job.vcs.len(),
         start.elapsed()
     );
     Ok(())
@@ -61,13 +62,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "rdiv",
         "R-divider (RocketChip)",
         &chicala::designs::rdiv::module(),
-        &chicala::designs::rdiv::spec(),
+        chicala::designs::rdiv::spec(),
     )?;
     verify(
         "xdiv",
         "X-divider (XiangShan Radix2Divider)",
         &chicala::designs::xdiv::module(),
-        &chicala::designs::xdiv::spec(),
+        chicala::designs::xdiv::spec(),
     )?;
     println!("Concrete spot checks:");
     demo_division("R-divider", &chicala::designs::rdiv::module(), 16, 50000, 123);

@@ -9,8 +9,8 @@
 //! the verdicts, and with an error only if a step fails to run.
 
 use chicala::chisel::Module;
-use chicala::core::transform;
-use chicala::verify::{discharge_all, generate_vcs, prepare_env, DesignSpec, Env, Verdict};
+use chicala::designs::ProofJob;
+use chicala::verify::{discharge_all, DesignSpec, Verdict};
 use std::time::{Duration, Instant};
 
 /// Wall-clock budget per verification condition.
@@ -20,22 +20,19 @@ fn verify(
     name: &str,
     title: &str,
     module: &Module,
-    spec: &DesignSpec,
-    mut env: Env,
+    spec: DesignSpec,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let start = Instant::now();
-    let out = transform(module)?;
-    prepare_env(&mut env, spec)?;
-    let vcs = generate_vcs(&out.program, spec, &out.obligations)?;
-    println!("== {title}: {} VCs, {} s deadline each ==", vcs.len(), DEADLINE.as_secs());
+    let job = ProofJob::new(module, spec)?;
+    println!("== {title}: {} VCs, {} s deadline each ==", job.vcs.len(), DEADLINE.as_secs());
     let mut proved = 0;
-    discharge_all(&env, spec, &vcs, DEADLINE, |v| {
+    for v in discharge_all(&job.env, &job.spec, &job.vcs, Some(DEADLINE)) {
         proved += (v.verdict == Verdict::Proved) as usize;
         println!("  {name} {v}");
-    });
+    }
     println!(
         "{name}: {proved} of {} VCs proved for every width in {:.1?}\n",
-        vcs.len(),
+        job.vcs.len(),
         start.elapsed()
     );
     Ok(())
@@ -43,22 +40,17 @@ fn verify(
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Verifying the multipliers for every bit width at once...\n");
-    let mut env = Env::new();
-    chicala::bvlib::install_bitvec(&mut env).map_err(|(n, e)| format!("lemma {n}: {e}"))?;
     verify(
         "rmul",
         "R-multiplier (shift/add)",
         &chicala::designs::rmul::module(),
-        &chicala::designs::rmul::spec(),
-        env.clone(),
+        chicala::designs::rmul::spec(),
     )?;
-    chicala::bvlib::install_listlib(&mut env).map_err(|(n, e)| format!("lemma {n}: {e}"))?;
     verify(
         "xmul",
         "X-multiplier (Booth + carry-save)",
         &chicala::designs::xmul::module(),
-        &chicala::designs::xmul::spec(),
-        env,
+        chicala::designs::xmul::spec(),
     )?;
     Ok(())
 }

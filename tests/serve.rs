@@ -302,24 +302,15 @@ fn vc_discharges_persist_in_the_store() {
     handle.install();
 
     let discharge_obligations = |handle: &CacheHandle| -> usize {
-        let vd = chicala::designs::verified_designs()
+        let job = chicala::designs::verified_designs()
             .into_iter()
             .find(|d| d.name == "rotate")
-            .expect("rotate is registered");
-        let module = (vd.module)();
-        let out = chicala::core::transform(&module).expect("transform rotate");
-        let mut env = chicala::verify::Env::new();
-        chicala::bvlib::install_bitvec(&mut env)
-            .unwrap_or_else(|(n, e)| panic!("lemma {n}: {e}"));
-        let spec = (vd.spec.expect("rotate has a spec"))();
-        chicala::verify::prepare_env(&mut env, &spec).expect("prepare env");
-        let vcs = chicala::verify::generate_vcs(&out.program, &spec, &out.obligations)
-            .expect("generate vcs");
+            .and_then(|d| d.job())
+            .expect("rotate is registered with a spec")
+            .unwrap_or_else(|e| panic!("rotate's proof job: {e}"));
         let mut proved = 0;
-        for vc in vcs.iter().filter(|vc| vc.name.starts_with("obligation:")) {
-            let proof =
-                spec.proofs.get(&vc.name).cloned().unwrap_or(chicala::verify::Proof::Auto);
-            chicala::verify::discharge_vc(&env, vc, &proof)
+        for vc in job.vcs.iter().filter(|vc| vc.name.starts_with("obligation:")) {
+            chicala::verify::discharge_vc(&job.env, vc, job.spec.proof(&vc.name))
                 .unwrap_or_else(|e| panic!("VC {} failed: {e}", vc.name));
             proved += 1;
         }
